@@ -1,26 +1,25 @@
-"""Fleet-kernel throughput: scalar vs vector board-month rates.
+"""Fleet-kernel throughput: board-months per second up a fleet ladder.
 
-Runs one shard of the campaign engine (:func:`repro.exec.worker.run_board_shard`)
-at fleet sizes 16 → 10,000 under both execution kernels
-(``ShardSpec.kernel``), verifies the vector kernel is bit-identical to
-the scalar one at the small sizes (speed is worthless if the science
-moves), and records months/second in ``BENCH_fleet_kernel.json`` at
-the repository root.
+Runs one shard of the campaign engine (:func:`repro.exec.worker.run_board_shard`,
+one :class:`~repro.sram.fleetkernel.FleetKernel` per shard) at fleet
+sizes 16 → 10,000, checks the first boards against the single-device
+oracle (:class:`~repro.sram.chip.SRAMChip` plus
+:func:`~repro.analysis.monthly.evaluate_board`; speed is worthless if
+the science moves), and records board-months/second in
+``BENCH_fleet_kernel.json`` at the repository root.
 
 Two workloads are measured:
 
 * **fleet-bench profile** (128 cells/board, 100 measurements/month) —
-  the regime the vector kernel exists for: thousands of small boards
-  where the scalar path's per-board Python overhead (chip objects,
-  ~30 numpy calls per board-month on tiny arrays) dominates.  The
-  acceptance target — the vector kernel ≥3× the scalar rate at fleet
-  ≥1024 — is asserted here.
+  thousands of small boards, where batching removes the per-board
+  Python overhead a board-by-board loop pays (~4x in the recorded
+  history, when a board-by-board engine still existed to compare with).
 * **paper profile** (20,480 cells/board, the paper's 16-board fleet) —
-  the honest caveat row: at paper-scale cell counts the wall clock is
-  dominated by the physics draws themselves (per-board Gaussian/
-  Binomial sampling and ``ndtr``, which bit-identity pins to the
-  per-board streams), so batching buys little.  Recorded, never
-  asserted.
+  the wall clock is dominated by the per-board physics draws
+  themselves, which bit-identity pins to the per-board streams.
+
+Both are recorded, neither is asserted: the regression gate is the
+``fleet-kernel`` entry of the ``repro bench`` ledger.
 
 Run it directly::
 
@@ -37,16 +36,16 @@ import time
 
 import numpy as np
 
+from repro.analysis.monthly import evaluate_board
 from repro.exec.plan import ShardSpec
 from repro.exec.worker import run_board_shard
+from repro.rng import SeedHierarchy
+from repro.sram.aging import AgingSimulator
+from repro.sram.chip import SRAMChip
 from repro.sram.profiles import ATMEGA32U4
 from repro.telemetry import reset_telemetry
 
-#: Vector-over-scalar speedup demanded at every fleet size >= 1024.
-TARGET_SPEEDUP = 3.0
-TARGET_FLEET = 1024
-
-#: Small boards, big fleets: the vector kernel's home regime.
+#: Small boards, big fleets: where batching pays most.
 BENCH_PROFILE = ATMEGA32U4.with_overrides(
     name="atmega32u4-fleetbench", sram_bytes=16, read_bytes=8
 )
@@ -55,12 +54,12 @@ MONTHS = 2
 MEASUREMENTS = 100
 SEED = 1
 REPEATS = 3
-#: Fleet sizes whose scalar/vector runs are compared row for row.
-IDENTITY_SIZES = (16, 256)
+#: Boards checked against the single-device oracle.
+ORACLE_BOARDS = 16
 OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_fleet_kernel.json")
 
 
-def _spec(boards: int, kernel: str, profile=BENCH_PROFILE) -> ShardSpec:
+def _spec(boards: int, profile=BENCH_PROFILE) -> ShardSpec:
     return ShardSpec(
         shard_index=0,
         root_seed=SEED,
@@ -69,72 +68,69 @@ def _spec(boards: int, kernel: str, profile=BENCH_PROFILE) -> ShardSpec:
         measurements=MEASUREMENTS,
         profile=profile,
         temperatures=(None,) * (MONTHS + 1),
-        kernel=kernel,
     )
 
 
-def _assert_identical(a, b) -> None:
-    """Exact equality of two shard results (the tests go deeper)."""
-    assert len(a.trajectories) == len(b.trajectories)
-    for traj_a, traj_b in zip(a.trajectories, b.trajectories):
-        assert traj_a.board_id == traj_b.board_id
-        np.testing.assert_array_equal(traj_a.reference, traj_b.reference)
-        for row_a, row_b in zip(traj_a.months, traj_b.months):
-            assert row_a.wchd == row_b.wchd
-            assert row_a.fhw == row_b.fhw
-            assert row_a.stable_ratio == row_b.stable_ratio
-            assert row_a.noise_entropy == row_b.noise_entropy
-            np.testing.assert_array_equal(row_a.first_readout, row_b.first_readout)
+def assert_matches_oracle(spec: ShardSpec, result) -> None:
+    """The shard's trajectories equal single-device chips, board by board."""
+    seeds = SeedHierarchy(spec.root_seed)
+    for position, trajectory in enumerate(result.trajectories):
+        profile = spec.profile_for_position(position)
+        chip = SRAMChip(trajectory.board_id, profile, random_state=seeds)
+        simulator = AgingSimulator(profile)
+        np.testing.assert_array_equal(trajectory.reference, chip.read_startup())
+        for month, row in enumerate(trajectory.months):
+            expected = evaluate_board(
+                chip,
+                trajectory.reference,
+                measurements=spec.measurements,
+                temperature_k=spec.temperatures[month],
+            )
+            assert (row.wchd, row.fhw, row.stable_ratio, row.noise_entropy) == (
+                expected.wchd,
+                expected.fhw,
+                expected.stable_ratio,
+                expected.noise_entropy,
+            )
+            np.testing.assert_array_equal(row.first_readout, expected.first_readout)
+            if month < spec.months:
+                simulator.age_array_months(
+                    chip.array,
+                    spec.aging_acceleration,
+                    steps=spec.aging_steps_per_month,
+                )
 
 
-def _timed(boards: int, kernel: str, profile=BENCH_PROFILE):
+def _timed(spec: ShardSpec):
     reset_telemetry()
-    spec = _spec(boards, kernel, profile)
     start = time.perf_counter()
     result = run_board_shard(spec)
     return time.perf_counter() - start, result
 
 
+def _rate(spec: ShardSpec, repeats: int) -> float:
+    wall = statistics.median(_timed(spec)[0] for _ in range(repeats))
+    return len(spec.board_ids) * (MONTHS + 1) / wall
+
+
 def main() -> int:
-    _timed(64, "scalar")
-    _timed(64, "vector")  # warm-up absorbs import and cache effects
+    _timed(_spec(64))  # warm-up absorbs import and cache effects
+    oracle_spec = _spec(ORACLE_BOARDS)
+    assert_matches_oracle(oracle_spec, _timed(oracle_spec)[1])
 
-    for boards in IDENTITY_SIZES:
-        _, result_s = _timed(boards, "scalar")
-        _, result_v = _timed(boards, "vector")
-        _assert_identical(result_s, result_v)
-
-    rows = {}
-    for boards in FLEET_LADDER:
-        repeats = REPEATS if boards <= 1024 else 1
-        rates = {}
-        for kernel in ("scalar", "vector"):
-            samples = []
-            for _ in range(repeats):
-                elapsed, _ = _timed(boards, kernel)
-                samples.append(elapsed)
-            wall = statistics.median(samples)
-            rates[kernel] = boards * (MONTHS + 1) / wall
-        rows[boards] = {
-            "scalar_board_months_per_s": round(rates["scalar"], 1),
-            "vector_board_months_per_s": round(rates["vector"], 1),
-            "speedup": round(rates["vector"] / rates["scalar"], 4),
+    rows = {
+        boards: {
+            "board_months_per_s": round(
+                _rate(_spec(boards), REPEATS if boards <= 1024 else 1), 1
+            )
         }
-
-    paper_wall = {}
-    for kernel in ("scalar", "vector"):
-        elapsed, _ = _timed(16, kernel, profile=ATMEGA32U4)
-        paper_wall[kernel] = elapsed
+        for boards in FLEET_LADDER
+    }
     paper_row = {
         "boards": 16,
         "cells": ATMEGA32U4.cell_count,
-        "scalar_board_months_per_s": round(16 * (MONTHS + 1) / paper_wall["scalar"], 1),
-        "vector_board_months_per_s": round(16 * (MONTHS + 1) / paper_wall["vector"], 1),
-        "speedup": round(paper_wall["scalar"] / paper_wall["vector"], 4),
+        "board_months_per_s": round(_rate(_spec(16, ATMEGA32U4), 1), 1),
     }
-
-    gated = [rows[b]["speedup"] for b in FLEET_LADDER if b >= TARGET_FLEET]
-    best_gated = max(gated)
     document = {
         "bench": "fleet-kernel",
         "config": {
@@ -148,24 +144,12 @@ def main() -> int:
         "cpu_count": os.cpu_count() or 1,
         "fleet_sizes": {str(b): rows[b] for b in FLEET_LADDER},
         "paper_profile": paper_row,
-        "target_speedup_at_or_above_1024_boards": TARGET_SPEEDUP,
-        "best_speedup_at_or_above_1024_boards": round(best_gated, 4),
-        "target_asserted": True,
-        "results_bit_identical": True,
+        "results_match_single_device_oracle": True,
     }
     with open(OUTPUT, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
     print(json.dumps(document, indent=2))
-
-    if best_gated < TARGET_SPEEDUP:
-        print(
-            f"FAIL: best vector speedup at fleet >= {TARGET_FLEET} is "
-            f"{best_gated:.2f}x < target {TARGET_SPEEDUP:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"OK: {best_gated:.2f}x at fleet >= {TARGET_FLEET}")
     return 0
 
 

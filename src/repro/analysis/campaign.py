@@ -1,11 +1,12 @@
 """The long-term campaign driver.
 
 :class:`LongTermCampaign` reproduces the paper's two-year study: it
-manufactures a fleet of devices, takes each device's first-ever
-read-out as the lifetime reference, then alternates monthly snapshots
-(:func:`~repro.analysis.monthly.evaluate_month`) with one month of
-nominal-condition aging, for 25 snapshots in total (Feb 2017 through
-Feb 2019 inclusive).
+manufactures a fleet of devices on one
+:class:`~repro.sram.fleetkernel.FleetKernel`, takes each device's
+first-ever read-out as the lifetime reference, then alternates monthly
+snapshots (:func:`~repro.analysis.monthly.evaluate_fleet`) with one
+month of nominal-condition aging, for 25 snapshots in total (Feb 2017
+through Feb 2019 inclusive).
 
 An optional ambient-temperature random walk perturbs each month's
 measurement temperature around the nominal, mimicking an uncontrolled
@@ -20,7 +21,11 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.monthly import MonthlyEvaluation, assemble_evaluation, evaluate_month
+from repro.analysis.monthly import (
+    MonthlyEvaluation,
+    assemble_evaluation,
+    evaluate_fleet,
+)
 from repro.errors import (
     CampaignExecutionError,
     CampaignInterrupted,
@@ -28,9 +33,8 @@ from repro.errors import (
     StorageError,
 )
 from repro.rng import RandomState, SeedHierarchy
-from repro.sram.aging import AgingSimulator
 from repro.sram.chip import SRAMChip
-from repro.sram.fleetkernel import validate_kernel
+from repro.sram.fleetkernel import build_fleet_kernel
 from repro.sram.population import PopulationSpec
 from repro.sram.profiles import ATMEGA32U4, DeviceProfile
 from repro.telemetry import (
@@ -129,8 +133,8 @@ class LongTermCampaign:
         stressed run whose drift the monitoring layer should flag.
     max_workers:
         Parallel worker processes for the board-sharded execution
-        engine (:mod:`repro.exec`).  1 (the default) runs the classic
-        in-process serial loop; higher values shard the fleet over
+        engine (:mod:`repro.exec`).  1 (the default) runs the
+        in-process month loop; higher values shard the fleet over
         ``spawn``-ed workers with bit-identical results (the
         ``tests/exec`` equivalence suite enforces this).
     keyframe_every:
@@ -152,20 +156,13 @@ class LongTermCampaign:
         :class:`~repro.errors.CampaignExecutionError`.  Used by chaos
         drills and the CI flight-recorder smoke; leave ``None`` in
         production.
-    kernel:
-        Execution kernel: ``"scalar"`` (default) walks the fleet board
-        by board, ``"vector"`` batches each shard's boards on a
-        :class:`~repro.sram.fleetkernel.FleetKernel` (see
-        ``docs/kernel.md``).  Like ``max_workers``, a pure wall-clock
-        knob — results, artifacts, checkpoints and alert logs are
-        bit-identical under either kernel.
     shard_store:
         Sharded persistence (requires ``checkpoint_dir`` at run time):
         each window worker owns a store under ``shards/<shard-dir>/``
         and writes its shard's keyframed chain and results stream
         locally; the parent keeps only a campaign manifest and an
         O(counters) month log (see :mod:`repro.store.shardstore` and
-        ``docs/storage.md``).  Like ``max_workers``/``kernel`` a pure
+        ``docs/storage.md``).  Like ``max_workers`` a pure
         scaling knob: the monolithic artifact reassembled by ``store
         merge`` / :func:`~repro.io.resultstore.load_campaign` is
         byte-identical to the single-writer output.
@@ -189,7 +186,6 @@ class LongTermCampaign:
         keyframe_every: int = 6,
         rollup_shards: Optional[int] = None,
         fail_board: Optional[int] = None,
-        kernel: str = "scalar",
         shard_store: bool = False,
         random_state: RandomState = None,
     ):
@@ -225,14 +221,12 @@ class LongTermCampaign:
             raise ConfigurationError(
                 f"fail_board {fail_board} outside fleet of {device_count}"
             )
-        validate_kernel(kernel)
         self._shard_store = bool(shard_store)
         self._rollup_shards_opt = rollup_shards
         self._rollup_shards = (
             rollup_shards if rollup_shards is not None else min(8, device_count)
         )
         self._fail_board = fail_board
-        self._kernel = kernel
         self._device_count = device_count
         self._months = months
         self._measurements = measurements
@@ -338,7 +332,9 @@ class LongTermCampaign:
 
         ``chips`` may inject an externally built fleet (e.g. boards
         pulled out of a :class:`~repro.hardware.testbed.Testbed`);
-        their current state is taken as day 0.  ``progress``, when
+        their current state is taken as day 0.  The campaign copies
+        that state into its fleet kernel and leaves the chips
+        themselves unchanged.  ``progress``, when
         given, is called after every monthly snapshot with
         ``(completed, total)`` snapshot counts (a
         :class:`~repro.monitor.heartbeat.SnapshotEmitter` plugs in
@@ -354,7 +350,7 @@ class LongTermCampaign:
         :class:`~repro.exec.executor.ParallelExecutor` shards the fleet
         by board (see :mod:`repro.exec` and ``docs/parallel.md``).
         When ``None``, the constructor's ``max_workers`` decides — 1
-        runs the classic in-process serial loop below, more builds a
+        runs the in-process month loop, more builds a
         :class:`~repro.exec.executor.ParallelExecutor`.  Either way the
         result is bit-identical; on the sharded path, snapshots are
         merged (and ``monitor``/``progress`` are fed) in month order
@@ -397,12 +393,6 @@ class LongTermCampaign:
                 "an injected fleet cannot be combined with a population "
                 "(board profiles are materialized from the spec); run "
                 "without chips, or without population"
-            )
-        if chips is not None and self._kernel == "vector":
-            raise ConfigurationError(
-                "an injected fleet cannot run on the vector kernel "
-                "(the fleet kernel re-manufactures boards from the seed "
-                "hierarchy); use kernel='scalar' with injected chips"
             )
         if stream is not None and checkpoint_dir is None:
             raise ConfigurationError(
@@ -457,12 +447,6 @@ class LongTermCampaign:
             from repro.exec.executor import executor_for
 
             executor = executor_for(1)
-        if executor is None and self._kernel == "vector" and chips is None:
-            # The in-process serial loop has no fleet kernel; route
-            # through the (bit-identical) sharded path instead.
-            from repro.exec.executor import executor_for
-
-            executor = executor_for(1)
         if executor is not None:
             if chips is not None:
                 raise ConfigurationError(
@@ -482,7 +466,6 @@ class LongTermCampaign:
         executor: Optional["CampaignExecutor"] = None,
         max_workers: int = 1,
         abort_after_month: Optional[int] = None,
-        kernel: str = "scalar",
         stream=None,
     ) -> CampaignResult:
         """Continue a checkpointed campaign from its last complete month.
@@ -498,12 +481,6 @@ class LongTermCampaign:
         run's.  ``monitor`` must be freshly constructed (no prior
         observations); its alert log, if any, is truncated and
         regenerated by the replay.
-
-        ``kernel``, like ``max_workers``, is an execution knob of *this*
-        process, not part of the stored configuration: a campaign
-        checkpointed under either kernel resumes under either kernel
-        with byte-identical continuation (``tests/store`` pins the
-        kernel-swap resume in both directions).
 
         Under delta checkpointing (``docs/storage.md``) the resume
         point is the newest *keyframe*: the at most
@@ -555,7 +532,6 @@ class LongTermCampaign:
                 max_workers=max_workers,
                 keyframe_every=int(config.get("keyframe_every", 6)),
                 rollup_shards=config.get("rollup_shards"),
-                kernel=kernel,
                 shard_store=sharded,
                 random_state=int(config["root_seed"]),
             )
@@ -581,7 +557,12 @@ class LongTermCampaign:
         progress: Optional[ProgressCallback],
         monitor: Optional["MonitorHub"],
     ) -> CampaignResult:
-        """The classic in-process month loop (reference implementation)."""
+        """The in-process month loop over one fleet kernel.
+
+        An injected ``chips`` fleet enters the kernel through its
+        exported device states, so the chips themselves are left
+        untouched; results follow the chips' order.
+        """
         metrics = get_metrics()
         tracer = get_tracer()
         powerups = metrics.counter("campaign.powerups")
@@ -592,46 +573,56 @@ class LongTermCampaign:
         with tracer.span(
             "campaign.run", devices=self._device_count, months=self._months
         ):
-            fleet = list(chips) if chips is not None else self.build_fleet()
-            if not fleet:
-                raise ConfigurationError("campaign fleet is empty")
+            states = None
+            if chips is None:
+                board_ids = list(range(self._device_count))
+                profiles = [self._board_profile(board) for board in board_ids]
+            else:
+                fleet = list(chips)
+                if not fleet:
+                    raise ConfigurationError("campaign fleet is empty")
+                board_ids = [chip.chip_id for chip in fleet]
+                profiles = [chip.profile for chip in fleet]
+                states = {chip.chip_id: chip.array.export_state() for chip in fleet}
+            kernel = build_fleet_kernel(
+                board_ids, profiles, root_seed=self._seeds.root_seed, states=states
+            )
+            boards = len(board_ids)
             logger.info(
                 "campaign started: %d devices, %d months, %d measurements/month",
-                len(fleet),
+                boards,
                 self._months,
                 self._measurements,
             )
 
-            references = {chip.chip_id: chip.read_startup() for chip in fleet}
-            powerups.inc(len(fleet))  # the day-0 reference read-outs
-            temp_rng = self._seeds.stream("ambient-temperature")
-            # One simulator per distinct profile (an injected fleet may
-            # carry profiles the campaign's table does not know about).
-            simulators = {
-                chip_profile: AgingSimulator(chip_profile)
-                for chip_profile in dict.fromkeys(chip.profile for chip in fleet)
-            }
+            by_id = dict(zip(kernel.board_ids, kernel.read_startup()))
+            references = {board: by_id[board] for board in board_ids}
+            powerups.inc(boards)  # the day-0 reference read-outs
+            temperatures = self._month_temperatures()
 
             total_snapshots = self._months + 1
             snapshots: List[MonthlyEvaluation] = []
-            temperature = self._nominal_temperature
-            for month in range(self._months + 1):
-                if self._temperature_walk_k > 0.0:
-                    temperature += float(temp_rng.normal(0.0, self._temperature_walk_k))
-                snapshot_temp = temperature if self._temperature_walk_k > 0.0 else None
+            for month in range(total_snapshots):
                 with tracer.span("campaign.month", month=month):
                     with tracer.span("campaign.measure"):
-                        snapshots.append(
-                            evaluate_month(
-                                fleet,
+                        rows = {
+                            row.board_id: row
+                            for row in evaluate_fleet(
+                                kernel,
                                 references,
-                                month=month,
                                 measurements=self._measurements,
                                 statistical=self._statistical,
-                                temperature_k=snapshot_temp,
+                                temperature_k=temperatures[month],
+                            )
+                        }
+                        snapshots.append(
+                            assemble_evaluation(
+                                month,
+                                self._measurements,
+                                [rows[board] for board in board_ids],
                             )
                         )
-                    powerups.inc(self._measurements * len(fleet))
+                    powerups.inc(self._measurements * boards)
                     self._count_labeled_powerups(metrics, month)
                     snapshots_done.inc()
                     self._ingest_rollups(snapshots[-1])
@@ -647,14 +638,12 @@ class LongTermCampaign:
                     )
                     if month < self._months:
                         with tracer.span("campaign.age"):
-                            with get_profiler().phase(PHASE_AGING):
-                                for chip in fleet:
-                                    simulators[chip.profile].age_array_months(
-                                        chip.array,
-                                        self._aging_acceleration,
-                                        steps=self._aging_steps,
-                                    )
-                            aging_steps.inc(self._aging_steps * len(fleet))
+                            with get_profiler().phase(PHASE_AGING, calls=boards):
+                                kernel.age_months(
+                                    self._aging_acceleration,
+                                    steps=self._aging_steps,
+                                )
+                            aging_steps.inc(self._aging_steps * boards)
                 logger.debug(
                     "month %d/%d evaluated (WCHD mean %.4f)",
                     month,
@@ -669,7 +658,7 @@ class LongTermCampaign:
             profile_name=self._result_profile_name(),
             months=self._months,
             measurements=self._measurements,
-            board_ids=[chip.chip_id for chip in fleet],
+            board_ids=board_ids,
             references=references,
             snapshots=snapshots,
         )
@@ -789,8 +778,8 @@ class LongTermCampaign:
         if self._population is not None:
             # Profile-cohort scopes are derived parent-side from the
             # assembled evaluation (never shipped by workers), so they
-            # are identical across worker counts, kernels, and resume
-            # replay by construction.
+            # are identical across worker counts and resume replay by
+            # construction.
             docs = dict(docs)
             docs.update(
                 evaluation_profile_docs(evaluation, self._profile_label_of)
@@ -800,10 +789,10 @@ class LongTermCampaign:
     def _month_temperatures(self) -> List[Optional[float]]:
         """Pre-draw every month's ambient measurement temperature.
 
-        Consumes the shared ``ambient-temperature`` stream exactly as
-        the serial loop does (one Gaussian step per snapshot), so the
-        sharded path hands workers the identical temperature sequence
-        without shipping the stream itself.  ``None`` entries mean
+        Consumes the shared ``ambient-temperature`` stream one
+        Gaussian step per snapshot, so every execution path measures at the
+        identical temperature sequence and the sharded paths hand it to
+        workers without shipping the stream itself.  ``None`` entries mean
         profile-nominal (walk disabled).
         """
         if self._temperature_walk_k <= 0.0:
@@ -844,7 +833,6 @@ class LongTermCampaign:
                 rollup_shards=worker_rollups,
                 fleet_size=self._device_count,
                 trace=trace,
-                kernel=self._kernel,
                 **self._profile_spec_fields(boards),
             )
             for index, boards in enumerate(
@@ -1245,7 +1233,6 @@ class LongTermCampaign:
                                 rollup_shards=worker_rollups,
                                 fleet_size=self._device_count,
                                 trace=trace_context,
-                                kernel=self._kernel,
                                 shard_store=(
                                     ShardStoreSpec(
                                         root=shard_root(checkpoint_dir, index),

@@ -39,6 +39,7 @@ from repro.metrics.hamming import (
 )
 from repro.metrics.stability import stable_cell_ratio_from_counts
 from repro.sram.chip import SRAMChip
+from repro.sram.fleetkernel import row_blocks
 from repro.sram.powerup import sample_measurement_block
 from repro.telemetry.profiling import PHASE_METRICS
 from repro.telemetry.runtime import get_profiler
@@ -138,16 +139,17 @@ def evaluate_fleet(
 ) -> List[BoardMonthMetrics]:
     """Run the whole fleet's share of the monthly protocol, batched.
 
-    The vector-kernel counterpart of calling :func:`evaluate_board`
-    per board: ``kernel`` (a
-    :class:`~repro.sram.fleetkernel.FleetKernel`) draws one block for
-    every board, and the four per-board metrics are computed as
-    rowwise reductions over the ``(boards, read_bits)`` count matrix.
-    Each reduction is the *exact* vectorization of the scalar metric —
-    ``M.mean(axis=1)`` of a row equals that row's ``mean()`` bit for
-    bit, and every elementwise step matches the ``*_from_counts``
-    formula — so the returned rows equal the scalar path's
-    :class:`BoardMonthMetrics` exactly (the property suite in
+    The fleet counterpart of calling :func:`evaluate_board` per board:
+    ``kernel`` (a :class:`~repro.sram.fleetkernel.FleetKernel`) draws
+    one block for every board, and the four per-board metrics are
+    computed as rowwise reductions over the ``(boards, read_bits)``
+    count matrix, one row block at a time
+    (:func:`~repro.sram.fleetkernel.row_blocks`) so the temporaries
+    stay cache-sized.  Each reduction is the *exact* vectorization of
+    the single-board metric — ``M.mean(axis=1)`` of a row equals that
+    row's ``mean()`` bit for bit, and every elementwise step matches
+    the ``*_from_counts`` formula — so the returned rows equal
+    :func:`evaluate_board`'s exactly (the property suite in
     ``tests/property/test_kernel_equivalence.py`` pins this).
     """
     if measurements < 2:
@@ -155,29 +157,39 @@ def evaluate_fleet(
     counts, first = kernel.measure_block(
         measurements, temperature_k=temperature_k, statistical=statistical
     )
-    with get_profiler().phase(PHASE_METRICS):
+    board_ids = kernel.board_ids
+    boards, read_bits = counts.shape
+    wchd = np.empty(boards)
+    fhw = np.empty(boards)
+    stable = np.empty(boards)
+    noise_entropy = np.empty(boards)
+    with get_profiler().phase(PHASE_METRICS, calls=boards):
         if counts.size and (
             int(counts.min()) < 0 or int(counts.max()) > measurements
         ):
             raise ConfigurationError(
                 "ones_counts out of range for the measurement count"
             )
-        reference_rows = np.stack(
-            [
-                ensure_bits(references[board_id], length=counts.shape[1])
-                for board_id in kernel.board_ids
-            ]
-        )
-        # WCHD: a reference-1 cell disagrees in (m - ones) power-ups, a
-        # reference-0 cell in ones — rowwise mean over cells, then / m.
-        disagreements = np.where(
-            reference_rows == 1, measurements - counts, counts
-        )
-        wchd = disagreements.mean(axis=1) / measurements
-        fhw = counts.mean(axis=1) / measurements
-        stable = ((counts == 0) | (counts == measurements)).mean(axis=1)
-        probs = counts / float(measurements)
-        noise_entropy = (-np.log2(np.maximum(probs, 1.0 - probs))).mean(axis=1)
+        for rows in row_blocks(boards, read_bits):
+            block = counts[rows]
+            reference_rows = np.stack(
+                [
+                    ensure_bits(references[board_id], length=read_bits)
+                    for board_id in board_ids[rows]
+                ]
+            )
+            # WCHD: a reference-1 cell disagrees in (m - ones) power-ups,
+            # a reference-0 cell in ones — rowwise mean over cells, / m.
+            disagreements = np.where(
+                reference_rows == 1, measurements - block, block
+            )
+            wchd[rows] = disagreements.mean(axis=1) / measurements
+            fhw[rows] = block.mean(axis=1) / measurements
+            stable[rows] = ((block == 0) | (block == measurements)).mean(axis=1)
+            probs = block / float(measurements)
+            noise_entropy[rows] = (
+                -np.log2(np.maximum(probs, 1.0 - probs))
+            ).mean(axis=1)
         return [
             BoardMonthMetrics(
                 board_id=board_id,
@@ -187,7 +199,7 @@ def evaluate_fleet(
                 noise_entropy=float(noise_entropy[index]),
                 first_readout=first[index],
             )
-            for index, board_id in enumerate(kernel.board_ids)
+            for index, board_id in enumerate(board_ids)
         ]
 
 

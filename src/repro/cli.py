@@ -77,14 +77,6 @@ def _add_study_arguments(parser: argparse.ArgumentParser) -> None:
         "(1 = serial; results are bit-identical at any count)",
     )
     parser.add_argument(
-        "--kernel",
-        choices=("scalar", "vector"),
-        default="scalar",
-        help="execution kernel: 'scalar' walks boards one by one, "
-        "'vector' batches the fleet as (boards, cells) matrices "
-        "(bit-identical results; see docs/kernel.md)",
-    )
-    parser.add_argument(
         "--profile",
         default=None,
         metavar="NAME",
@@ -134,7 +126,6 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
         keyframe_every=getattr(args, "keyframe_every", 6),
         rollup_shards=getattr(args, "rollup_shards", None),
         fail_board=getattr(args, "fail_board", None),
-        kernel=getattr(args, "kernel", "scalar"),
         shard_store=getattr(args, "shard_store", False),
         **_study_fleet_kwargs(args),
     )
@@ -781,13 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="parallel worker processes for the campaign part (1 = serial; "
         "spans and phase attribution merge identically at any count)",
-    )
-    profile.add_argument(
-        "--kernel",
-        choices=("scalar", "vector"),
-        default="scalar",
-        help="execution kernel for the campaign part (bit-identical "
-        "results; see docs/kernel.md)",
     )
     profile.add_argument(
         "--cycles", type=int, default=3, help="testbed power cycles to simulate"

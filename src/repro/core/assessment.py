@@ -209,7 +209,6 @@ class LongTermAssessment:
                 keyframe_every=cfg.keyframe_every,
                 rollup_shards=cfg.rollup_shards,
                 fail_board=cfg.fail_board,
-                kernel=cfg.kernel,
                 shard_store=cfg.shard_store,
                 random_state=cfg.seed,
             )
@@ -222,7 +221,6 @@ class LongTermAssessment:
                     executor=executor,
                     max_workers=cfg.max_workers,
                     abort_after_month=abort_after_month,
-                    kernel=cfg.kernel,
                     stream=stream,
                 )
             else:

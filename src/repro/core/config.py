@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.sram.fleetkernel import validate_kernel
 from repro.sram.population import PopulationSpec
 from repro.sram.profiles import ATMEGA32U4, DeviceProfile
 
@@ -82,15 +81,6 @@ class StudyConfig:
         before touching it, crashing the campaign deterministically
         (the CI status-smoke job exercises the flight recorder with
         it).  ``None`` (the default) injects nothing.
-    kernel:
-        Campaign execution kernel: ``"scalar"`` (default) walks the
-        fleet board by board, ``"vector"`` batches the whole fleet as
-        ``(boards, cells)`` matrices
-        (:class:`~repro.sram.fleetkernel.FleetKernel`; see
-        ``docs/kernel.md``).  Like ``max_workers``, a pure wall-clock
-        knob: results, artifacts, checkpoints and alert logs are
-        bit-identical under either kernel, so equal configs still
-        produce equal results.
     shard_store:
         Sharded persistence (requires ``checkpoint_dir`` at run time):
         window workers persist their shard's checkpoint chain and
@@ -116,7 +106,6 @@ class StudyConfig:
     keyframe_every: int = 6
     rollup_shards: Optional[int] = None
     fail_board: Optional[int] = None
-    kernel: str = "scalar"
     shard_store: bool = False
 
     def __post_init__(self) -> None:
@@ -164,7 +153,6 @@ class StudyConfig:
                 f"fail_board {self.fail_board} outside fleet of "
                 f"{self.device_count}"
             )
-        validate_kernel(self.kernel)
         if self.population is not None:
             if not isinstance(self.population, PopulationSpec):
                 raise ConfigurationError(

@@ -11,8 +11,9 @@ Layers (see ``docs/parallel.md`` for the full design):
 
 * :mod:`repro.exec.plan` — :class:`ShardSpec` work orders and the
   board partitioner.
-* :mod:`repro.exec.worker` — the ``spawn``-safe shard worker; returns
-  trajectories plus per-month telemetry counter deltas.
+* :mod:`repro.exec.worker` — the ``spawn``-safe shard worker: the
+  shard's boards on one :class:`~repro.sram.fleetkernel.FleetKernel`;
+  returns trajectories plus per-month telemetry counter deltas.
 * :mod:`repro.exec.windows` — month-granular work orders for the
   checkpointed path (:class:`WindowSpec` / :func:`run_board_window`);
   the driver regains control after every month to cut a checkpoint.
@@ -21,7 +22,7 @@ Layers (see ``docs/parallel.md`` for the full design):
   structured :class:`~repro.errors.CampaignExecutionError` on failure.
 * :mod:`repro.exec.pool` — :class:`WindowPool`, the persistent worker
   pool of the checkpointed path: one pool lifetime per campaign
-  instead of a respawn per month, enabling the workers' warm board
+  instead of a respawn per month, enabling the workers' warm fleet
   cache.
 * :mod:`repro.exec.merge` — coverage-checked re-keying of shard
   results into fleet order.

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sram.fleetkernel import validate_kernel
 from repro.sram.profiles import DeviceProfile
 from repro.telemetry.tracing import TraceContext
 
@@ -68,8 +67,8 @@ class ShardSpec:
     aging_acceleration:
         Equivalent field months aged per calendar month.
     fail_board:
-        Fault-injection hook: the worker raises when it reaches this
-        board, before simulating it.  Exercised by the
+        Fault-injection hook: the worker raises before simulating
+        any of its boards, naming this one.  Exercised by the
         crash-robustness suite and available for chaos drills; leave
         ``None`` in production.
     rollup_shards:
@@ -87,11 +86,6 @@ class ShardSpec:
         set the worker records per-board spans on a private tracer and
         ships them back; :attr:`~repro.telemetry.tracing.TraceContext.phases`
         likewise for hot-path phase timings.
-    kernel:
-        Execution kernel of this shard's boards: ``"scalar"`` walks
-        them board by board, ``"vector"`` advances them together on a
-        :class:`~repro.sram.fleetkernel.FleetKernel` — bit-identical
-        results either way (``docs/kernel.md``).
     """
 
     shard_index: int
@@ -110,7 +104,6 @@ class ShardSpec:
     rollup_shards: int = 0
     fleet_size: int = 0
     trace: Optional[TraceContext] = None
-    kernel: str = "scalar"
 
     def __post_init__(self) -> None:
         if not self.board_ids:
@@ -120,7 +113,6 @@ class ShardSpec:
                 f"expected {self.months + 1} per-month temperatures, "
                 f"got {len(self.temperatures)}"
             )
-        validate_kernel(self.kernel)
         normalize_profile_fields(self, len(self.board_ids))
 
     def profile_for_position(self, position: int) -> DeviceProfile:

@@ -13,10 +13,10 @@ exposes the same duck-typed executor surface (``max_workers`` plus
 ``run_tasks``), so :meth:`LongTermCampaign.run` can adopt it
 transparently, tests can inject it, and the serial≡parallel
 byte-identity suite gates it like any other executor.  Keeping workers
-alive is also what makes the warm board cache in
-:mod:`repro.exec.windows` effective: month *m+1*'s window for a board
+alive is also what makes the warm fleet cache in
+:mod:`repro.exec.windows` effective: month *m+1*'s window for a shard
 usually lands in the process that just computed month *m*'s outbound
-state, so the digest matches and deserialization is skipped.
+state, so the digests match and deserialization is skipped.
 
 The pool defaults to the ``spawn`` start method for the same hermetic
 determinism reasons as :data:`repro.exec.executor.START_METHOD`;

@@ -25,17 +25,20 @@ private registries and return deltas, split into *evaluation* deltas
 after, visible at the next poll) so the driver reproduces the serial
 counter trajectory poll for poll.
 
-Workers keep a **warm board cache**: after every window the live chip
-is remembered keyed by ``(board_id, state_digest)``, where the digest
-is taken over the exact state document the driver will send back next
-month.  When the next window for that board lands on the same worker
-(the common case under :class:`~repro.exec.pool.WindowPool`, which
-keeps workers alive for the whole campaign) the incoming digest matches
-and the worker skips re-deserializing 8 K cells of skew state.  A hit
-is *provably* equivalent to a restore — the digest only matches when
-the cached chip's current state equals the requested inbound state, and
-``restore_chip(board_state_doc(chip))`` round-trips bit-exactly — so
-the serial≡parallel byte-identity gates hold with the cache on.
+Each window advances its boards together on one
+:class:`~repro.sram.fleetkernel.FleetKernel`, and workers keep a
+**warm fleet cache**: after every window the live kernel is remembered
+keyed by its board ids, with the digest (:func:`state_digest`) of every
+board's exported state document — the exact documents the campaign
+will send back next month.  When the next window for those boards lands on
+the same worker (the common case under
+:class:`~repro.exec.pool.WindowPool`, which keeps workers alive for the
+whole campaign) the incoming digests match and the worker skips
+re-deserializing every board's skew state.  A hit is *provably*
+equivalent to a restore — the digests only match when the cached
+kernel's current state equals the requested inbound state, and state
+documents round-trip bit-exactly — so the serial≡parallel
+byte-identity gates hold with the cache on.
 """
 
 from __future__ import annotations
@@ -49,20 +52,16 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.monthly import BoardMonthMetrics, evaluate_board, evaluate_fleet
+from repro.analysis.monthly import BoardMonthMetrics, evaluate_fleet
 from repro.errors import CampaignExecutionError
 from repro.exec.plan import normalize_profile_fields, rollup_shard_of
-from repro.rng import SeedHierarchy
-from repro.sram.aging import AgingSimulator
-from repro.sram.chip import SRAMChip
-from repro.sram.fleetkernel import build_fleet_kernel, validate_kernel
+from repro.exec.worker import board_span_records
+from repro.sram.fleetkernel import build_fleet_kernel
 from repro.sram.profiles import DeviceProfile
 from repro.store.checkpoint import (
-    board_state_doc,
     board_state_from_doc,
     board_state_to_doc,
     load_latest_shard_keyframe,
-    restore_chip,
 )
 from repro.store.shardstore import ShardStoreSpec, persist_shard_window
 from repro.telemetry.metrics import MetricsRegistry
@@ -70,25 +69,16 @@ from repro.telemetry.profiling import PHASE_AGING, PHASE_STORE_IO, PhaseProfiler
 from repro.telemetry.resources import ResourceSampler
 from repro.telemetry.rollup import ROLLUP_STATS, ShardRollupBuilder
 from repro.telemetry.runtime import get_profiler, install_profiler
-from repro.telemetry.tracing import NULL_SPAN, TraceContext, Tracer, span_record
+from repro.telemetry.tracing import NULL_SPAN, TraceContext, Tracer
 
 logger = logging.getLogger(__name__)
 
-#: Warm per-process board cache: board_id -> (state digest, chip, reference).
-#: Lives in each worker process; bounded by the fleets the worker has seen.
-_BOARD_CACHE: Dict[int, Tuple[str, Any, Optional[np.ndarray]]] = {}
-
-#: Safety valve for very long-lived processes cycling through many
-#: campaigns: past this many distinct boards the cache starts over.
-_BOARD_CACHE_LIMIT = 256
-
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
-#: Warm per-process fleet cache for the vector kernel: the window's
-#: board-ids tuple -> (per-board state digests, live FleetKernel).
-#: Same provable-equivalence argument as the board cache — an entry is
-#: only reused when every board's inbound digest matches the cached
-#: fleet's exported state, so a hit merely skips B deserializations.
+#: Warm per-process fleet cache: the window's board-ids tuple ->
+#: (per-board state digests, live FleetKernel).  An entry is only
+#: reused when every board's inbound digest matches the cached fleet's
+#: exported state, so a hit merely skips B deserializations.
 _FLEET_CACHE: Dict[Tuple[int, ...], Tuple[Tuple[str, ...], Any]] = {}
 
 #: Fleet-cache safety valve (entries are whole fleets, so keep few).
@@ -120,47 +110,22 @@ def state_digest(state: Dict[str, Any]) -> str:
 
 
 def window_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of this process's warm board cache."""
+    """Per-board hit/miss counters of this process's warm fleet cache."""
     return dict(_CACHE_STATS)
 
 
 def clear_window_cache() -> None:
-    """Drop the warm board/fleet/shard caches and zero their statistics."""
-    _BOARD_CACHE.clear()
+    """Drop the warm fleet/shard caches and zero their statistics."""
     _FLEET_CACHE.clear()
     _SHARD_STATE_CACHE.clear()
     _CACHE_STATS["hits"] = 0
     _CACHE_STATS["misses"] = 0
 
 
-def _cached_chip(board: "BoardWindowState"):
-    """The warm chip for a board's inbound state, or a fresh restore.
-
-    A cache entry is only used when its digest matches the inbound
-    state exactly — i.e. the cached live chip *is* at the requested
-    draw position — so a hit changes nothing about the results, only
-    skips the deserialization.
-    """
-    digest = state_digest(board.state)
-    cached = _BOARD_CACHE.get(board.board_id)
-    if cached is not None and cached[0] == digest:
-        _CACHE_STATS["hits"] += 1
-        return cached[1]
-    _CACHE_STATS["misses"] += 1
-    return None
-
-
-def _remember_chip(board_id: int, digest: str, chip, reference) -> None:
-    if board_id not in _BOARD_CACHE and len(_BOARD_CACHE) >= _BOARD_CACHE_LIMIT:
-        _BOARD_CACHE.clear()
-    _BOARD_CACHE[board_id] = (digest, chip, reference)
-
-
 def _cached_fleet(board_ids: Tuple[int, ...], digests: Tuple[str, ...]):
     """The warm FleetKernel at these boards' inbound states, or ``None``.
 
-    Hit/miss statistics count one per board, mirroring the scalar board
-    cache, so ``window_cache_stats`` stays comparable across kernels.
+    Hit/miss statistics count one per board.
     """
     cached = _FLEET_CACHE.get(board_ids)
     if cached is not None and cached[0] == digests:
@@ -170,12 +135,15 @@ def _cached_fleet(board_ids: Tuple[int, ...], digests: Tuple[str, ...]):
     return None
 
 
-def _remember_fleet(
-    board_ids: Tuple[int, ...], digests: Tuple[str, ...], kernel
-) -> None:
+def _export_fleet(board_ids: Tuple[int, ...], kernel) -> Dict[int, Dict[str, Any]]:
+    """The fleet's board state documents; the live kernel is cached at them."""
+    raw_states = kernel.export_states()
+    states = {board: board_state_to_doc(raw_states[board]) for board in board_ids}
+    digests = tuple(state_digest(states[board]) for board in board_ids)
     if board_ids not in _FLEET_CACHE and len(_FLEET_CACHE) >= _FLEET_CACHE_LIMIT:
         _FLEET_CACHE.clear()
     _FLEET_CACHE[board_ids] = (digests, kernel)
+    return states
 
 
 def _remember_shard_states(
@@ -224,60 +192,21 @@ def _restore_shard_states(spec: "WindowSpec") -> Dict[int, Dict[str, Any]]:
     if not gap:
         return states
     references = {board.board_id: board.reference for board in spec.boards}
-    if spec.kernel == "vector":
-        kernel = build_fleet_kernel(
-            spec.board_ids,
-            spec.board_profiles,
-            states={
-                board: board_state_from_doc(states[board])
-                for board in spec.board_ids
-            },
-        )
-        for month in gap:
-            evaluate_fleet(
-                kernel,
-                references,
-                measurements=spec.measurements,
-                statistical=spec.statistical,
-                temperature_k=shard_store.temperatures[month],
-            )
-            kernel.age_months(
-                spec.aging_acceleration, steps=spec.aging_steps_per_month
-            )
-        raw_states = kernel.export_states()
-        states = {
-            board: board_state_to_doc(raw_states[board])
-            for board in spec.board_ids
-        }
-        _remember_fleet(
-            spec.board_ids,
-            tuple(state_digest(states[board]) for board in spec.board_ids),
+    kernel = build_fleet_kernel(
+        spec.board_ids,
+        spec.board_profiles,
+        states={board: board_state_from_doc(states[board]) for board in spec.board_ids},
+    )
+    for month in gap:
+        evaluate_fleet(
             kernel,
+            references,
+            measurements=spec.measurements,
+            statistical=spec.statistical,
+            temperature_k=shard_store.temperatures[month],
         )
-    else:
-        simulators = {profile: AgingSimulator(profile) for profile in spec.profiles}
-        replayed: Dict[int, Dict[str, Any]] = {}
-        for position, board in enumerate(spec.boards):
-            profile = spec.profile_for_position(position)
-            chip = restore_chip(board.board_id, profile, states[board.board_id])
-            for month in gap:
-                evaluate_board(
-                    chip,
-                    board.reference,
-                    measurements=spec.measurements,
-                    statistical=spec.statistical,
-                    temperature_k=shard_store.temperatures[month],
-                )
-                simulators[profile].age_array_months(
-                    chip.array,
-                    spec.aging_acceleration,
-                    steps=spec.aging_steps_per_month,
-                )
-            doc = board_state_doc(chip)
-            replayed[board.board_id] = doc
-            _remember_chip(board.board_id, state_digest(doc), chip, board.reference)
-        states = replayed
-    return states
+        kernel.age_months(spec.aging_acceleration, steps=spec.aging_steps_per_month)
+    return _export_fleet(spec.board_ids, kernel)
 
 
 def _attach_shard_states(spec: "WindowSpec") -> "WindowSpec":
@@ -327,7 +256,8 @@ class WindowSpec:
     :class:`~repro.exec.plan.ShardSpec`: when ``rollup_shards`` is
     positive the window also returns exact partial rollup documents
     for its boards' month.  ``fail_board`` is the fault-injection
-    hook — the worker raises before simulating that board.
+    hook — the worker raises before simulating any board of the
+    window.
     """
 
     shard_index: int
@@ -353,10 +283,6 @@ class WindowSpec:
     #: Observability context (``None`` keeps the spec byte-compatible
     #: with the pre-tracing pickle); mirrors ``ShardSpec.trace``.
     trace: Optional[TraceContext] = None
-    #: Execution kernel; mirrors ``ShardSpec.kernel`` — ``"vector"``
-    #: advances the window's boards together on a
-    #: :class:`~repro.sram.fleetkernel.FleetKernel`, bit-identically.
-    kernel: str = "scalar"
     #: Sharded persistence order (``None`` = monolithic: the driver
     #: checkpoints centrally and boards travel by value).  When set,
     #: the worker owns the shard's store: device state stays local
@@ -366,17 +292,12 @@ class WindowSpec:
     shard_store: Optional[ShardStoreSpec] = None
 
     def __post_init__(self) -> None:
-        validate_kernel(self.kernel)
         normalize_profile_fields(self, len(self.boards))
 
     @property
     def board_ids(self) -> Tuple[int, ...]:
         """Boards of this window (for executor error reports)."""
         return tuple(board.board_id for board in self.boards)
-
-    def profile_for_position(self, position: int) -> DeviceProfile:
-        """The profile of ``boards[position]``."""
-        return self.profiles[self.profile_index[position]]
 
     @property
     def board_profiles(self) -> Tuple[DeviceProfile, ...]:
@@ -420,47 +341,36 @@ def _registry_deltas(registry: MetricsRegistry) -> Dict[str, int]:
     }
 
 
-def _run_window_vector(
+def _run_window_fleet(
     spec: WindowSpec,
     powerups,
     aging_steps,
     builder: Optional[ShardRollupBuilder],
     tracer: Optional[Tracer],
 ):
-    """One month of the window's boards, batched on a FleetKernel.
+    """One month of the window's boards, together on one FleetKernel.
 
-    Returns ``(rows, states, references)`` with exactly the scalar
-    loop's contents: same draw order per board, same counter deltas,
-    same rollup observation order, byte-identical state documents.
-    The fleet advances as one unit, so the ``fail_board`` fault hook
-    fires before any board is touched.
+    Returns ``(rows, states, references)``: the boards' monthly rows,
+    their outbound state documents and — for a month-0 window — their
+    day-0 references.
     """
-    if spec.fail_board is not None and spec.fail_board in spec.board_ids:
-        raise CampaignExecutionError(
-            f"board {spec.fail_board} failed in month-{spec.month} window "
-            f"of shard {spec.shard_index}: injected fault (WindowSpec.fail_board)",
-            board_id=spec.fail_board,
-            shard_index=spec.shard_index,
-        )
     board_ids = spec.board_ids
+    boards = len(board_ids)
     fresh = [board.board_id for board in spec.boards if board.state is None]
-    references: Dict[int, np.ndarray] = {}
     new_references: Dict[int, np.ndarray] = {}
-    with tracer.span("worker.fleet", boards=len(board_ids)) if tracer is not None else NULL_SPAN:
-        if len(fresh) == len(spec.boards):
+    with tracer.span("worker.board") if tracer is not None else NULL_SPAN:
+        if len(fresh) == boards:
             kernel = build_fleet_kernel(
                 board_ids, spec.board_profiles, root_seed=spec.root_seed
             )
-            reference_rows = kernel.read_startup()
-            powerups.inc(len(board_ids))  # the day-0 reference read-outs
-            for index, board_id in enumerate(kernel.board_ids):
-                references[board_id] = reference_rows[index]
-            new_references = dict(references)
+            new_references = dict(zip(kernel.board_ids, kernel.read_startup()))
+            powerups.inc(boards)  # the day-0 reference read-outs
+            references = new_references
         elif fresh:
             raise CampaignExecutionError(
-                f"vector kernel needs a uniform window: boards {fresh} have no "
-                f"state while others do (month-{spec.month} window of shard "
-                f"{spec.shard_index})",
+                f"a window needs every board manufactured or every board "
+                f"restored: boards {fresh} have no state while others do "
+                f"(month-{spec.month} window of shard {spec.shard_index})",
                 shard_index=spec.shard_index,
             )
         else:
@@ -476,7 +386,7 @@ def _run_window_vector(
                     },
                 )
             references = {board.board_id: board.reference for board in spec.boards}
-        with tracer.span("fleet.measure") if tracer is not None else NULL_SPAN:
+        with tracer.span("board.measure") if tracer is not None else NULL_SPAN:
             fleet_rows = evaluate_fleet(
                 kernel,
                 references,
@@ -491,25 +401,16 @@ def _run_window_vector(
                     row.board_id,
                     {stat: getattr(row, stat) for stat in ROLLUP_STATS},
                 )
-        powerups.inc(spec.measurements * len(board_ids))
+        powerups.inc(spec.measurements * boards)
         if spec.apply_aging:
-            with tracer.span("fleet.age") if tracer is not None else NULL_SPAN:
-                with get_profiler().phase(PHASE_AGING):
+            with tracer.span("board.age") if tracer is not None else NULL_SPAN:
+                with get_profiler().phase(PHASE_AGING, calls=boards):
                     kernel.age_months(
                         spec.aging_acceleration,
                         steps=spec.aging_steps_per_month,
                     )
-            aging_steps.inc(spec.aging_steps_per_month * len(board_ids))
-        raw_states = kernel.export_states()
-        states = {
-            board_id: board_state_to_doc(raw_states[board_id])
-            for board_id in board_ids
-        }
-        _remember_fleet(
-            board_ids,
-            tuple(state_digest(states[board_id]) for board_id in board_ids),
-            kernel,
-        )
+            aging_steps.inc(spec.aging_steps_per_month * boards)
+        states = _export_fleet(board_ids, kernel)
     return rows, states, new_references
 
 
@@ -519,7 +420,8 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
     Month 0 additionally manufactures each board and takes its day-0
     reference (exactly the serial campaign's draw order).  Failures
     surface as :class:`~repro.errors.CampaignExecutionError` naming the
-    board and shard, like the full-trajectory worker's.
+    shard (and the board, for the ``fail_board`` hook, which fires
+    before any board is touched), like the full-trajectory worker's.
 
     Under a sharded store (``spec.shard_store``) the boards arrive
     with ``state=None`` after month 0; the worker attaches its own
@@ -534,11 +436,6 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
     aging_registry = MetricsRegistry()
     powerups = eval_registry.counter("campaign.powerups")
     aging_steps = aging_registry.counter("campaign.aging_steps")
-    # One simulator per distinct profile: the aging law is profile
-    # physics, so a mixed window ages each board with its own model.
-    simulators = {
-        profile: AgingSimulator(profile) for profile in spec.profiles
-    }
     builder: Optional[ShardRollupBuilder] = None
     if spec.rollup_shards > 0:
         builder = ShardRollupBuilder(
@@ -554,77 +451,26 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
     if trace is not None and trace.phases:
         previous_profiler = install_profiler(PhaseProfiler(enabled=True))
 
-    rows: Dict[int, BoardMonthMetrics] = {}
-    states: Dict[int, Dict[str, Any]] = {}
-    references: Dict[int, np.ndarray] = {}
     try:
-        if spec.kernel == "vector":
-            try:
-                rows, states, references = _run_window_vector(
-                    spec, powerups, aging_steps, builder, tracer
-                )
-            except CampaignExecutionError:
-                raise
-            except Exception as exc:
-                raise CampaignExecutionError(
-                    f"fleet of month-{spec.month} window of shard "
-                    f"{spec.shard_index} failed (vector kernel): {exc}",
-                    shard_index=spec.shard_index,
-                ) from exc
-        else:
-            for position, board in enumerate(spec.boards):
-                try:
-                    if spec.fail_board == board.board_id:
-                        raise RuntimeError("injected fault (WindowSpec.fail_board)")
-                    profile = spec.profile_for_position(position)
-                    with tracer.span("worker.board", board=board.board_id) if tracer is not None else NULL_SPAN:
-                        if board.state is None:
-                            seeds = SeedHierarchy(spec.root_seed)
-                            chip = SRAMChip(board.board_id, profile, random_state=seeds)
-                            reference = chip.read_startup()
-                            powerups.inc()  # the day-0 reference read-out
-                            references[board.board_id] = reference
-                        else:
-                            chip = _cached_chip(board)
-                            if chip is None:
-                                chip = restore_chip(board.board_id, profile, board.state)
-                            reference = board.reference
-                        with tracer.span("board.measure") if tracer is not None else NULL_SPAN:
-                            row = evaluate_board(
-                                chip,
-                                reference,
-                                measurements=spec.measurements,
-                                statistical=spec.statistical,
-                                temperature_k=spec.temperature,
-                            )
-                        rows[board.board_id] = row
-                        if builder is not None:
-                            builder.observe_board(
-                                board.board_id,
-                                {stat: getattr(row, stat) for stat in ROLLUP_STATS},
-                            )
-                        powerups.inc(spec.measurements)
-                        if spec.apply_aging:
-                            with tracer.span("board.age") if tracer is not None else NULL_SPAN:
-                                with get_profiler().phase(PHASE_AGING):
-                                    simulators[profile].age_array_months(
-                                        chip.array,
-                                        spec.aging_acceleration,
-                                        steps=spec.aging_steps_per_month,
-                                    )
-                            aging_steps.inc(spec.aging_steps_per_month)
-                        state = board_state_doc(chip)
-                        states[board.board_id] = state
-                        _remember_chip(board.board_id, state_digest(state), chip, reference)
-                except CampaignExecutionError:
-                    raise
-                except Exception as exc:
-                    raise CampaignExecutionError(
-                        f"board {board.board_id} failed in month-{spec.month} window "
-                        f"of shard {spec.shard_index}: {exc}",
-                        board_id=board.board_id,
-                        shard_index=spec.shard_index,
-                    ) from exc
+        if spec.fail_board is not None and spec.fail_board in spec.board_ids:
+            raise CampaignExecutionError(
+                f"board {spec.fail_board} failed in month-{spec.month} window "
+                f"of shard {spec.shard_index}: injected fault (WindowSpec.fail_board)",
+                board_id=spec.fail_board,
+                shard_index=spec.shard_index,
+            )
+        try:
+            rows, states, references = _run_window_fleet(
+                spec, powerups, aging_steps, builder, tracer
+            )
+        except CampaignExecutionError:
+            raise
+        except Exception as exc:
+            raise CampaignExecutionError(
+                f"fleet of month-{spec.month} window of shard "
+                f"{spec.shard_index} failed: {exc}",
+                shard_index=spec.shard_index,
+            ) from exc
         if spec.shard_store is not None:
             # The month is only "done" once the shard's own store says
             # so: rows record first, chain file (the commit mark)
@@ -639,10 +485,6 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
     finally:
         if previous_profiler is not None:
             phase_deltas = install_profiler(previous_profiler).take()
-    span_records: list = []
-    if tracer is not None and tracer.roots:
-        epoch = tracer.roots[0].start_wall
-        span_records = [span_record(root, epoch) for root in tracer.roots]
     logger.debug(
         "window finished: shard %d month %d, %d boards",
         spec.shard_index,
@@ -659,6 +501,6 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
         aging_deltas=_registry_deltas(aging_registry),
         rollups=builder.take() if builder is not None else {},
         resources=sampler.sample(),
-        spans=span_records,
+        spans=board_span_records(tracer, spec.board_ids),
         phase_deltas=phase_deltas,
     )

@@ -2,8 +2,9 @@
 
 :func:`run_board_shard` is the function the executors dispatch — a
 module-level callable (picklable under the ``spawn`` start method)
-that takes a :class:`~repro.exec.plan.ShardSpec` and simulates every
-assigned board's full campaign trajectory: the day-0 reference
+that takes a :class:`~repro.exec.plan.ShardSpec` and advances every
+assigned board together on one
+:class:`~repro.sram.fleetkernel.FleetKernel`: the day-0 reference
 read-out, then each month's measurement block followed by one month of
 aging.  Per board, the order and count of random draws is exactly the
 serial campaign's, and each board touches only its own
@@ -27,14 +28,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.monthly import BoardMonthMetrics, evaluate_board, evaluate_fleet
+from repro.analysis.monthly import BoardMonthMetrics, evaluate_fleet
 from repro.errors import CampaignExecutionError
 from repro.exec.plan import ShardSpec, rollup_shard_of
-from repro.rng import SeedHierarchy
-from repro.sram.aging import AgingSimulator
-from repro.sram.chip import SRAMChip
 from repro.sram.fleetkernel import build_fleet_kernel
-from repro.sram.profiles import DeviceProfile
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiling import PHASE_AGING, PhaseProfiler
 from repro.telemetry.resources import ResourceSampler
@@ -110,103 +107,71 @@ class _DeltaTracker:
                 bucket[name] = bucket.get(name, 0) + delta
 
 
-def _run_board(
-    spec: ShardSpec,
-    board_id: int,
-    profile: DeviceProfile,
-    seeds: SeedHierarchy,
-    tracker: _DeltaTracker,
-    builders: Optional[List[ShardRollupBuilder]] = None,
-    tracer: Optional[Tracer] = None,
-) -> BoardTrajectory:
-    """Simulate one board's full trajectory (serial draw order)."""
-    powerups = tracker.registry.counter("campaign.powerups")
-    aging_steps = tracker.registry.counter("campaign.aging_steps")
-    chip = SRAMChip(board_id, profile, random_state=seeds)
-    simulator = AgingSimulator(profile)
+def board_span_records(
+    tracer: Optional[Tracer], board_ids: Tuple[int, ...]
+) -> List[Dict[str, object]]:
+    """Per-board span records of a fleet worker's trace.
 
-    reference = chip.read_startup()
-    powerups.inc()  # the day-0 reference read-out
-    months: List[BoardMonthMetrics] = []
-    for month in range(spec.months + 1):
-        with tracer.span("board.month", month=month) if tracer is not None else NULL_SPAN:
-            with tracer.span("board.measure") if tracer is not None else NULL_SPAN:
-                row = evaluate_board(
-                    chip,
-                    reference,
-                    measurements=spec.measurements,
-                    statistical=spec.statistical,
-                    temperature_k=spec.temperatures[month],
-                )
-            months.append(row)
-            if builders is not None:
-                builders[month].observe_board(
-                    board_id, {stat: getattr(row, stat) for stat in ROLLUP_STATS}
-                )
-            powerups.inc(spec.measurements)
-            tracker.checkpoint(month)
-            if month < spec.months:
-                with tracer.span("board.age") if tracer is not None else NULL_SPAN:
-                    with get_profiler().phase(PHASE_AGING):
-                        simulator.age_array_months(
-                            chip.array,
-                            spec.aging_acceleration,
-                            steps=spec.aging_steps_per_month,
-                        )
-                aging_steps.inc(spec.aging_steps_per_month)
-    return BoardTrajectory(board_id=board_id, reference=reference, months=months)
+    The kernel advances a worker's boards together, so the worker
+    traces one ``worker.board`` tree for its whole fleet and ships one
+    copy per board, tagged with the board id.  Every copy keeps the
+    shared wall-clock interval (the boards really ran at once) and an
+    equal share of the CPU time, so the merged tree — names, structure
+    and ids — is the same at every worker count.
+    """
+    if tracer is None or not tracer.roots:
+        return []
+    root = tracer.roots[0]
+    share = 1.0 / len(board_ids)
+
+    def scaled(record: Dict[str, object]) -> Dict[str, object]:
+        return dict(
+            record,
+            cpu_s=record["cpu_s"] * share,
+            children=[scaled(child) for child in record["children"]],
+        )
+
+    template = scaled(span_record(root, root.start_wall))
+    return [
+        dict(template, attributes={**root.attributes, "board": board})
+        for board in board_ids
+    ]
 
 
-def _run_fleet_vector(
+def _run_fleet(
     spec: ShardSpec,
     tracker: _DeltaTracker,
     builders: Optional[List[ShardRollupBuilder]] = None,
     tracer: Optional[Tracer] = None,
 ) -> List[BoardTrajectory]:
-    """Simulate the shard's boards together on a batched fleet kernel.
+    """Simulate the shard's boards together on one fleet kernel.
 
     Month-major schedule: the whole fleet advances one month at a
     time.  Boards never share random streams, so this reorders no
-    draws *within* any stream — every board's sequence (manufacture →
-    reference → monthly blocks → aging) is the scalar path's, and the
-    returned trajectories, counter-delta buckets and rollup
-    observation orders are identical to :func:`_run_board`'s.
+    draws *within* any stream — every board's sequence is manufacture
+    → reference → monthly blocks → aging, as in the serial campaign.
     """
     powerups = tracker.registry.counter("campaign.powerups")
     aging_steps = tracker.registry.counter("campaign.aging_steps")
-    if spec.fail_board is not None:
-        # The batched kernel advances the fleet as one unit, so the
-        # injected fault fires before any board is simulated (the
-        # scalar path fails mid-fleet instead; either way no partial
-        # results are merged).
-        raise CampaignExecutionError(
-            f"board {spec.fail_board} failed in shard {spec.shard_index}: "
-            "injected fault (ShardSpec.fail_board)",
-            board_id=spec.fail_board,
-            shard_index=spec.shard_index,
-        )
     boards = len(spec.board_ids)
-    with tracer.span("worker.fleet", boards=boards) if tracer is not None else NULL_SPAN:
+    with tracer.span("worker.board") if tracer is not None else NULL_SPAN:
         kernel = build_fleet_kernel(
             spec.board_ids, spec.board_profiles, root_seed=spec.root_seed
         )
-        reference_rows = kernel.read_startup()
+        references = dict(zip(kernel.board_ids, kernel.read_startup()))
         powerups.inc(boards)  # the day-0 reference read-outs
-        references = {
-            board_id: reference_rows[index]
-            for index, board_id in enumerate(kernel.board_ids)
-        }
-        month_rows: List[List[BoardMonthMetrics]] = []
+        month_rows: List[Dict[int, BoardMonthMetrics]] = []
         for month in range(spec.months + 1):
-            with tracer.span("fleet.month", month=month) if tracer is not None else NULL_SPAN:
-                rows = evaluate_fleet(
-                    kernel,
-                    references,
-                    measurements=spec.measurements,
-                    statistical=spec.statistical,
-                    temperature_k=spec.temperatures[month],
-                )
-                month_rows.append(rows)
+            with tracer.span("board.month", month=month) if tracer is not None else NULL_SPAN:
+                with tracer.span("board.measure") if tracer is not None else NULL_SPAN:
+                    rows = evaluate_fleet(
+                        kernel,
+                        references,
+                        measurements=spec.measurements,
+                        statistical=spec.statistical,
+                        temperature_k=spec.temperatures[month],
+                    )
+                month_rows.append({row.board_id: row for row in rows})
                 if builders is not None:
                     for row in rows:
                         builders[month].observe_board(
@@ -216,20 +181,18 @@ def _run_fleet_vector(
                 powerups.inc(spec.measurements * boards)
                 tracker.checkpoint(month)
                 if month < spec.months:
-                    with get_profiler().phase(PHASE_AGING):
-                        kernel.age_months(
-                            spec.aging_acceleration,
-                            steps=spec.aging_steps_per_month,
-                        )
+                    with tracer.span("board.age") if tracer is not None else NULL_SPAN:
+                        with get_profiler().phase(PHASE_AGING, calls=boards):
+                            kernel.age_months(
+                                spec.aging_acceleration,
+                                steps=spec.aging_steps_per_month,
+                            )
                     aging_steps.inc(spec.aging_steps_per_month * boards)
-    by_id = [
-        {row.board_id: row for row in rows} for rows in month_rows
-    ]
     return [
         BoardTrajectory(
             board_id=board_id,
             reference=references[board_id],
-            months=[by_id[month][board_id] for month in range(spec.months + 1)],
+            months=[rows[board_id] for rows in month_rows],
         )
         for board_id in spec.board_ids
     ]
@@ -238,14 +201,14 @@ def _run_fleet_vector(
 def run_board_shard(spec: ShardSpec) -> ShardResult:
     """Execute one shard: every assigned board, end to end.
 
-    Any failure while a board runs — including the
+    Any failure while the fleet runs — including the
     :attr:`~repro.exec.plan.ShardSpec.fail_board` fault-injection
-    hook — surfaces as a :class:`~repro.errors.CampaignExecutionError`
-    naming the board and shard, so the driver can refuse to merge.
+    hook, which fires before any board is simulated — surfaces as a
+    :class:`~repro.errors.CampaignExecutionError` naming the shard
+    (and the board, for the hook), so the campaign can refuse to merge.
     """
     sampler = ResourceSampler()
     tracker = _DeltaTracker(spec.months)
-    seeds = SeedHierarchy(spec.root_seed)
     builders: Optional[List[ShardRollupBuilder]] = None
     if spec.rollup_shards > 0:
         builders = [
@@ -264,51 +227,24 @@ def run_board_shard(spec: ShardSpec) -> ShardResult:
     phase_deltas: Dict[str, Dict[str, float]] = {}
     if trace is not None and trace.phases:
         previous_profiler = install_profiler(PhaseProfiler(enabled=True))
-    trajectories: List[BoardTrajectory] = []
     try:
-        if spec.kernel == "vector":
-            try:
-                trajectories = _run_fleet_vector(spec, tracker, builders, tracer)
-            except CampaignExecutionError:
-                raise
-            except Exception as exc:
-                raise CampaignExecutionError(
-                    f"fleet of shard {spec.shard_index} failed "
-                    f"(vector kernel): {exc}",
-                    shard_index=spec.shard_index,
-                ) from exc
-        else:
-            for position, board_id in enumerate(spec.board_ids):
-                try:
-                    if spec.fail_board == board_id:
-                        raise RuntimeError("injected fault (ShardSpec.fail_board)")
-                    with tracer.span("worker.board", board=board_id) if tracer is not None else NULL_SPAN:
-                        trajectories.append(
-                            _run_board(
-                                spec,
-                                board_id,
-                                spec.profile_for_position(position),
-                                seeds,
-                                tracker,
-                                builders,
-                                tracer,
-                            )
-                        )
-                except CampaignExecutionError:
-                    raise
-                except Exception as exc:
-                    raise CampaignExecutionError(
-                        f"board {board_id} failed in shard {spec.shard_index}: {exc}",
-                        board_id=board_id,
-                        shard_index=spec.shard_index,
-                    ) from exc
+        if spec.fail_board is not None:
+            raise CampaignExecutionError(
+                f"board {spec.fail_board} failed in shard {spec.shard_index}: "
+                "injected fault (ShardSpec.fail_board)",
+                board_id=spec.fail_board,
+                shard_index=spec.shard_index,
+            )
+        try:
+            trajectories = _run_fleet(spec, tracker, builders, tracer)
+        except Exception as exc:
+            raise CampaignExecutionError(
+                f"fleet of shard {spec.shard_index} failed: {exc}",
+                shard_index=spec.shard_index,
+            ) from exc
     finally:
         if previous_profiler is not None:
             phase_deltas = install_profiler(previous_profiler).take()
-    span_records: List[Dict[str, object]] = []
-    if tracer is not None and tracer.roots:
-        epoch = tracer.roots[0].start_wall
-        span_records = [span_record(root, epoch) for root in tracer.roots]
     logger.debug(
         "shard %d finished: %d boards x %d snapshots",
         spec.shard_index,
@@ -322,6 +258,6 @@ def run_board_shard(spec: ShardSpec) -> ShardResult:
         counter_deltas=tracker.deltas,
         rollup_docs=[builder.take() for builder in builders] if builders else [],
         resources=sampler.sample(),
-        spans=span_records,
+        spans=board_span_records(tracer, spec.board_ids),
         phase_deltas=phase_deltas,
     )

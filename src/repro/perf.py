@@ -12,9 +12,9 @@ that a regression on the campaign hot path moves its numbers:
   the quadratic metric of the monthly evaluation.
 * ``campaign-small`` — a short end-to-end serial study
   (:class:`repro.core.assessment.LongTermAssessment`), catching
-  regressions that live between the kernels (dispatch, monitoring,
+  regressions that live around the kernel (dispatch, monitoring,
   store traffic).
-* ``fleet-kernel`` — a mid-size fleet advanced on the batched vector
+* ``fleet-kernel`` — a mid-size fleet advanced on the batched fleet
   kernel (:class:`repro.sram.fleetkernel.FleetKernel` via
   :func:`repro.exec.worker.run_board_shard`), the throughput the
   ``BENCH_fleet_kernel.json`` ladder scales up.
@@ -113,7 +113,6 @@ def _bench_fleet_kernel() -> Tuple[int, str]:
             name="atmega32u4-bench", sram_bytes=128, read_bytes=64
         ),
         temperatures=(None,) * (months + 1),
-        kernel="vector",
     )
     run_board_shard(spec)
     return boards * (months + 1), "board_months"
@@ -165,7 +164,7 @@ BENCHMARKS: Dict[str, Benchmark] = {
         ),
         Benchmark(
             "fleet-kernel",
-            "vector fleet kernel: 256 boards x 1024 cells, 2 months, "
+            "fleet kernel: 256 boards x 1024 cells, 2 months, "
             "100 measurements/month",
             _bench_fleet_kernel,
         ),

@@ -71,15 +71,16 @@ class DataPolicy(enum.Enum):
 def drift_direction(
     data_policy: DataPolicy, probs: Optional[np.ndarray], shape: tuple
 ) -> np.ndarray:
-    """Per-cell drift direction of one aging step, shared by both kernels.
+    """Per-cell drift direction of one aging step, shared by both models.
 
     Net drift per unit tau is ``A * (P(store 0) - P(store 1))``; the
     policy decides what cells store (see :class:`DataPolicy`).
     ``probs`` are the one-probabilities (only consulted by the
     power-up-dependent policies); ``shape`` sizes the constant-policy
-    result — ``(cells,)`` for the scalar kernel, ``(boards, cells)``
-    for the vector kernel.  The arithmetic is elementwise, so both
-    kernels get bitwise-equal directions for equal inputs.
+    result — ``(cells,)`` for one :class:`~repro.sram.array.SRAMArray`,
+    ``(boards, cells)`` for a :class:`~repro.sram.fleetkernel.FleetKernel`
+    row block.  The arithmetic is elementwise, so both get bitwise-equal
+    directions for equal inputs.
     """
     if data_policy is DataPolicy.POWER_UP:
         return -(2.0 * probs - 1.0)
@@ -136,9 +137,10 @@ class AgingSimulator:
         """Nominal-condition seconds equivalent to ``seconds`` of stress.
 
         An amplitude acceleration AF is a *time* acceleration
-        ``AF ** (1/n)`` on the ``t**n`` aging clock.  Both kernels
-        derive their age advance through this one routine, so the
-        stress-to-clock conversion cannot diverge between them.
+        ``AF ** (1/n)`` on the ``t**n`` aging clock.  The single-device
+        simulator and the fleet kernel derive their age advance through
+        this one routine, so the stress-to-clock conversion cannot
+        diverge between them.
         """
         factor = self.acceleration_factor(temperature_k, voltage_v, duty)
         n = self._profile.bti_time_exponent

@@ -1,10 +1,9 @@
 """Batched fleet kernel: a whole fleet's month in a few vectorized ops.
 
-:class:`FleetKernel` is the ``kernel="vector"`` backend of the
-campaign (``StudyConfig.kernel``; see ``docs/kernel.md``).  Where the
-scalar path walks the fleet board by board — one
-:class:`~repro.sram.chip.SRAMChip` per board, one Python call chain
-per board-month — the kernel keeps the *whole fleet* as matrices:
+:class:`FleetKernel` is the campaign's one simulation engine (see
+``docs/kernel.md``).  Where a single device is one
+:class:`~repro.sram.chip.SRAMChip`, the kernel keeps the *whole fleet*
+as matrices:
 
 * ``skew``  — ``(boards, cells)`` float64, the per-cell mismatch;
 * ``age_seconds`` / ``power_up_count`` — ``(boards,)`` running state;
@@ -13,29 +12,35 @@ per board-month — the kernel keeps the *whole fleet* as matrices:
 
 One month of an arbitrary-size fleet is then a handful of array ops:
 draw the noise matrix, resolve power-up signs, draw the Binomial
-window counts, apply the BTI drift — all shared with the scalar kernel
-through :func:`~repro.sram.powerup.one_probabilities_from_skew`,
+window counts, apply the BTI drift — all shared with
+:class:`~repro.sram.array.SRAMArray` through
+:func:`~repro.sram.powerup.one_probabilities_from_skew`,
 :func:`~repro.sram.powerup.resolve_power_up_states` and
 :func:`~repro.sram.aging.drift_direction`, so there is exactly one
 implementation of the physics.
 
-**Bit-identity contract.**  Every random draw still happens on the
-board's own generator, in the board's serial draw order (manufacture →
-day-0 reference → monthly block → aging steps → next month), and every
+**Row blocks.**  Every operation walks the fleet in blocks of rows
+(:func:`row_blocks`) holding at most :data:`ROW_BLOCK_CELLS` cells, so
+its temporaries (noise, probabilities, drift) stay cache-sized instead
+of spanning the whole ``(boards, cells)`` matrix.  Blocking only
+regroups elementwise and rowwise work; it changes no value.
+
+**Bit-identity contract.**  Every random draw happens on the board's
+own generator, in the board's serial draw order (manufacture → day-0
+reference → monthly block → aging steps → next month), and every
 arithmetic step is an elementwise/rowwise operation whose per-board
-evaluation order matches the scalar kernel's exactly.  The vector
-kernel therefore produces **bit-identical** results — power-up bits,
-drift states, metrics, RNG stream positions, exported state documents
-— to the scalar path; ``tests/sram/test_fleetkernel_identity.py`` and
-``tests/property/test_kernel_equivalence.py`` enforce this, and the
-campaign's artifacts/checkpoints inherit it (``tests/exec``,
-``tests/store``).
+evaluation order matches :class:`~repro.sram.chip.SRAMChip`'s exactly.
+The kernel therefore produces **bit-identical** results — power-up
+bits, drift states, metrics, RNG stream positions, exported state
+documents — to a fleet of single-device chips, the oracle that
+``tests/sram/test_fleetkernel_identity.py`` and
+``tests/property/test_kernel_equivalence.py`` hold it to.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,17 +55,24 @@ from repro.telemetry.runtime import get_profiler
 
 logger = logging.getLogger(__name__)
 
-#: The two campaign execution kernels (``StudyConfig.kernel``).
-KERNELS = ("scalar", "vector")
+#: Cell budget of one row block: one paper board (20,480 cells) per
+#: block, 32 boards of 1,024 cells.  A block's float64 temporaries then
+#: stay at ~256 KiB, inside the core's cache.
+ROW_BLOCK_CELLS = 1 << 15
 
 
-def validate_kernel(kernel: str) -> str:
-    """Validate a kernel name; returns it for chaining."""
-    if kernel not in KERNELS:
-        raise ConfigurationError(
-            f"kernel must be one of {KERNELS}, got {kernel!r}"
-        )
-    return kernel
+def row_blocks(rows: int, cells: int) -> Iterator[slice]:
+    """Consecutive row slices covering ``rows`` rows of ``cells`` cells.
+
+    Each slice spans at most :data:`ROW_BLOCK_CELLS` cells, but always
+    at least one row.
+
+    >>> [(s.start, s.stop) for s in row_blocks(5, ROW_BLOCK_CELLS // 2)]
+    [(0, 2), (2, 4), (4, 5)]
+    """
+    step = max(1, ROW_BLOCK_CELLS // max(1, cells))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
 
 class FleetKernel:
@@ -118,7 +130,7 @@ class FleetKernel:
         manufacture draw for draw — the chip-mean offset (when the
         profile spreads chips) followed by the per-cell skew draw, both
         on the board's own ``chip-<id>`` stream — so the skew matrix
-        rows equal the scalar chips' skew vectors bit for bit.
+        rows equal the chips' skew vectors bit for bit.
         """
         seeds = (
             root_seed
@@ -158,7 +170,7 @@ class FleetKernel:
         :meth:`~repro.sram.array.SRAMArray.export_state` dictionary
         (the raw form; the checkpoint layer owns the serialized one).
         The restored kernel reproduces every board's future draws bit
-        for bit, exactly like restoring scalar chips would.
+        for bit, exactly like restoring single-device chips would.
         """
         ids = [int(b) for b in board_ids]
         cells = profile.cell_count
@@ -227,13 +239,24 @@ class FleetKernel:
             self._profile.temperature_k if temperature_k is None else temperature_k
         )
 
-    def _draw_noise_rows(self, sigma: float) -> np.ndarray:
-        """One power-up noise vector per board, each on its own stream."""
-        noise = np.empty_like(self._skew_v)
+    def _power_up_bits(self, sigma: float) -> np.ndarray:
+        """One power-up per board, block by block: ``(boards, read_bits)`` bits.
+
+        The result is a compact array of its own, not a view into a
+        ``(boards, cells)`` temporary, so callers that keep rows (the
+        day-0 references, monthly first read-outs) hold ``read_bits``
+        bytes per board and nothing more.
+        """
         cells = self.cell_count
-        for index, rng in enumerate(self._rngs):
-            noise[index] = rng.normal(0.0, sigma, size=cells)
-        return noise
+        read_bits = self._profile.read_bits
+        bits = np.empty((self.board_count, read_bits), dtype=np.uint8)
+        for rows in row_blocks(self.board_count, cells):
+            noise = np.empty((rows.stop - rows.start, cells), dtype=np.float64)
+            for offset, rng in enumerate(self._rngs[rows]):
+                noise[offset] = rng.normal(0.0, sigma, size=cells)
+            states = resolve_power_up_states(self._skew_v[rows], noise)
+            bits[rows] = states[:, :read_bits]
+        return bits
 
     # Measurement ---------------------------------------------------------
 
@@ -245,11 +268,10 @@ class FleetKernel:
         same draw position (the day-0 reference when called first).
         """
         sigma = self._sigma_at(temperature_k)
-        with get_profiler().phase(PHASE_POWERUP):
-            noise = self._draw_noise_rows(sigma)
-            states = resolve_power_up_states(self._skew_v, noise)
+        with get_profiler().phase(PHASE_POWERUP, calls=self.board_count):
+            bits = self._power_up_bits(sigma)
         self._power_up_counts += 1
-        return states[:, : self._profile.read_bits]
+        return bits
 
     def measure_block(
         self,
@@ -259,9 +281,9 @@ class FleetKernel:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One monthly measurement block for the whole fleet.
 
-        Returns ``(ones_counts, first_readouts)`` — ``(boards,
+        Returns ``(ones_counts, first_readouts)`` — compact ``(boards,
         read_bits)`` int64 and uint8 matrices whose rows equal the
-        scalar :func:`~repro.sram.powerup.sample_measurement_block`
+        single-device :func:`~repro.sram.powerup.sample_measurement_block`
         outputs board for board.  The statistical fidelity draws each
         board's first read-out at measurement level and the remaining
         ``measurements - 1`` as one Binomial row (consuming the full
@@ -272,37 +294,37 @@ class FleetKernel:
             raise ConfigurationError(
                 f"measurements must be positive, got {measurements}"
             )
+        boards = self.board_count
+        cells = self.cell_count
         read_bits = self._profile.read_bits
         sigma = self._sigma_at(temperature_k)
         profiler = get_profiler()
         if not statistical:
-            boards = self.board_count
             counts = np.empty((boards, read_bits), dtype=np.int64)
             first = np.empty((boards, read_bits), dtype=np.uint8)
-            with profiler.phase(PHASE_POWERUP):
+            with profiler.phase(PHASE_POWERUP, calls=boards):
                 for index, rng in enumerate(self._rngs):
-                    noise = rng.normal(
-                        0.0, sigma, size=(measurements, self.cell_count)
-                    )
+                    noise = rng.normal(0.0, sigma, size=(measurements, cells))
                     block = resolve_power_up_states(
                         self._skew_v[index][np.newaxis, :], noise
                     )[:, :read_bits]
                     counts[index] = block.sum(axis=0, dtype=np.int64)
-                    first[index] = block[0].astype(np.uint8)
+                    first[index] = block[0]
             self._power_up_counts += measurements
             return counts, first
-        with profiler.phase(PHASE_POWERUP):
-            noise = self._draw_noise_rows(sigma)
-            first = resolve_power_up_states(self._skew_v, noise)[:, :read_bits]
+        with profiler.phase(PHASE_POWERUP, calls=boards):
+            first = self._power_up_bits(sigma)
         self._power_up_counts += 1
         if measurements == 1:
             return first.astype(np.int64), first
-        with profiler.phase(PHASE_NOISE_DRAW):
-            probs = one_probabilities_from_skew(self._skew_v, sigma)
-            window = np.empty_like(self._skew_v, dtype=np.int64)
-            for index, rng in enumerate(self._rngs):
-                window[index] = rng.binomial(measurements - 1, probs[index])
-            counts = first + window[:, :read_bits]
+        counts = np.empty((boards, read_bits), dtype=np.int64)
+        with profiler.phase(PHASE_NOISE_DRAW, calls=boards):
+            for rows in row_blocks(boards, cells):
+                probs = one_probabilities_from_skew(self._skew_v[rows], sigma)
+                for offset, rng in enumerate(self._rngs[rows]):
+                    index = rows.start + offset
+                    window = rng.binomial(measurements - 1, probs[offset])
+                    np.add(first[index], window[:read_bits], out=counts[index])
         self._power_up_counts += measurements - 1
         return counts, first
 
@@ -311,12 +333,12 @@ class FleetKernel:
     def _step_d_taus(self, equivalent_seconds: float, steps: int) -> np.ndarray:
         """Per-step power-law clock advances, ``(steps, boards)``.
 
-        Computed with the scalar kernel's exact expressions —
-        ``linspace`` month boundaries, ``t_end**n - t_start**n`` per
-        step.  Fleets whose boards share one age (every campaign path)
+        Computed with :meth:`~repro.sram.aging.AgingSimulator.age_array`'s
+        exact expressions — ``linspace`` month boundaries,
+        ``t_end**n - t_start**n`` per step.  Fleets whose boards share one age (every campaign path)
         take the single-``linspace`` fast path; mixed-age fleets fall
-        back to per-board boundaries, still bit-equal to per-board
-        scalar aging.
+        back to per-board boundaries, still bit-equal to aging each
+        board's array on its own.
         """
         n = self._profile.bti_time_exponent
         ages = self._age_seconds
@@ -372,23 +394,24 @@ class FleetKernel:
         needs_probs = data_policy in (DataPolicy.POWER_UP, DataPolicy.INVERTED)
         cells = self.cell_count
         # No profiler phase here: call sites wrap aging in PHASE_AGING,
-        # exactly like the scalar simulator's call sites do.
+        # exactly like the single-device simulator's call sites do.
         d_taus = self._step_d_taus(equivalent_seconds, steps)
-        for step in range(steps):
-            d_tau = d_taus[step]
-            probs = (
-                one_probabilities_from_skew(self._skew_v, sigma)
-                if needs_probs
-                else None
-            )
-            direction = drift_direction(data_policy, probs, self._skew_v.shape)
-            drift = direction * amplitude * d_tau[:, np.newaxis]
-            if dispersion > 0.0:
-                xi = np.empty_like(self._skew_v)
-                for index, rng in enumerate(self._rngs):
-                    xi[index] = rng.standard_normal(cells)
-                drift = drift + (dispersion * np.sqrt(d_tau))[:, np.newaxis] * xi
-            self._skew_v = self._skew_v + drift
+        for rows in row_blocks(self.board_count, cells):
+            # A view: the block's skew is updated in place, step by step.
+            skew = self._skew_v[rows]
+            rngs = self._rngs[rows]
+            for d_tau in d_taus[:, rows]:
+                probs = (
+                    one_probabilities_from_skew(skew, sigma) if needs_probs else None
+                )
+                direction = drift_direction(data_policy, probs, skew.shape)
+                drift = direction * amplitude * d_tau[:, np.newaxis]
+                if dispersion > 0.0:
+                    xi = np.empty_like(skew)
+                    for offset, rng in enumerate(rngs):
+                        xi[offset] = rng.standard_normal(cells)
+                    drift = drift + (dispersion * np.sqrt(d_tau))[:, np.newaxis] * xi
+                skew += drift
         self._age_seconds = self._age_seconds + equivalent_seconds
 
     # Checkpoint support --------------------------------------------------
@@ -396,10 +419,11 @@ class FleetKernel:
     def export_states(self) -> Dict[int, dict]:
         """Per-board state snapshots, board id → raw state dictionary.
 
-        Each value equals the corresponding scalar array's
+        Each value equals the corresponding single-device array's
         :meth:`~repro.sram.array.SRAMArray.export_state` output for the
-        same draw position, so checkpoints cut from either kernel are
-        byte-identical once serialized.
+        same draw position, so a board's state serializes to the same
+        bytes whether it lived in a kernel or in an
+        :class:`~repro.sram.chip.SRAMChip`.
         """
         return {
             board_id: {
@@ -433,8 +457,8 @@ class CohortFleetKernel:
 
     Because every random draw rides the board's own ``chip-<id>``
     stream, cohort iteration order has no effect on any board's bits —
-    results stay byte-identical to the scalar per-board path (and to
-    any other cohort grouping).
+    results stay byte-identical to simulating each board on its own
+    (and to any other cohort grouping).
 
     All cohorts must share ``read_bits``: the monthly metrics compare
     equal-length readouts (:class:`~repro.sram.population.PopulationSpec`

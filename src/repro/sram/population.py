@@ -23,13 +23,13 @@ of** ``(spec, root_seed, board_id)``:
   namespace, so a lot's parameters do not depend on which boards (or
   how many) were materialized before it.
 
-Consequently any sharding, worker count, execution kernel, or
-checkpoint resume derives byte-identical per-board profiles.
+Consequently any sharding, worker count or checkpoint resume
+derives byte-identical per-board profiles.
 
 Cohort batching
 ---------------
 Lots deliberately *quantize* the process spread: a fleet materializes
-into at most ``sum(member.lots)`` distinct profiles, so the vector
+into at most ``sum(member.lots)`` distinct profiles, so the fleet
 kernel can batch boards into homogeneous ``(boards x cells)`` cohorts
 (:func:`repro.sram.fleetkernel.build_fleet_kernel`) instead of
 degenerating into one matrix per board.
@@ -263,7 +263,7 @@ class PopulationSpec:
 
         Pure function of ``(self, root_seed, board_id)`` — the draws
         ride the dedicated ``population`` namespace, stream
-        ``board-<id>``, so sharding, kernels and resume all agree.
+        ``board-<id>``, so sharding and resume always agree.
 
         >>> spec = PopulationSpec((PopulationMember("ATmega32u4"),))
         >>> spec.profile_for_board(7, 3).name

@@ -6,14 +6,15 @@ ones-counts of a block of consecutive measurements together with the
 first full read-out of that block (needed for BCHD).
 
 This module also owns the **single source of truth** for the power-up
-physics shared by the scalar (:class:`~repro.sram.array.SRAMArray`)
-and vector (:class:`~repro.sram.fleetkernel.FleetKernel`) kernels:
+physics shared by the single-device model
+(:class:`~repro.sram.array.SRAMArray`) and the fleet kernel
+(:class:`~repro.sram.fleetkernel.FleetKernel`):
 :func:`one_probabilities_from_skew` derives the per-cell
 one-probability ``Phi(skew / sigma)`` and
 :func:`resolve_power_up_states` turns skew plus drawn noise into
-observed bits.  Both kernels call these two routines, so the
-scalar-vs-vector identity gate (``docs/kernel.md``) verifies one
-derivation, not two parallel copies.
+observed bits.  Both call these two routines, so the kernel identity
+gate (``docs/kernel.md``) verifies one derivation, not two parallel
+copies.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing aid only
 def one_probabilities_from_skew(skew_v: np.ndarray, sigma_v: float) -> np.ndarray:
     """Per-cell probability of powering up to 1: ``Phi(skew / sigma)``.
 
-    The shared one-probability derivation of both kernels.  Uses the
+    The shared one-probability derivation of both models.  Uses the
     standard-normal CDF ``scipy.special.ndtr`` directly — bitwise
     identical to ``scipy.stats.norm.cdf`` (which wraps it) without the
     distribution-object overhead, and shape-polymorphic: a scalar
@@ -51,11 +52,11 @@ def resolve_power_up_states(skew_v: np.ndarray, noise_v: np.ndarray) -> np.ndarr
     """Observed power-up bits from skew plus drawn noise.
 
     A cell reads 1 exactly when its skew-plus-noise is positive.  The
-    arguments broadcast, so the scalar kernel passes
-    ``skew[newaxis, :]`` against a ``(count, cells)`` noise block and
-    the vector kernel passes a ``(boards, cells)`` skew matrix against
-    same-shape noise; the elementwise arithmetic — and therefore every
-    resolved bit — is identical either way.
+    arguments broadcast, so a single array passes ``skew[newaxis, :]``
+    against a ``(count, cells)`` noise block and the fleet kernel passes
+    a ``(rows, cells)`` skew block against same-shape noise; the
+    elementwise arithmetic — and therefore every resolved bit — is
+    identical either way.
     """
     return (skew_v + noise_v > 0.0).astype(np.uint8)
 

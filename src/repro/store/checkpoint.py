@@ -120,11 +120,10 @@ def board_state_doc(chip) -> Dict[str, Any]:
 def board_state_to_doc(state: Dict[str, Any]) -> Dict[str, Any]:
     """Serialize a raw device state (``SRAMArray.export_state`` form).
 
-    Shared by both kernels — the scalar path passes a chip's exported
-    array state, the vector path a
+    Shared by both device models — :func:`board_state_doc` passes a
+    chip's exported array state, the campaign a
     :meth:`~repro.sram.fleetkernel.FleetKernel.export_states` entry —
-    so state documents (and with them checkpoint files) are
-    byte-identical across kernels.
+    so a chip and its kernel row serialize to the same bytes.
     """
     return {
         "rng_state": state["rng_state"],

@@ -41,12 +41,11 @@ def _utc_timestamp() -> str:
 #: Config fields that select *how* a study executes, never *what* it
 #: computes — results are bit-identical across their values, so they
 #: stay out of the flattened config (and therefore out of the
-#: deterministic run id and the stored manifest config): a scalar and a
-#: vector run of the same study must share one correlation key and
-#: byte-identical alert logs, heartbeats and manifests.  Likewise a
-#: sharded-store and a monolithic run of one study: where the
+#: deterministic run id and the stored manifest config): a sharded-store
+#: and a monolithic run of one study must share one correlation key and
+#: byte-identical alert logs, heartbeats and manifests — where the
 #: checkpoints land never changes what the campaign computes.
-_EXECUTION_ONLY_FIELDS = frozenset({"kernel", "shard_store"})
+_EXECUTION_ONLY_FIELDS = frozenset({"shard_store"})
 
 #: Config fields dropped from the flattened config while unset (None).
 #: Fields added to StudyConfig *after* artifacts shipped must not

@@ -71,11 +71,12 @@ NULL_PHASE = _NullPhase()
 class _ActivePhase:
     """Context manager accumulating one timed interval into a phase."""
 
-    __slots__ = ("_profiler", "_name", "_wall0", "_cpu0")
+    __slots__ = ("_profiler", "_name", "_calls", "_wall0", "_cpu0")
 
-    def __init__(self, profiler: "PhaseProfiler", name: str):
+    def __init__(self, profiler: "PhaseProfiler", name: str, calls: int):
         self._profiler = profiler
         self._name = name
+        self._calls = calls
 
     def __enter__(self) -> "_ActivePhase":
         self._wall0 = self._profiler._clock()
@@ -88,6 +89,7 @@ class _ActivePhase:
             self._name,
             profiler._clock() - self._wall0,
             profiler._cpu_clock() - self._cpu0,
+            self._calls,
         )
         return None
 
@@ -126,11 +128,16 @@ class PhaseProfiler:
         # dict lookup plus three in-place adds on the hot path.
         self._totals: Dict[str, List[float]] = {}
 
-    def phase(self, name: str):
-        """Time one phase interval: ``with profiler.phase(PHASE_POWERUP): ...``."""
+    def phase(self, name: str, calls: int = 1):
+        """Time one phase interval: ``with profiler.phase(PHASE_POWERUP): ...``.
+
+        ``calls`` is how many calls the interval counts as: a batched
+        fleet operation counts one per board it covers, so the call
+        column does not depend on how the fleet was sharded.
+        """
         if not self.enabled:
             return NULL_PHASE
-        return _ActivePhase(self, name)
+        return _ActivePhase(self, name, calls)
 
     def add(self, name: str, wall_s: float, cpu_s: float, calls: int = 1) -> None:
         """Accumulate one measured interval (or a pre-summed batch)."""

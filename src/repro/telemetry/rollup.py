@@ -518,7 +518,7 @@ def evaluation_profile_docs(
     campaigns (``StudyConfig.population``) emit these — homogeneous
     runs keep their registries byte-identical to pre-population
     releases.  Derived parent-side from the assembled evaluation, so
-    the documents are identical across worker counts and kernels by
+    the documents are identical across worker counts and resume by
     construction, and — like all ``rollup.*`` state — they are excluded
     from checkpoints and rebuilt by resume replay.
     """

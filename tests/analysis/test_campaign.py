@@ -77,6 +77,16 @@ class TestOptions:
         )
         result = campaign.run(chips=chips)
         assert result.board_ids == [0, 1]
+        # The chips' exported states seed the campaign's fleet kernel;
+        # the chips themselves are not advanced.
+        assert [chip.power_up_count for chip in chips] == [0, 0]
+        manufactured = LongTermCampaign(
+            device_count=2, months=1, measurements=50, profile=small_profile,
+            random_state=4,
+        ).run()
+        for a, b in zip(result.snapshots, manufactured.snapshots):
+            np.testing.assert_array_equal(a.wchd, b.wchd)
+            np.testing.assert_array_equal(a.bchd_pairs, b.bchd_pairs)
 
     def test_temperature_walk_runs(self):
         campaign = LongTermCampaign(

@@ -124,7 +124,7 @@ class TestAssessmentEquivalence:
         assert serial.manifest.config == parallel.manifest.config
 
 
-def _accelerated_monitored_run(workers: int, alert_log: str, kernel: str = "scalar"):
+def _accelerated_monitored_run(workers: int, alert_log: str):
     """A stressed fleet whose drift trips the default ruleset."""
     reset_telemetry()
     config = StudyConfig(
@@ -134,7 +134,6 @@ def _accelerated_monitored_run(workers: int, alert_log: str, kernel: str = "scal
         seed=0,
         aging_acceleration=14.0,
         max_workers=workers,
-        kernel=kernel,
     )
     hub = MonitorHub(default_ruleset(), alert_log=alert_log)
     LongTermAssessment(config).run(monitor=hub)
@@ -169,13 +168,3 @@ class TestAlertEquivalence:
             if line.strip()
         ]
         assert any(doc["rule"] == "wchd-drift" for doc in lines)
-
-    @pytest.mark.parametrize("workers", worker_counts())
-    def test_vector_kernel_alert_log_matches_scalar(self, tmp_path, workers):
-        """The kernel knob must not move a single alert byte."""
-        scalar_log = tmp_path / "scalar.alerts.jsonl"
-        vector_log = tmp_path / f"vector-w{workers}.alerts.jsonl"
-        scalar_hub = _accelerated_monitored_run(1, str(scalar_log))
-        _accelerated_monitored_run(workers, str(vector_log), kernel="vector")
-        assert scalar_hub.alert_count > 0
-        assert scalar_log.read_bytes() == vector_log.read_bytes()

@@ -40,13 +40,12 @@ def _golden() -> dict:
 
 def _run_reference(
     max_workers: int = 1,
-    kernel: str = "scalar",
     checkpoint_dir: str = None,
 ) -> AssessmentResult:
     golden_config = _golden()["config"]
     reset_telemetry()
     return LongTermAssessment(
-        StudyConfig(max_workers=max_workers, kernel=kernel, **golden_config)
+        StudyConfig(max_workers=max_workers, **golden_config)
     ).run(checkpoint_dir=checkpoint_dir)
 
 
@@ -74,6 +73,15 @@ def assert_matches_golden(result: AssessmentResult) -> None:
             )
 
 
+def _tree_bytes(root: Path) -> dict:
+    """Every file under ``root`` as ``{relative path: bytes}``."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 class TestGoldenSnapshot:
     @pytest.fixture(scope="class")
     def reference(self) -> AssessmentResult:
@@ -99,53 +107,30 @@ class TestGoldenSnapshot:
         stable = reference.table["Ratio of Stable Cells"]
         assert 0.80 < stable.end_avg < stable.start_avg < 0.95
 
+    def test_artifact_and_checkpoint_chain_byte_identical(self, reference, tmp_path):
+        """Checkpointed runs at workers 1 and N: one artifact, one chain.
 
-def _tree_bytes(root: Path) -> dict:
-    """Every file under ``root`` as ``{relative path: bytes}``."""
-    return {
-        str(path.relative_to(root)): path.read_bytes()
-        for path in sorted(root.rglob("*"))
-        if path.is_file()
-    }
-
-
-class TestVectorKernelGolden:
-    """The vector kernel against the same golden file.
-
-    ``StudyConfig.kernel`` is an execution knob, not a model knob: the
-    batched engine must land on the *same* golden numbers — and, run
-    side by side with the scalar engine, on byte-identical artifacts
-    and checkpoint chains.
-    """
-
-    def test_serial_vector_run_matches_golden(self):
-        assert_matches_golden(_run_reference(kernel="vector"))
-
-    def test_parallel_vector_run_matches_golden(self):
-        assert_matches_golden(
-            _run_reference(max_workers=max(worker_counts()), kernel="vector")
-        )
-
-    def test_table_cells_equal_scalar_exactly(self):
-        """Not just within-golden-tolerance: '==' against the scalar run."""
-        scalar = _summaries(_run_reference())
-        vector = _summaries(_run_reference(kernel="vector"))
-        assert scalar == vector
-
-    def test_artifact_and_checkpoint_chain_byte_identical(self, tmp_path):
-        results = {}
-        for kernel in ("scalar", "vector"):
-            checkpoint_dir = tmp_path / kernel / "checkpoints"
-            result = _run_reference(kernel=kernel, checkpoint_dir=str(checkpoint_dir))
-            artifact = tmp_path / kernel / "campaign.json"
+        Both equal the in-memory serial run's artifact byte for byte,
+        and both write the same checkpoint files.
+        """
+        in_memory = tmp_path / "in-memory.json"
+        save_campaign(reference.campaign, str(in_memory))
+        chains = {}
+        for workers in sorted({1, max(worker_counts())}):
+            checkpoint_dir = tmp_path / f"w{workers}" / "checkpoints"
+            result = _run_reference(
+                max_workers=workers, checkpoint_dir=str(checkpoint_dir)
+            )
+            artifact = tmp_path / f"w{workers}" / "campaign.json"
             save_campaign(result.campaign, str(artifact))
-            results[kernel] = (artifact.read_bytes(), _tree_bytes(checkpoint_dir))
-        scalar_artifact, scalar_chain = results["scalar"]
-        vector_artifact, vector_chain = results["vector"]
-        assert scalar_artifact == vector_artifact
-        assert sorted(scalar_chain) == sorted(vector_chain)
-        for name, payload in scalar_chain.items():
-            assert payload == vector_chain[name], f"checkpoint file {name} differs"
+            assert artifact.read_bytes() == in_memory.read_bytes()
+            chains[workers] = _tree_bytes(checkpoint_dir)
+        serial_chain = chains.pop(1)
+        assert serial_chain, "checkpointed run wrote no checkpoint files"
+        for chain in chains.values():
+            assert sorted(chain) == sorted(serial_chain)
+            for name, payload in serial_chain.items():
+                assert payload == chain[name], f"checkpoint file {name} differs"
 
 
 def main() -> None:  # pragma: no cover - maintenance helper

@@ -4,7 +4,7 @@ The homogeneous equivalence ladder (``test_equivalence.py``) gates the
 single-profile fleet; this suite runs the same ladder over a
 *heterogeneous* population — three base profiles, multiple process
 lots, mixed cell counts — and demands exact equality between the
-serial run and every sharded/kernel/resume variant.  The population
+serial run and every sharded/checkpointed/resume variant.  The population
 determinism contract (:mod:`repro.sram.population`) is what makes this
 possible: board ``i``'s profile is a pure function of
 ``(spec, root_seed, board_id)``, so no execution strategy can disagree
@@ -17,6 +17,7 @@ import pytest
 
 from repro.analysis.campaign import LongTermCampaign
 from repro.errors import CampaignInterrupted, ConfigurationError
+from repro.exec import executor_for
 from repro.sram.population import PopulationMember, PopulationSpec
 from repro.telemetry import reset_telemetry
 
@@ -51,11 +52,9 @@ CAMPAIGN_KWARGS = dict(
 )
 
 
-def run_campaign(workers=1, kernel="scalar", checkpoint_dir=None):
+def run_campaign(workers=1, checkpoint_dir=None):
     reset_telemetry()
-    campaign = LongTermCampaign(
-        max_workers=workers, kernel=kernel, **CAMPAIGN_KWARGS
-    )
+    campaign = LongTermCampaign(max_workers=workers, **CAMPAIGN_KWARGS)
     return campaign.run(checkpoint_dir=checkpoint_dir)
 
 
@@ -75,35 +74,29 @@ class TestMixedFleetEquivalence:
         assert serial_reference.profile_name == "population:mix3"
 
     @pytest.mark.parametrize("workers", worker_counts())
-    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
-    def test_sharded_and_vector_match_serial(
-        self, workers, kernel, serial_reference
-    ):
-        if workers == 1 and kernel == "scalar":
-            pytest.skip("the serial reference itself")
-        assert_campaigns_identical(
-            serial_reference, run_campaign(workers, kernel)
+    def test_sharded_and_vector_match_serial(self, workers, serial_reference):
+        """The sharded executor at every worker count, against in-process."""
+        reset_telemetry()
+        result = LongTermCampaign(**CAMPAIGN_KWARGS).run(
+            executor=executor_for(workers)
         )
+        assert_campaigns_identical(serial_reference, result)
 
     def test_checkpointed_run_matches_serial(self, serial_reference, tmp_path):
         result = run_campaign(checkpoint_dir=str(tmp_path))
         assert_campaigns_identical(serial_reference, result)
 
-    @pytest.mark.parametrize("workers,kernel", [(1, "scalar"), (2, "vector")])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_kill_and_resume_matches_serial(
-        self, workers, kernel, serial_reference, tmp_path
+        self, workers, serial_reference, tmp_path
     ):
-        checkpoint_dir = str(tmp_path / f"ck-{workers}-{kernel}")
+        checkpoint_dir = str(tmp_path / f"ck-{workers}")
         reset_telemetry()
-        campaign = LongTermCampaign(
-            max_workers=workers, kernel=kernel, **CAMPAIGN_KWARGS
-        )
+        campaign = LongTermCampaign(max_workers=workers, **CAMPAIGN_KWARGS)
         with pytest.raises(CampaignInterrupted):
             campaign.run(checkpoint_dir=checkpoint_dir, abort_after_month=1)
         reset_telemetry()
-        result = LongTermCampaign.resume(
-            checkpoint_dir, max_workers=workers, kernel=kernel
-        )
+        result = LongTermCampaign.resume(checkpoint_dir, max_workers=workers)
         assert_campaigns_identical(serial_reference, result)
 
     def test_mixed_checkpoints_are_schema_v3(self, tmp_path):

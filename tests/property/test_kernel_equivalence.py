@@ -1,4 +1,4 @@
-"""Property-based scalar ≡ vector equivalence (hypothesis).
+"""Property-based fleet kernel ≡ single-device oracle (hypothesis).
 
 ``tests/sram/test_fleetkernel_identity.py`` pins the kernel contract at
 hand-picked settings; here hypothesis draws the settings — fleet size,
@@ -6,8 +6,8 @@ geometry, noise amplitude, fidelity, measurement count, acceleration —
 and asserts the same bit-identity after *every* month: power-up bits,
 drifted skew states, and the exact RNG stream position of every board.
 Any vectorized op that consumes randomness in a different order or
-rounds differently from the scalar path fails here on a shrunk,
-reproducible counterexample.
+rounds differently from :class:`~repro.sram.chip.SRAMChip` fails here
+on a shrunk, reproducible counterexample.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.monthly import evaluate_month
 from repro.core.assessment import LongTermAssessment
 from repro.core.config import StudyConfig
 from repro.rng import SeedHierarchy
@@ -43,6 +44,44 @@ kernel_configs = st.fixed_dictionaries(
 )
 
 
+def _oracle_campaign(cfg):
+    """The campaign's month loop on single-device chips, for comparison.
+
+    Manufacture, day-0 references, the ambient-temperature walk, one
+    :func:`~repro.analysis.monthly.evaluate_month` per snapshot and
+    ``StudyConfig``'s default aging (one month in two steps) between
+    snapshots.
+    """
+    seeds = SeedHierarchy(cfg["seed"])
+    chips = [
+        SRAMChip(board, ATMEGA32U4, random_state=seeds)
+        for board in range(cfg["device_count"])
+    ]
+    references = {chip.chip_id: chip.read_startup() for chip in chips}
+    simulator = AgingSimulator(ATMEGA32U4)
+    walk = cfg["temperature_walk_k"]
+    temp_rng = seeds.stream("ambient-temperature")
+    temperature = ATMEGA32U4.temperature_k
+    snapshots = []
+    for month in range(cfg["months"] + 1):
+        if walk > 0.0:
+            temperature += float(temp_rng.normal(0.0, walk))
+        snapshots.append(
+            evaluate_month(
+                chips,
+                references,
+                month,
+                measurements=cfg["measurements"],
+                statistical=cfg["statistical"],
+                temperature_k=temperature if walk > 0.0 else None,
+            )
+        )
+        if month < cfg["months"]:
+            for chip in chips:
+                simulator.age_array_months(chip.array, 1.0, steps=2)
+    return references, snapshots
+
+
 def _profile(cfg):
     read_bytes = max(1, int(cfg["sram_bytes"] * cfg["read_fraction"]))
     return ATMEGA32U4.with_overrides(
@@ -57,7 +96,7 @@ class TestKernelEquivalenceProperties:
     @settings(max_examples=25, deadline=None)
     @given(kernel_configs)
     def test_month_loop_bit_identical(self, cfg):
-        """Scalar and vector agree after every month of a random study."""
+        """Kernel and chips agree after every month of a random study."""
         profile = _profile(cfg)
         board_ids = tuple(range(cfg["boards"]))
         kernel = FleetKernel.manufacture(board_ids, profile, root_seed=cfg["seed"])
@@ -110,23 +149,20 @@ class TestKernelEquivalenceProperties:
         )
     )
     def test_campaign_snapshots_bit_identical(self, cfg):
-        """End-to-end: ``StudyConfig(kernel=...)`` is a pure perf knob."""
-        results = {}
-        for kernel in ("scalar", "vector"):
-            reset_telemetry()
-            result = LongTermAssessment(StudyConfig(kernel=kernel, **cfg)).run()
-            results[kernel] = result.campaign
-        scalar, vector = results["scalar"], results["vector"]
-        assert len(scalar.snapshots) == len(vector.snapshots)
-        for snap_s, snap_v in zip(scalar.snapshots, vector.snapshots):
-            assert snap_s.month == snap_v.month
-            np.testing.assert_array_equal(snap_s.wchd, snap_v.wchd)
-            np.testing.assert_array_equal(snap_s.fhw, snap_v.fhw)
-            np.testing.assert_array_equal(snap_s.stable_ratio, snap_v.stable_ratio)
-            np.testing.assert_array_equal(snap_s.noise_entropy, snap_v.noise_entropy)
-            np.testing.assert_array_equal(snap_s.bchd_pairs, snap_v.bchd_pairs)
+        """End-to-end: the campaign equals the single-device oracle loop."""
+        reset_telemetry()
+        campaign = LongTermAssessment(StudyConfig(**cfg)).run().campaign
+        references, snapshots = _oracle_campaign(cfg)
+        assert len(campaign.snapshots) == len(snapshots)
+        for snap_k, snap_o in zip(campaign.snapshots, snapshots):
+            assert snap_k.month == snap_o.month
+            np.testing.assert_array_equal(snap_k.wchd, snap_o.wchd)
+            np.testing.assert_array_equal(snap_k.fhw, snap_o.fhw)
+            np.testing.assert_array_equal(snap_k.stable_ratio, snap_o.stable_ratio)
+            np.testing.assert_array_equal(snap_k.noise_entropy, snap_o.noise_entropy)
+            np.testing.assert_array_equal(snap_k.bchd_pairs, snap_o.bchd_pairs)
             # nan == nan must pass: a 1-board fleet has no PUF entropy.
-            np.testing.assert_array_equal(snap_s.puf_entropy, snap_v.puf_entropy)
-        assert scalar.references.keys() == vector.references.keys()
-        for board_id, ref_s in scalar.references.items():
-            np.testing.assert_array_equal(ref_s, vector.references[board_id])
+            np.testing.assert_array_equal(snap_k.puf_entropy, snap_o.puf_entropy)
+        assert list(campaign.references) == list(references)
+        for board_id, reference in references.items():
+            np.testing.assert_array_equal(campaign.references[board_id], reference)

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on the population determinism contract.
 
 The execution-level gates (``tests/exec/test_population_equivalence.py``)
-prove one concrete mixed fleet identical across workers, kernels and
+prove one concrete mixed fleet identical across workers, checkpoints and
 resume; these properties prove the *mechanism* for arbitrary specs:
 board ``i``'s profile draw is a pure function of ``(spec, root_seed,
 board_id)``, so any partition of the fleet — shard layout, window

@@ -1,13 +1,14 @@
-"""Scalar ≡ vector identity at the kernel level.
+"""Fleet kernel ≡ single-device oracle, operation by operation.
 
 The :class:`~repro.sram.fleetkernel.FleetKernel` contract is absolute:
 for the same seed, every batched operation — manufacture, power-up
 reads, measurement blocks at either fidelity, aging, state export —
-produces **bit-identical** per-board results to a fleet of scalar
+produces **bit-identical** per-board results to a fleet of
 :class:`~repro.sram.chip.SRAMChip` objects, and leaves every board's
 random stream at the same position.  These tests enforce the contract
-operation by operation; the campaign-level suites (``tests/exec``,
-``tests/store``) then inherit it.
+operation by operation, including across row-block boundaries; the
+campaign-level suites (``tests/exec``, ``tests/store``) then inherit
+it.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.monthly import evaluate_board, evaluate_fleet
 from repro.errors import ConfigurationError
 from repro.rng import SeedHierarchy
+from repro.sram import fleetkernel
 from repro.sram.aging import AgingSimulator, DataPolicy
 from repro.sram.chip import SRAMChip
-from repro.sram.fleetkernel import KERNELS, FleetKernel, validate_kernel
+from repro.sram.fleetkernel import FleetKernel
 from repro.sram.powerup import sample_measurement_block
 from repro.sram.profiles import ATMEGA32U4
 
@@ -41,11 +44,23 @@ def vector_fleet(board_ids=BOARD_IDS, profile=PROFILE, seed=SEED):
 
 
 def assert_streams_aligned(kernel: FleetKernel, chips) -> None:
-    """Both kernels' generators must sit at the same stream position."""
+    """Kernel and chips' generators must sit at the same stream position."""
     states = kernel.export_states()
     for chip in chips:
         scalar_state = chip.array.export_state()
         assert states[chip.chip_id]["rng_state"] == scalar_state["rng_state"]
+
+
+def assert_states_equal(kernel: FleetKernel, chips) -> None:
+    """Every exported field of every board equals its chip's export."""
+    states = kernel.export_states()
+    for chip in chips:
+        scalar_state = chip.array.export_state()
+        state = states[chip.chip_id]
+        assert state["rng_state"] == scalar_state["rng_state"]
+        np.testing.assert_array_equal(state["skew_v"], scalar_state["skew_v"])
+        assert state["age_seconds"] == scalar_state["age_seconds"]
+        assert state["power_up_count"] == scalar_state["power_up_count"]
 
 
 class TestManufacture:
@@ -239,11 +254,76 @@ class TestStateRoundTrip:
             FleetKernel.from_states(kernel.board_ids, PROFILE, states)
 
 
-class TestValidateKernel:
-    def test_accepts_the_registered_kernels(self):
-        for kernel in KERNELS:
-            assert validate_kernel(kernel) == kernel
+class TestCompactResults:
+    """Returned bits own compact ``(boards, read_bits)`` buffers.
 
-    def test_rejects_unknown_kernel(self):
-        with pytest.raises(ConfigurationError, match="kernel"):
-            validate_kernel("simd")
+    Callers keep these rows for a whole campaign (day-0 references,
+    monthly first read-outs); a view into a ``(boards, cells)`` draw
+    would pin the full-array base for that long.
+    """
+
+    def test_read_startup_owns_its_rows(self):
+        bits = vector_fleet().read_startup()
+        assert bits.shape == (len(BOARD_IDS), PROFILE.read_bits)
+        assert bits.flags.owndata
+
+    @pytest.mark.parametrize("statistical", [True, False], ids=["statistical", "full-sim"])
+    def test_measure_block_owns_its_rows(self, statistical):
+        counts, first = vector_fleet().measure_block(20, statistical=statistical)
+        for matrix in (counts, first):
+            assert matrix.shape == (len(BOARD_IDS), PROFILE.read_bits)
+            assert matrix.flags.owndata
+
+
+class TestRowBlocks:
+    #: Five boards at two boards per block: blocks of 2, 2 and 1 rows.
+    BOARDS = (0, 1, 2, 3, 7)
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(fleetkernel, "ROW_BLOCK_CELLS", 2 * PROFILE.cell_count)
+
+    def test_block_boundaries_match_chips(self):
+        blocks = fleetkernel.row_blocks(len(self.BOARDS), PROFILE.cell_count)
+        assert [(s.start, s.stop) for s in blocks] == [(0, 2), (2, 4), (4, 5)]
+        kernel = vector_fleet(self.BOARDS)
+        chips = scalar_fleet(self.BOARDS)
+        simulator = AgingSimulator(PROFILE)
+
+        rows = kernel.read_startup()
+        for index, chip in enumerate(chips):
+            np.testing.assert_array_equal(rows[index], chip.read_startup())
+        assert_states_equal(kernel, chips)
+
+        def measure(statistical):
+            counts, first = kernel.measure_block(30, statistical=statistical)
+            for index, chip in enumerate(chips):
+                sample = sample_measurement_block(chip, 30, statistical=statistical)
+                np.testing.assert_array_equal(counts[index], sample.ones_counts)
+                np.testing.assert_array_equal(first[index], sample.first_readout)
+            assert_states_equal(kernel, chips)
+
+        measure(statistical=True)
+        measure(statistical=False)
+        kernel.age_months(1.5, steps=3)
+        for chip in chips:
+            simulator.age_array_months(chip.array, 1.5, steps=3)
+        assert_states_equal(kernel, chips)
+        measure(statistical=True)
+
+    def test_fleet_metrics_match_per_board_evaluation(self):
+        kernel = vector_fleet(self.BOARDS)
+        chips = scalar_fleet(self.BOARDS)
+        references = dict(zip(self.BOARDS, kernel.read_startup()))
+        for chip in chips:
+            chip.read_startup()
+        fleet_rows = evaluate_fleet(kernel, references, measurements=40)
+        for chip, row in zip(chips, fleet_rows):
+            expected = evaluate_board(chip, references[chip.chip_id], measurements=40)
+            assert row.board_id == expected.board_id
+            assert row.wchd == expected.wchd
+            assert row.fhw == expected.fhw
+            assert row.stable_ratio == expected.stable_ratio
+            assert row.noise_entropy == expected.noise_entropy
+            np.testing.assert_array_equal(row.first_readout, expected.first_readout)
+        assert_states_equal(kernel, chips)

@@ -5,7 +5,7 @@ bytes, checkpoint bytes and deterministic run ids of the golden
 16-board study as produced *before* the population layer existed;
 ``fixtures/ckpt_prepopulation/`` holds the actual pre-refactor (schema
 v2) checkpoint files.  A homogeneous campaign must keep reproducing
-those exact bytes — across worker counts and kernels, when
+those exact bytes — across worker counts, when
 checkpointing (downlevel v2 writes), and when resuming from the old
 files through the v2 -> v3 migration.
 """
@@ -54,13 +54,8 @@ def checkpoint_shas(directory: str):
 
 class TestGoldenArtifact:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
-    def test_population_none_matches_prerefactor_bytes(
-        self, workers, kernel, tmp_path
-    ):
-        campaign = LongTermCampaign(
-            max_workers=workers, kernel=kernel, **GOLDEN_KWARGS
-        )
+    def test_population_none_matches_prerefactor_bytes(self, workers, tmp_path):
+        campaign = LongTermCampaign(max_workers=workers, **GOLDEN_KWARGS)
         result = campaign.run()
         assert artifact_sha(result, tmp_path) == GOLDEN["artifact_sha256"]
 

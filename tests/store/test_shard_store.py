@@ -6,8 +6,8 @@ produces — after ``merge_sharded_campaign`` — exactly the bytes the
 single-writer monolithic path saves, and resumes from its shard
 chains (including torn and compacted ones) byte-identically to an
 uninterrupted run.  The hypothesis suite at the bottom drives shard
-counts {1, 2, 3, 7} x both kernels through kill-and-resume
-mid-keyframe-interval with a single torn shard.
+counts {1, 2, 3, 7} through kill-and-resume mid-keyframe-interval
+with a single torn shard.
 """
 
 from __future__ import annotations
@@ -292,7 +292,6 @@ def _tear_shard(checkpoint_dir: str, shard_index: int) -> None:
 shard_scenarios = st.fixed_dictionaries(
     {
         "workers": st.sampled_from((1, 2, 3, 7)),
-        "kernel": st.sampled_from(("scalar", "vector")),
         "boards": st.integers(6, 8),
         "months": st.integers(4, 6),
         "keyframe_every": st.sampled_from((2, 3)),
@@ -326,7 +325,6 @@ class TestShardStoreProperties:
             measurements=30,
             profile=PROP_PROFILE,
             keyframe_every=cfg["keyframe_every"],
-            kernel=cfg["kernel"],
         )
         reset_telemetry()
         clear_window_cache()

@@ -178,6 +178,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig6", "--metric", "bogus"])
 
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_kernel_flag_no_longer_exists(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--kernel", "vector"])
+        assert excinfo.value.code == 2
+
 
 class TestMonitorCli:
     def _saved_campaign(self, capsys, tmp_path):
