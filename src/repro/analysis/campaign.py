@@ -16,6 +16,7 @@ measurement temperature around the nominal, mimicking an uncontrolled
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
@@ -203,9 +204,10 @@ class LongTermCampaign:
             raise ConfigurationError(
                 f"aging_steps_per_month must be >= 1, got {aging_steps_per_month}"
             )
-        if aging_acceleration <= 0:
+        if not math.isfinite(aging_acceleration) or aging_acceleration <= 0:
             raise ConfigurationError(
-                f"aging_acceleration must be positive, got {aging_acceleration}"
+                f"aging_acceleration must be finite and positive, "
+                f"got {aging_acceleration}"
             )
         if max_workers < 1:
             raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")

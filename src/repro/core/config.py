@@ -8,6 +8,7 @@ configs produce identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -130,9 +131,10 @@ class StudyConfig:
             raise ConfigurationError(
                 f"aging_steps_per_month must be >= 1, got {self.aging_steps_per_month}"
             )
-        if self.aging_acceleration <= 0:
+        if not math.isfinite(self.aging_acceleration) or self.aging_acceleration <= 0:
             raise ConfigurationError(
-                f"aging_acceleration must be positive, got {self.aging_acceleration}"
+                f"aging_acceleration must be finite and positive, "
+                f"got {self.aging_acceleration}"
             )
         if self.max_workers < 1:
             raise ConfigurationError(

@@ -29,6 +29,7 @@ via the profile's :class:`~repro.physics.nbti.BTIModel`.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Optional
 
 import numpy as np
@@ -176,8 +177,10 @@ class AgingSimulator:
             What cells store while powered (see :class:`DataPolicy`);
             defaults to the paper's hold-the-power-up-state testbed.
         """
-        if seconds < 0:
-            raise ConfigurationError(f"seconds cannot be negative, got {seconds}")
+        if not math.isfinite(seconds) or seconds < 0:
+            raise ConfigurationError(
+                f"seconds must be finite and non-negative, got {seconds}"
+            )
         if steps <= 0:
             raise ConfigurationError(f"steps must be positive, got {steps}")
         if seconds == 0:

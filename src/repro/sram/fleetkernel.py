@@ -40,6 +40,7 @@ documents — to a fleet of single-device chips, the oracle that
 from __future__ import annotations
 
 import logging
+import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,6 +108,14 @@ class FleetKernel:
             )
         if len(rngs) != len(ids):
             raise ConfigurationError("one random stream per board required")
+        for name, values in (
+            ("age_seconds", age_seconds),
+            ("power_up_counts", power_up_counts),
+        ):
+            if np.shape(values) != (len(ids),):
+                raise ConfigurationError(
+                    f"{name} shape {np.shape(values)} != (boards,) ({len(ids)},)"
+                )
         self._board_ids: Tuple[int, ...] = tuple(ids)
         self._profile = profile
         self._skew_v = skew_v
@@ -114,6 +123,12 @@ class FleetKernel:
         self._age_seconds = age_seconds
         self._power_up_counts = power_up_counts
         self._noise = profile.noise_model()
+        # One-probabilities of the current skew, kept by the statistical
+        # measure_block for the next age_months' first step; valid only
+        # while the skew is unchanged and only at ``_probs_sigma``.
+        # Never exported: a restored kernel simply recomputes them.
+        self._probs: Optional[np.ndarray] = None
+        self._probs_sigma: Optional[float] = None
 
     # Construction --------------------------------------------------------
 
@@ -300,16 +315,23 @@ class FleetKernel:
         sigma = self._sigma_at(temperature_k)
         profiler = get_profiler()
         if not statistical:
-            counts = np.empty((boards, read_bits), dtype=np.int64)
+            # Each board's (measurements, cells) noise is drawn in
+            # consecutive row blocks: consecutive draws on one stream
+            # equal one big draw, so the bits do not change, and the
+            # temporaries stay block-sized instead of measurements x cells.
+            counts = np.zeros((boards, read_bits), dtype=np.int64)
             first = np.empty((boards, read_bits), dtype=np.uint8)
             with profiler.phase(PHASE_POWERUP, calls=boards):
                 for index, rng in enumerate(self._rngs):
-                    noise = rng.normal(0.0, sigma, size=(measurements, cells))
-                    block = resolve_power_up_states(
-                        self._skew_v[index][np.newaxis, :], noise
-                    )[:, :read_bits]
-                    counts[index] = block.sum(axis=0, dtype=np.int64)
-                    first[index] = block[0]
+                    skew = self._skew_v[index][np.newaxis, :]
+                    for chunk in row_blocks(measurements, cells):
+                        noise = rng.normal(
+                            0.0, sigma, size=(chunk.stop - chunk.start, cells)
+                        )
+                        block = resolve_power_up_states(skew, noise)[:, :read_bits]
+                        counts[index] += block.sum(axis=0, dtype=np.int64)
+                        if chunk.start == 0:
+                            first[index] = block[0]
             self._power_up_counts += measurements
             return counts, first
         with profiler.phase(PHASE_POWERUP, calls=boards):
@@ -318,13 +340,18 @@ class FleetKernel:
         if measurements == 1:
             return first.astype(np.int64), first
         counts = np.empty((boards, read_bits), dtype=np.int64)
+        # Invalid until every block is written at this sigma.
+        self._probs_sigma = None
+        self._probs = np.empty((boards, cells), dtype=np.float64)
         with profiler.phase(PHASE_NOISE_DRAW, calls=boards):
             for rows in row_blocks(boards, cells):
-                probs = one_probabilities_from_skew(self._skew_v[rows], sigma)
+                probs = self._probs[rows]
+                probs[...] = one_probabilities_from_skew(self._skew_v[rows], sigma)
                 for offset, rng in enumerate(self._rngs[rows]):
                     index = rows.start + offset
                     window = rng.binomial(measurements - 1, probs[offset])
                     np.add(first[index], window[:read_bits], out=counts[index])
+        self._probs_sigma = sigma
         self._power_up_counts += measurements - 1
         return counts, first
 
@@ -376,9 +403,16 @@ class FleetKernel:
         (:meth:`~repro.sram.aging.AgingSimulator.equivalent_nominal_seconds`),
         same per-step drift expression, same per-board dispersion draw
         order — with the per-board loop collapsed to matrix arithmetic.
+
+        When the last :meth:`measure_block` left one-probabilities of
+        this very skew at the aging sigma, step 0 reuses them instead of
+        evaluating ``Phi(skew / sigma)`` again; any later step, or any
+        other sigma, recomputes.  Either way the values are the same.
         """
-        if months < 0:
-            raise ConfigurationError(f"months cannot be negative, got {months}")
+        if not math.isfinite(months) or months < 0:
+            raise ConfigurationError(
+                f"months must be finite and non-negative, got {months}"
+            )
         if steps <= 0:
             raise ConfigurationError(f"steps must be positive, got {steps}")
         seconds = months * SECONDS_PER_MONTH
@@ -392,6 +426,11 @@ class FleetKernel:
         dispersion = self._profile.bti_dispersion_v
         sigma = self._sigma_at(None)
         needs_probs = data_policy in (DataPolicy.POWER_UP, DataPolicy.INVERTED)
+        measured = self._probs if needs_probs and self._probs_sigma == sigma else None
+        # The skew is about to move: the kept probabilities stop being
+        # valid, and the local reference is all step 0 still needs.
+        self._probs = None
+        self._probs_sigma = None
         cells = self.cell_count
         # No profiler phase here: call sites wrap aging in PHASE_AGING,
         # exactly like the single-device simulator's call sites do.
@@ -400,17 +439,21 @@ class FleetKernel:
             # A view: the block's skew is updated in place, step by step.
             skew = self._skew_v[rows]
             rngs = self._rngs[rows]
-            for d_tau in d_taus[:, rows]:
-                probs = (
-                    one_probabilities_from_skew(skew, sigma) if needs_probs else None
-                )
+            xi = np.empty_like(skew) if dispersion > 0.0 else None
+            for step, d_tau in enumerate(d_taus[:, rows]):
+                if not needs_probs:
+                    probs = None
+                elif step == 0 and measured is not None:
+                    probs = measured[rows]
+                else:
+                    probs = one_probabilities_from_skew(skew, sigma)
                 direction = drift_direction(data_policy, probs, skew.shape)
                 drift = direction * amplitude * d_tau[:, np.newaxis]
-                if dispersion > 0.0:
-                    xi = np.empty_like(skew)
+                if xi is not None:
                     for offset, rng in enumerate(rngs):
-                        xi[offset] = rng.standard_normal(cells)
-                    drift = drift + (dispersion * np.sqrt(d_tau))[:, np.newaxis] * xi
+                        rng.standard_normal(out=xi[offset])
+                    xi *= (dispersion * np.sqrt(d_tau))[:, np.newaxis]
+                    drift += xi
                 skew += drift
         self._age_seconds = self._age_seconds + equivalent_seconds
 

@@ -108,6 +108,13 @@ class TestOptions:
         with pytest.raises(ConfigurationError):
             LongTermCampaign(aging_steps_per_month=0)
 
+    @pytest.mark.parametrize("acceleration", [0.0, float("nan"), float("inf")])
+    def test_non_finite_or_nonpositive_acceleration_rejected_up_front(
+        self, acceleration
+    ):
+        with pytest.raises(ConfigurationError, match="aging_acceleration"):
+            LongTermCampaign(aging_acceleration=acceleration)
+
     def test_result_snapshot_count_validated(self):
         campaign = LongTermCampaign(device_count=2, months=2, measurements=50)
         result = campaign.run()

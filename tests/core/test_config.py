@@ -29,6 +29,9 @@ class TestStudyConfig:
             {"initial_measurements": 1},
             {"temperature_walk_k": -0.5},
             {"aging_steps_per_month": 0},
+            {"aging_acceleration": 0.0},
+            {"aging_acceleration": float("nan")},
+            {"aging_acceleration": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -91,6 +91,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             simulator.age_array(fresh_array(), -1.0)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_seconds_rejected(self, simulator, seconds):
+        array = fresh_array()
+        before = array.export_state()
+        with pytest.raises(ConfigurationError, match="finite"):
+            simulator.age_array(array, seconds)
+        with pytest.raises(ConfigurationError, match="finite"):
+            simulator.age_array_months(array, seconds / SECONDS_PER_MONTH)
+        np.testing.assert_array_equal(array.skew_v, before["skew_v"])
+        assert array.age_seconds == before["age_seconds"]
+
     def test_zero_steps_rejected(self, simulator):
         with pytest.raises(ConfigurationError):
             simulator.age_array(fresh_array(), 100.0, steps=0)

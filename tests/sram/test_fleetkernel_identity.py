@@ -91,6 +91,22 @@ class TestManufacture:
         with pytest.raises(ConfigurationError):
             FleetKernel.manufacture((-1, 0), PROFILE)
 
+    @pytest.mark.parametrize("field", ["age_seconds", "power_up_counts"])
+    @pytest.mark.parametrize("length", [len(BOARD_IDS) - 1, len(BOARD_IDS) + 1])
+    def test_rejects_per_board_state_of_wrong_shape(self, field, length):
+        kernel = vector_fleet()
+        arguments = dict(
+            board_ids=BOARD_IDS,
+            profile=PROFILE,
+            skew_v=np.array(kernel.skew_v),
+            rngs=[np.random.default_rng(b) for b in BOARD_IDS],
+            age_seconds=np.zeros(len(BOARD_IDS)),
+            power_up_counts=np.zeros(len(BOARD_IDS), dtype=np.int64),
+        )
+        arguments[field] = np.zeros(length)
+        with pytest.raises(ConfigurationError, match=field):
+            FleetKernel(**arguments)
+
 
 class TestReadStartup:
     def test_rows_equal_scalar_read_startup(self):
@@ -146,6 +162,20 @@ class TestMeasureBlock:
     def test_rejects_nonpositive_measurements(self):
         with pytest.raises(ConfigurationError):
             vector_fleet().measure_block(0)
+
+    def test_full_sim_drawn_in_measurement_blocks_matches_scalar(self, monkeypatch):
+        """Measurement-level noise drawn 4 power-ups at a time, 4, 4, 2."""
+        monkeypatch.setattr(fleetkernel, "ROW_BLOCK_CELLS", 4 * PROFILE.cell_count)
+        blocks = fleetkernel.row_blocks(10, PROFILE.cell_count)
+        assert [(s.start, s.stop) for s in blocks] == [(0, 4), (4, 8), (8, 10)]
+        kernel = vector_fleet()
+        chips = scalar_fleet()
+        counts, first = kernel.measure_block(10, statistical=False)
+        for index, chip in enumerate(chips):
+            sample = sample_measurement_block(chip, 10, statistical=False)
+            np.testing.assert_array_equal(counts[index], sample.ones_counts)
+            np.testing.assert_array_equal(first[index], sample.first_readout)
+        assert_states_equal(kernel, chips)
 
 
 class TestAging:
@@ -214,6 +244,141 @@ class TestAging:
             kernel.age_months(-1.0)
         with pytest.raises(ConfigurationError):
             kernel.age_months(1.0, steps=0)
+
+    @pytest.mark.parametrize("months", [float("nan"), float("inf")])
+    def test_rejects_non_finite_months_before_touching_state(self, months):
+        kernel = vector_fleet()
+        before = kernel.export_states()
+        with pytest.raises(ConfigurationError, match="finite"):
+            kernel.age_months(months)
+        after = kernel.export_states()
+        for board_id in kernel.board_ids:
+            np.testing.assert_array_equal(
+                before[board_id]["skew_v"], after[board_id]["skew_v"]
+            )
+            assert before[board_id]["age_seconds"] == after[board_id]["age_seconds"]
+
+
+def measure_both(kernel, chips, measurements=30, **kwargs):
+    """One measurement block on kernel and chips; results and states equal."""
+    counts, first = kernel.measure_block(measurements, **kwargs)
+    for index, chip in enumerate(chips):
+        sample = sample_measurement_block(chip, measurements, **kwargs)
+        np.testing.assert_array_equal(counts[index], sample.ones_counts)
+        np.testing.assert_array_equal(first[index], sample.first_readout)
+    assert_states_equal(kernel, chips)
+
+
+def age_both(kernel, chips, months=1.0, steps=2, **kwargs):
+    """Age kernel and chips alike; every exported state must stay equal."""
+    kernel.age_months(months, steps=steps, **kwargs)
+    simulator = AgingSimulator(kernel.profile)
+    for chip in chips:
+        simulator.age_array_months(chip.array, months, steps=steps, **kwargs)
+    assert_states_equal(kernel, chips)
+
+
+class TestProbabilityHandOff:
+    """A statistical measurement's one-probabilities feed aging step 0.
+
+    Whether the kernel reuses them (same skew, same sigma) or
+    recomputes them (anything else), every sequence must stay
+    bit-identical to the chips, which always recompute.
+    """
+
+    @pytest.mark.parametrize("policy", list(DataPolicy))
+    def test_measure_then_age_every_policy(self, policy):
+        kernel = vector_fleet()
+        chips = scalar_fleet()
+        for _ in range(2):
+            measure_both(kernel, chips)
+            age_both(kernel, chips, data_policy=policy)
+
+    def test_measure_at_temperature_override_then_age(self):
+        kernel = vector_fleet()
+        chips = scalar_fleet()
+        measure_both(kernel, chips, temperature_k=320.0)
+        age_both(kernel, chips)
+        measure_both(kernel, chips)
+        age_both(kernel, chips, temperature_k=320.0)
+
+    def test_one_measure_then_two_agings(self):
+        kernel = vector_fleet()
+        chips = scalar_fleet()
+        measure_both(kernel, chips)
+        age_both(kernel, chips)
+        age_both(kernel, chips, months=0.5, steps=1)
+
+    def test_age_without_measuring_first_on_a_fresh_kernel(self):
+        kernel = vector_fleet()
+        chips = scalar_fleet()
+        age_both(kernel, chips)
+        measure_both(kernel, chips)
+        age_both(kernel, chips)
+
+    def test_age_without_measuring_first_on_a_restored_kernel(self):
+        kernel = vector_fleet()
+        chips = scalar_fleet()
+        measure_both(kernel, chips)
+        restored = FleetKernel.from_states(
+            kernel.board_ids, PROFILE, kernel.export_states()
+        )
+        age_both(restored, chips)
+        measure_both(restored, chips)
+
+    @pytest.mark.parametrize(
+        "measurements, statistical",
+        [(30, False), (1, True)],
+        ids=["full-sim", "single-measurement"],
+    )
+    def test_uncached_measurement_then_age(self, measurements, statistical):
+        kernel = vector_fleet()
+        chips = scalar_fleet()
+        measure_both(kernel, chips, measurements, statistical=statistical)
+        age_both(kernel, chips)
+        measure_both(kernel, chips)
+        measure_both(kernel, chips, measurements, statistical=statistical)
+        age_both(kernel, chips)
+
+    def test_fleet_spanning_several_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(fleetkernel, "ROW_BLOCK_CELLS", 2 * PROFILE.cell_count)
+        boards = (0, 1, 2, 3, 7)
+        kernel = vector_fleet(boards)
+        chips = scalar_fleet(boards)
+        for steps in (2, 3):
+            measure_both(kernel, chips)
+            age_both(kernel, chips, steps=steps)
+
+    @pytest.fixture
+    def evaluated_cells(self, monkeypatch):
+        """Cells passed to the kernel's ``Phi(skew / sigma)``, call by call."""
+        cells = []
+        evaluate = fleetkernel.one_probabilities_from_skew
+
+        def counting(skew_v, sigma_v):
+            cells.append(np.asarray(skew_v).size)
+            return evaluate(skew_v, sigma_v)
+
+        monkeypatch.setattr(fleetkernel, "one_probabilities_from_skew", counting)
+        return cells
+
+    def test_nominal_month_evaluates_each_skew_state_once(self, evaluated_cells):
+        kernel = vector_fleet()
+        kernel.measure_block(30)
+        kernel.age_months(1.0, steps=2)
+        assert sum(evaluated_cells) == 2 * kernel.board_count * kernel.cell_count
+
+    def test_moved_sigma_or_skew_recomputes(self, evaluated_cells):
+        kernel = vector_fleet()
+        fleet_cells = kernel.board_count * kernel.cell_count
+        kernel.measure_block(30, temperature_k=320.0)
+        kernel.age_months(1.0, steps=2)
+        assert sum(evaluated_cells) == 3 * fleet_cells
+        evaluated_cells.clear()
+        kernel.measure_block(30)
+        kernel.age_months(1.0, steps=2)
+        kernel.age_months(1.0, steps=2)
+        assert sum(evaluated_cells) == 4 * fleet_cells
 
 
 class TestStateRoundTrip:
