@@ -157,7 +157,6 @@ def _run_sharded(workdir: str, boards, states, rows, references):
         ShardStoreSpec(
             root=shard_root(checkpoint_dir, index),
             shard_index=index,
-            config_digest="bench",
             keyframe_every=DEFAULT_KEYFRAME_EVERY,
             months=MONTHS,
         )

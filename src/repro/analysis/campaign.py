@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+import uuid
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
@@ -1024,9 +1025,10 @@ class LongTermCampaign:
         """Checkpointed month-window pipeline (serial *and* parallel).
 
         One executor dispatch per month: every shard advances its
-        boards by exactly one month and returns metric rows plus
-        serialized device state, the driver assembles the snapshot,
-        feeds the monitor, and cuts an atomic checkpoint.  All
+        resident boards by exactly one month and returns metric rows
+        (plus serialized device state in keyframe months), the driver
+        assembles the snapshot, feeds the monitor, and cuts an atomic
+        checkpoint.  All
         checkpointed runs — any worker count — use this one loop, so
         checkpoint files are byte-identical across execution modes.
 
@@ -1039,19 +1041,19 @@ class LongTermCampaign:
         interrupted-run state.
         """
         from repro.exec.plan import partition_boards
-        from repro.exec.windows import BoardWindowState, WindowSpec, run_board_window
+        from repro.exec.windows import WindowSpec, clear_window_cache, run_board_window
         from repro.store.artifact import ArtifactStore
         from repro.store.checkpoint import (
             CampaignCheckpointer,
             CounterDeltaRecorder,
             fold_counter_deltas,
+            keyframe_due,
         )
         from repro.store.codecs import restore_rng_state, rng_state_doc
         from repro.store.shardstore import (
             ShardStoreSpec,
             append_parent_month_record,
             build_parent_month_record,
-            campaign_config_digest,
             prepare_shard_resume,
             reset_sharded_layout,
             shard_root,
@@ -1093,7 +1095,6 @@ class LongTermCampaign:
                 board_states: Dict[int, Optional[Dict]] = {b: None for b in board_ids}
                 snapshots: List[MonthlyEvaluation] = []
                 counter_deltas: List[Dict[str, int]] = []
-                temp_history: List[Optional[float]] = []
                 recorder = CounterDeltaRecorder(metrics)
                 logger.info(
                     "campaign started (checkpointed, %s store): %d devices, "
@@ -1128,9 +1129,6 @@ class LongTermCampaign:
                 board_states = {b: state.boards[b] for b in board_ids}
                 snapshots = list(state.snapshots)
                 counter_deltas = [dict(poll) for poll in state.counter_deltas]
-                temp_history = (
-                    list(state.temperatures) if self._shard_store else []
-                )
                 if self._shard_store:
                     # Roll the shard streams and parent log back to the
                     # resume month; the re-executed months then append
@@ -1183,30 +1181,30 @@ class LongTermCampaign:
                 shard_boards = [list(boards) for boards in resume_state.shard_boards]
             else:
                 shard_boards = partition_boards(board_ids, executor.max_workers)
-            config_digest = None
-            if self._shard_store:
-                config_digest = campaign_config_digest(self._checkpoint_config())
-                if resume_state is None:
-                    write_shard_manifest(
-                        checkpoint_dir,
-                        self._checkpoint_config(),
-                        self._result_profile_name(),
-                        self._keyframe_every,
-                        shard_boards,
-                    )
+            if self._shard_store and resume_state is None:
+                write_shard_manifest(
+                    checkpoint_dir,
+                    self._checkpoint_config(),
+                    self._result_profile_name(),
+                    self._keyframe_every,
+                    shard_boards,
+                )
             worker_rollups = self._rollup_shards if rollups_enabled() else 0
             trace_context = tracer.context(phases=profiling_enabled())
+            run_token = uuid.uuid4().hex
             try:
                 for month in range(start_month, total_snapshots):
                     if walk:
                         temperature += float(temp_rng.normal(0.0, self._temperature_walk_k))
                     snapshot_temp = temperature if walk else None
                     apply_aging = month < self._months
-                    if self._shard_store:
-                        # Workers replay cold-restored months with the
-                        # recorded block temperatures, so every spec
-                        # carries the history up to its own month.
-                        temp_history.append(snapshot_temp)
+                    # The first window after a resume rebuilds each
+                    # shard's resident boards; every later one only
+                    # names them (docs/parallel.md, resident slots).
+                    restoring = resume_state is not None and month == start_month
+                    return_states = not self._shard_store and keyframe_due(
+                        checkpointer.store, month, checkpointer.keyframe_every
+                    )
                     with tracer.span("campaign.month", month=month) as month_span:
                         specs = [
                             WindowSpec(
@@ -1214,19 +1212,24 @@ class LongTermCampaign:
                                 month=month,
                                 root_seed=self._seeds.root_seed,
                                 measurements=self._measurements,
+                                board_ids=tuple(boards),
+                                run_token=run_token,
                                 statistical=self._statistical,
                                 temperature=snapshot_temp,
                                 apply_aging=apply_aging,
                                 aging_steps_per_month=self._aging_steps,
                                 aging_acceleration=self._aging_acceleration,
-                                boards=tuple(
-                                    BoardWindowState(
-                                        board_id=board,
-                                        state=board_states[board],
-                                        reference=references.get(board),
-                                    )
-                                    for board in boards
+                                references=(
+                                    {board: references[board] for board in boards}
+                                    if restoring
+                                    else None
                                 ),
+                                states=(
+                                    {board: board_states[board] for board in boards}
+                                    if restoring and not self._shard_store
+                                    else None
+                                ),
+                                return_states=return_states,
                                 fail_board=(
                                     self._fail_board
                                     if self._fail_board in boards
@@ -1239,10 +1242,14 @@ class LongTermCampaign:
                                     ShardStoreSpec(
                                         root=shard_root(checkpoint_dir, index),
                                         shard_index=index,
-                                        config_digest=config_digest,
                                         keyframe_every=self._keyframe_every,
                                         months=self._months,
-                                        temperatures=tuple(temp_history),
+                                        # Only a restoring worker replays.
+                                        temperatures=(
+                                            tuple(resume_state.temperatures)
+                                            if restoring
+                                            else ()
+                                        ),
                                     )
                                     if self._shard_store
                                     else None
@@ -1360,6 +1367,10 @@ class LongTermCampaign:
                 flight.record("crash", error=str(exc))
                 flight.dump(f"{checkpoint_dir}/flight.json", reason=str(exc))
                 raise
+            finally:
+                # Windows run in this process (one worker) leave their
+                # slots here; spawned workers drop theirs with the pool.
+                clear_window_cache()
             if stream is not None:
                 stream.finalize()
             logger.info("campaign finished (checkpointed): %d snapshots", len(snapshots))

@@ -22,8 +22,8 @@ Layers (see ``docs/parallel.md`` for the full design):
   structured :class:`~repro.errors.CampaignExecutionError` on failure.
 * :mod:`repro.exec.pool` — :class:`WindowPool`, the persistent worker
   pool of the checkpointed path: one pool lifetime per campaign
-  instead of a respawn per month, enabling the workers' warm fleet
-  cache.
+  instead of a respawn per month, and sticky shard→worker lanes, so
+  each shard's boards stay resident in the worker that runs them.
 * :mod:`repro.exec.merge` — coverage-checked re-keying of shard
   results into fleet order.
 
@@ -43,18 +43,15 @@ from repro.exec.merge import MergedShards, collate_shard_results
 from repro.exec.plan import ShardSpec, partition_boards
 from repro.exec.pool import WindowPool
 from repro.exec.windows import (
-    BoardWindowState,
     WindowResult,
     WindowSpec,
     clear_window_cache,
     run_board_window,
-    window_cache_stats,
 )
 from repro.exec.worker import BoardTrajectory, ShardResult, run_board_shard
 
 __all__ = [
     "BoardTrajectory",
-    "BoardWindowState",
     "CampaignExecutor",
     "MergedShards",
     "ParallelExecutor",
@@ -70,5 +67,4 @@ __all__ = [
     "partition_boards",
     "run_board_shard",
     "run_board_window",
-    "window_cache_stats",
 ]

@@ -8,15 +8,18 @@ campaign — but the checkpointed month-window driver dispatches once
 start-up (interpreter boot + numpy import per worker, the dominant
 cost for small fleets).
 
-:class:`WindowPool` keeps one pool alive for the whole campaign.  It
-exposes the same duck-typed executor surface (``max_workers`` plus
+:class:`WindowPool` keeps its workers alive for the whole campaign.
+It exposes the same duck-typed executor surface (``max_workers`` plus
 ``run_tasks``), so :meth:`LongTermCampaign.run` can adopt it
 transparently, tests can inject it, and the serial≡parallel
-byte-identity suite gates it like any other executor.  Keeping workers
-alive is also what makes the warm fleet cache in
-:mod:`repro.exec.windows` effective: month *m+1*'s window for a shard
-usually lands in the process that just computed month *m*'s outbound
-state, so the digests match and deserialization is skipped.
+byte-identity suite gates it like any other executor.
+
+**Sticky lanes.**  The pool is ``n`` *lanes*, each a single-worker
+``ProcessPoolExecutor``, and the spec of shard ``i`` always runs on
+lane ``i % n``.  A shard's month-``m+1`` window therefore lands in the
+process that holds its boards after month ``m`` — the resident slot
+of :mod:`repro.exec.windows` — and no board state has to cross the
+process boundary between months.
 
 The pool defaults to the ``spawn`` start method for the same hermetic
 determinism reasons as :data:`repro.exec.executor.START_METHOD`;
@@ -24,10 +27,10 @@ determinism reasons as :data:`repro.exec.executor.START_METHOD`;
 fork from a clean server process — cheaper start-up, still no parent
 state inheritance).
 
-Determinism note: task→worker *placement* is scheduler-dependent, but
-results are collected in plan order and every window is a pure
-function of its spec (the warm cache is digest-gated), so outputs are
-byte-identical regardless of placement.
+Determinism note: results are collected in plan order and every
+window is a pure function of its spec and the shard's resident slot
+(which a window only uses at the exact month that follows it), so
+outputs are byte-identical at every worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Sequence
 
 from repro.errors import CampaignExecutionError, ConfigurationError
 from repro.exec.executor import START_METHOD, ParallelExecutor
@@ -44,14 +47,15 @@ logger = logging.getLogger(__name__)
 
 
 class WindowPool:
-    """A reusable ``spawn``/``forkserver`` pool with one lifetime.
+    """Sticky ``spawn``/``forkserver`` worker lanes with one lifetime.
 
     Parameters
     ----------
     max_workers:
-        Pool size.  Like :class:`~repro.exec.executor.ParallelExecutor`,
-        a pool of one runs tasks inline (no subprocess), and the live
-        pool never exceeds the widest dispatch seen so far.
+        Number of lanes.  Like
+        :class:`~repro.exec.executor.ParallelExecutor`, a pool of one
+        runs tasks inline (no subprocess), and the live lanes never
+        outnumber the widest dispatch seen so far.
     start_method:
         ``"spawn"`` (default, portable) or ``"forkserver"`` (POSIX
         only).  ``"fork"`` is rejected — it inherits parent state and
@@ -71,12 +75,11 @@ class WindowPool:
             )
         self.max_workers = int(max_workers)
         self.start_method = start_method
-        #: How many times a ProcessPoolExecutor was constructed.  The
-        #: pool-reuse regression test asserts this stays at 1 across a
-        #: whole multi-month campaign.
+        #: How many times the lanes were started (all of them count
+        #: once).  The pool-reuse regression test asserts this stays at
+        #: 1 across a whole multi-month campaign.
         self.spawn_count = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_size = 0
+        self._lanes: List[ProcessPoolExecutor] = []
 
     @classmethod
     def adopt(cls, executor: Any) -> "WindowPool | Any":
@@ -90,30 +93,30 @@ class WindowPool:
             return executor
         return cls(executor.max_workers)
 
-    def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
-        """The live pool, (re)built only when absent or too narrow."""
-        if self._pool is None or self._pool_size < workers:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
+    def _ensure_lanes(self, lanes: int) -> List[ProcessPoolExecutor]:
+        """The live lanes, (re)started only when absent or too few."""
+        if len(self._lanes) < lanes:
+            self.close()
             context = multiprocessing.get_context(self.start_method)
-            self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-            self._pool_size = workers
+            self._lanes = [
+                ProcessPoolExecutor(max_workers=1, mp_context=context)
+                for _ in range(lanes)
+            ]
             self.spawn_count += 1
-            logger.info(
-                "window pool started: %d %s workers", workers, self.start_method
-            )
-        return self._pool
+            logger.info("window pool started: %d %s lanes", lanes, self.start_method)
+        return self._lanes
 
     def run_tasks(self, fn: Callable[[Any], Any], specs: Sequence[Any]) -> List[Any]:
-        """Apply ``fn`` to the specs on the persistent pool; plan order.
+        """Apply ``fn`` to the specs on the persistent lanes; plan order.
 
         Same contract as
         :meth:`~repro.exec.executor.ParallelExecutor.run_tasks` —
         picklable module-level ``fn``, specs exposing ``shard_index``
         and ``board_ids``, structured
         :class:`~repro.errors.CampaignExecutionError` on failure — but
-        the pool survives the call.  A failure *discards* the pool
-        (worker processes may be poisoned); the next dispatch respawns.
+        the lanes survive the call, and shard ``i`` runs on lane
+        ``i % n``.  A failure *discards* every lane (worker processes
+        may be poisoned); the next dispatch respawns.
         """
         if not specs:
             return []
@@ -121,8 +124,8 @@ class WindowPool:
             return [
                 ParallelExecutor._guarded(lambda s=spec: fn(s), spec) for spec in specs
             ]
-        pool = self._ensure_pool(min(self.max_workers, len(specs)))
-        futures = [pool.submit(fn, spec) for spec in specs]
+        lanes = self._ensure_lanes(min(self.max_workers, len(specs)))
+        futures = [lanes[spec.shard_index % len(lanes)].submit(fn, spec) for spec in specs]
         results: List[Any] = []
         try:
             for spec, future in zip(specs, futures):
@@ -133,11 +136,11 @@ class WindowPool:
         return results
 
     def close(self) -> None:
-        """Shut the pool down (idempotent); a later dispatch respawns."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-            self._pool_size = 0
+        """Shut every lane down (idempotent); a later dispatch respawns."""
+        if self._lanes:
+            for lane in self._lanes:
+                lane.shutdown(wait=True, cancel_futures=True)
+            self._lanes = []
             logger.info("window pool closed")
 
     def __enter__(self) -> "WindowPool":
@@ -147,7 +150,7 @@ class WindowPool:
         self.close()
 
     def __repr__(self) -> str:
-        state = "live" if self._pool is not None else "idle"
+        state = f"{len(self._lanes)} live lanes" if self._lanes else "idle"
         return (
             f"WindowPool(max_workers={self.max_workers}, "
             f"start_method={self.start_method!r}, {state})"

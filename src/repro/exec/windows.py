@@ -4,51 +4,55 @@ The checkpointed campaign path cannot hand workers full-trajectory
 :class:`~repro.exec.plan.ShardSpec` orders — a checkpoint must be cut
 *between* months, which requires the driver to get control back after
 every month.  This module supplies the finer-grained work order:
-:class:`WindowSpec` describes one month of one shard, carrying each
-board *by value* as a :class:`BoardWindowState` (serialized device
-state, or ``None`` at month 0 to manufacture the board in the worker),
+:class:`WindowSpec` describes one month of one shard by its board ids,
 and :func:`run_board_window` executes it.
+
+**Resident slots.**  A shard's boards live in the worker that runs the
+shard, not in the work order.  Each process keeps one *slot* per shard
+index — ``(run token, completed month, FleetKernel, references)`` — and
+a window advances the slot's kernel by one month in place.  The slot
+is used only when the window's run token matches and the window is for
+month ``completed + 1``; the first window of a run says where the
+boards come from instead:
+
+* month 0 manufactures them from the seed hierarchy and takes their
+  day-0 references;
+* the first window after a resume carries the day-0 references plus,
+  under the monolithic store, the keyframe state documents the parent
+  loaded — under the sharded store the worker restores from the
+  shard's own keyframe chain and silently replays the months after it.
+
+Any other window without a matching slot raises
+:class:`~repro.errors.CampaignExecutionError` naming the shard; stale
+state is never reused.  :class:`~repro.exec.pool.WindowPool` sends a
+shard to the same worker every month, so after the first window only
+board ids cross the process boundary.  A window exports state
+documents only when they will be written: in the parent's keyframe
+months (``WindowSpec.return_states``, monolithic store) or in the
+shard's own keyframe months (sharded store, persisted worker-side and
+never returned).
 
 Draw-order equivalence with the serial loop holds because boards never
 share random streams: each board's stream sees manufacture → day-0
-reference → month-0 block → month-0 aging → month-1 block → … in both
-schedules, and the device state between windows round-trips exactly
-through :func:`repro.store.checkpoint.board_state_doc`.  The same
-window pipeline runs under :class:`~repro.exec.executor.SerialExecutor`
-and :class:`~repro.exec.executor.ParallelExecutor`, which is why
-checkpoint files — not just results — are byte-identical across worker
-counts.
+reference → month-0 block → month-0 aging → month-1 block → … in every
+schedule, and a restored board's state round-trips exactly through
+:func:`repro.store.checkpoint.board_state_doc`.  The same window
+pipeline runs in-process and under :class:`~repro.exec.pool.WindowPool`,
+which is why checkpoint files — not just results — are byte-identical
+across worker counts.
 
 Telemetry follows the shard-worker convention: windows count work on
 private registries and return deltas, split into *evaluation* deltas
 (folded before the month's monitor poll) and *aging* deltas (folded
 after, visible at the next poll) so the driver reproduces the serial
 counter trajectory poll for poll.
-
-Each window advances its boards together on one
-:class:`~repro.sram.fleetkernel.FleetKernel`, and workers keep a
-**warm fleet cache**: after every window the live kernel is remembered
-keyed by its board ids, with the digest (:func:`state_digest`) of every
-board's exported state document — the exact documents the campaign
-will send back next month.  When the next window for those boards lands on
-the same worker (the common case under
-:class:`~repro.exec.pool.WindowPool`, which keeps workers alive for the
-whole campaign) the incoming digests match and the worker skips
-re-deserializing every board's skew state.  A hit is *provably*
-equivalent to a restore — the digests only match when the cached
-kernel's current state equals the requested inbound state, and state
-documents round-trip bit-exactly — so the serial≡parallel
-byte-identity gates hold with the cache on.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -58,9 +62,11 @@ from repro.exec.plan import normalize_profile_fields, rollup_shard_of
 from repro.exec.worker import board_span_records
 from repro.sram.fleetkernel import build_fleet_kernel
 from repro.sram.profiles import DeviceProfile
+from repro.store.artifact import ArtifactStore
 from repro.store.checkpoint import (
     board_state_from_doc,
     board_state_to_doc,
+    keyframe_due,
     load_latest_shard_keyframe,
 )
 from repro.store.shardstore import ShardStoreSpec, persist_shard_window
@@ -73,179 +79,23 @@ from repro.telemetry.tracing import NULL_SPAN, TraceContext, Tracer
 
 logger = logging.getLogger(__name__)
 
-_CACHE_STATS = {"hits": 0, "misses": 0}
 
-#: Warm per-process fleet cache: the window's board-ids tuple ->
-#: (per-board state digests, live FleetKernel).  An entry is only
-#: reused when every board's inbound digest matches the cached fleet's
-#: exported state, so a hit merely skips B deserializations.
-_FLEET_CACHE: Dict[Tuple[int, ...], Tuple[Tuple[str, ...], Any]] = {}
+class _Slot(NamedTuple):
+    """One shard's resident boards, after month ``month``."""
 
-#: Fleet-cache safety valve (entries are whole fleets, so keep few).
-_FLEET_CACHE_LIMIT = 8
-
-#: Sharded-store state carry: ``(shard root, config digest)`` ->
-#: ``(completed month, board state docs)``.  Under a sharded store the
-#: driver sends ``state=None`` for every board (device state never
-#: leaves the worker); the worker that ran the shard's previous month
-#: finds it here, any other worker cold-restores from the shard's own
-#: newest keyframe and silently replays the gap.  Keyed by config
-#: digest so two campaigns sharing a process can never cross-feed.
-_SHARD_STATE_CACHE: Dict[Tuple[str, str], Tuple[int, Dict[int, Dict[str, Any]]]] = {}
-
-#: Shard-state safety valve: entries hold a whole shard's state docs,
-#: and a serial executor walks every shard through one process.
-_SHARD_STATE_CACHE_LIMIT = 64
+    token: str
+    month: int
+    kernel: Any
+    references: Dict[int, np.ndarray]
 
 
-def state_digest(state: Dict[str, Any]) -> str:
-    """Canonical digest of a :func:`board_state_doc` document.
-
-    Sorted-key JSON makes the digest independent of dict construction
-    order, so a state document round-tripped through a checkpoint file
-    hashes the same as one fresh out of a worker.
-    """
-    payload = json.dumps(state, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
-
-
-def window_cache_stats() -> Dict[str, int]:
-    """Per-board hit/miss counters of this process's warm fleet cache."""
-    return dict(_CACHE_STATS)
+#: This process's resident slots, one per shard index.
+_SLOTS: Dict[int, _Slot] = {}
 
 
 def clear_window_cache() -> None:
-    """Drop the warm fleet/shard caches and zero their statistics."""
-    _FLEET_CACHE.clear()
-    _SHARD_STATE_CACHE.clear()
-    _CACHE_STATS["hits"] = 0
-    _CACHE_STATS["misses"] = 0
-
-
-def _cached_fleet(board_ids: Tuple[int, ...], digests: Tuple[str, ...]):
-    """The warm FleetKernel at these boards' inbound states, or ``None``.
-
-    Hit/miss statistics count one per board.
-    """
-    cached = _FLEET_CACHE.get(board_ids)
-    if cached is not None and cached[0] == digests:
-        _CACHE_STATS["hits"] += len(board_ids)
-        return cached[1]
-    _CACHE_STATS["misses"] += len(board_ids)
-    return None
-
-
-def _export_fleet(board_ids: Tuple[int, ...], kernel) -> Dict[int, Dict[str, Any]]:
-    """The fleet's board state documents; the live kernel is cached at them."""
-    raw_states = kernel.export_states()
-    states = {board: board_state_to_doc(raw_states[board]) for board in board_ids}
-    digests = tuple(state_digest(states[board]) for board in board_ids)
-    if board_ids not in _FLEET_CACHE and len(_FLEET_CACHE) >= _FLEET_CACHE_LIMIT:
-        _FLEET_CACHE.clear()
-    _FLEET_CACHE[board_ids] = (digests, kernel)
-    return states
-
-
-def _remember_shard_states(
-    shard_store: ShardStoreSpec, month: int, states: Dict[int, Dict[str, Any]]
-) -> None:
-    key = (shard_store.root, shard_store.config_digest)
-    if key not in _SHARD_STATE_CACHE and len(_SHARD_STATE_CACHE) >= _SHARD_STATE_CACHE_LIMIT:
-        _SHARD_STATE_CACHE.clear()
-    _SHARD_STATE_CACHE[key] = (month, states)
-
-
-def _restore_shard_states(spec: "WindowSpec") -> Dict[int, Dict[str, Any]]:
-    """Cold-restore a shard's board states for a month-``m`` window.
-
-    Loads the shard's newest keyframe at or below month ``m-1`` and
-    *silently replays* the months in between — the same measurement and
-    aging calls the original months made, with the recorded block
-    temperatures, so every board's RNG stream lands on exactly the draw
-    position the warm path would have.  Replay touches no telemetry
-    registries and no rollup builders: the replayed months were already
-    counted and persisted by the run that first executed them.
-    """
-    shard_store = spec.shard_store
-    if len(shard_store.temperatures) < spec.month:
-        raise CampaignExecutionError(
-            f"shard store spec of shard {spec.shard_index} carries "
-            f"{len(shard_store.temperatures)} month temperatures, month "
-            f"{spec.month} window needs the full history",
-            shard_index=spec.shard_index,
-        )
-    keyframe = load_latest_shard_keyframe(shard_store.root, max_month=spec.month - 1)
-    states = {board: dict(doc) for board, doc in keyframe.boards.items()}
-    if set(states) != set(spec.board_ids):
-        raise CampaignExecutionError(
-            f"shard {spec.shard_index} keyframe covers boards "
-            f"{sorted(states)}, window expects {sorted(spec.board_ids)}",
-            shard_index=spec.shard_index,
-        )
-    gap = range(keyframe.completed_month + 1, spec.month)
-    logger.info(
-        "shard %d cold restore from keyframe month %d (replaying %d month(s))",
-        spec.shard_index,
-        keyframe.completed_month,
-        len(gap),
-    )
-    if not gap:
-        return states
-    references = {board.board_id: board.reference for board in spec.boards}
-    kernel = build_fleet_kernel(
-        spec.board_ids,
-        spec.board_profiles,
-        states={board: board_state_from_doc(states[board]) for board in spec.board_ids},
-    )
-    for month in gap:
-        evaluate_fleet(
-            kernel,
-            references,
-            measurements=spec.measurements,
-            statistical=spec.statistical,
-            temperature_k=shard_store.temperatures[month],
-        )
-        kernel.age_months(spec.aging_acceleration, steps=spec.aging_steps_per_month)
-    return _export_fleet(spec.board_ids, kernel)
-
-
-def _attach_shard_states(spec: "WindowSpec") -> "WindowSpec":
-    """Fill a sharded window's ``state=None`` boards with real state.
-
-    The warm path is the shard-state carry of the worker that ran this
-    shard's previous month; any other worker (or a resumed process)
-    cold-restores from the shard's own keyframe chain via
-    :func:`_restore_shard_states`.
-    """
-    shard_store = spec.shard_store
-    cached = _SHARD_STATE_CACHE.get((shard_store.root, shard_store.config_digest))
-    if cached is not None and cached[0] == spec.month - 1:
-        states = cached[1]
-        if set(states) != set(spec.board_ids):
-            states = _restore_shard_states(spec)
-    else:
-        states = _restore_shard_states(spec)
-    boards = tuple(
-        dataclasses.replace(board, state=states[board.board_id])
-        for board in spec.boards
-    )
-    return dataclasses.replace(spec, boards=boards)
-
-
-@dataclass(frozen=True)
-class BoardWindowState:
-    """One board's inbound state for a month window.
-
-    ``state is None`` means the board does not exist yet (month 0): the
-    worker manufactures it from the seed hierarchy and takes its day-0
-    reference read-out.  Afterwards ``state`` is a
-    :func:`~repro.store.checkpoint.board_state_doc` document and
-    ``reference`` the day-0 read-out.
-    """
-
-    board_id: int
-    state: Optional[Dict[str, Any]] = field(repr=False, default=None)
-    reference: Optional[np.ndarray] = field(repr=False, default=None)
+    """Drop every resident slot of this process."""
+    _SLOTS.clear()
 
 
 @dataclass(frozen=True)
@@ -264,9 +114,13 @@ class WindowSpec:
     month: int
     root_seed: int
     measurements: int
+    board_ids: Tuple[int, ...] = ()
+    #: Identifies the campaign run; a resident slot serves only
+    #: windows of the run that filled it.
+    run_token: str = ""
     #: Homogeneous shorthand — every board shares this profile.  Mixed
     #: windows instead carry the interned ``profiles`` table plus
-    #: per-board ``profile_index`` entries (aligned with ``boards``),
+    #: per-board ``profile_index`` entries (aligned with ``board_ids``),
     #: mirroring :class:`~repro.exec.plan.ShardSpec`.
     profile: Optional[DeviceProfile] = field(default=None, repr=False)
     profiles: Tuple[DeviceProfile, ...] = field(default=(), repr=False)
@@ -276,7 +130,16 @@ class WindowSpec:
     apply_aging: bool = True
     aging_steps_per_month: int = 2
     aging_acceleration: float = 1.0
-    boards: Tuple[BoardWindowState, ...] = ()
+    #: Day-0 references, sent only with the first window after a
+    #: resume: the worker rebuilds the shard's slot instead of using
+    #: it.  ``states`` then holds the keyframe state documents
+    #: (monolithic store); under the sharded store it stays ``None``
+    #: and the worker restores from the shard's own keyframe chain.
+    references: Optional[Dict[int, np.ndarray]] = field(default=None, repr=False)
+    states: Optional[Dict[int, Dict[str, Any]]] = field(default=None, repr=False)
+    #: Ship the boards' outbound state documents back (the parent's
+    #: keyframe months under the monolithic store).
+    return_states: bool = False
     fail_board: Optional[int] = None
     rollup_shards: int = 0
     fleet_size: int = 0
@@ -284,24 +147,18 @@ class WindowSpec:
     #: with the pre-tracing pickle); mirrors ``ShardSpec.trace``.
     trace: Optional[TraceContext] = None
     #: Sharded persistence order (``None`` = monolithic: the driver
-    #: checkpoints centrally and boards travel by value).  When set,
-    #: the worker owns the shard's store: device state stays local
-    #: (``boards`` arrive with ``state=None`` after month 0 and the
-    #: result ships ``states={}``), and the worker persists the month's
-    #: rows + chain file itself before returning.
+    #: checkpoints centrally).  When set, the worker owns the shard's
+    #: store: it persists the month's rows + chain file itself before
+    #: returning, and the result ships no board state.
     shard_store: Optional[ShardStoreSpec] = None
 
     def __post_init__(self) -> None:
-        normalize_profile_fields(self, len(self.boards))
-
-    @property
-    def board_ids(self) -> Tuple[int, ...]:
-        """Boards of this window (for executor error reports)."""
-        return tuple(board.board_id for board in self.boards)
+        object.__setattr__(self, "board_ids", tuple(int(b) for b in self.board_ids))
+        normalize_profile_fields(self, len(self.board_ids))
 
     @property
     def board_profiles(self) -> Tuple[DeviceProfile, ...]:
-        """Per-board profiles, aligned with ``boards``."""
+        """Per-board profiles, aligned with ``board_ids``."""
         return tuple(self.profiles[i] for i in self.profile_index)
 
 
@@ -312,6 +169,7 @@ class WindowResult:
     shard_index: int
     month: int
     rows: Dict[int, BoardMonthMetrics] = field(repr=False)
+    #: Outbound state documents; empty unless ``WindowSpec.return_states``.
     states: Dict[int, Dict[str, Any]] = field(repr=False)
     #: Day-0 references, populated only by month-0 windows.
     references: Dict[int, np.ndarray] = field(repr=False)
@@ -330,6 +188,10 @@ class WindowResult:
     #: Hot-path phase totals of this window; empty unless
     #: ``WindowSpec.trace.phases`` was set.
     phase_deltas: Dict[str, Dict[str, float]] = field(default_factory=dict, repr=False)
+    #: Months rebuilt from stored state before this window ran: the
+    #: keyframe restored from, then any month replayed after it.  Empty
+    #: when the window manufactured its boards or found them resident.
+    restored_months: Tuple[int, ...] = ()
 
 
 def _registry_deltas(registry: MetricsRegistry) -> Dict[str, int]:
@@ -341,6 +203,94 @@ def _registry_deltas(registry: MetricsRegistry) -> Dict[str, int]:
     }
 
 
+def _restore_kernel(spec: WindowSpec) -> Tuple[Any, Tuple[int, ...]]:
+    """Rebuild a shard's kernel at the start of ``spec.month`` after a resume.
+
+    Under the monolithic store the states are the parent's keyframe of
+    month ``m-1``.  Under the sharded store the worker loads the shard's
+    newest keyframe at or below month ``m-1`` and *silently replays*
+    the months in between — the same measurement and aging calls the
+    original months made, with the recorded block temperatures, so
+    every board's RNG stream lands on exactly the draw position of the
+    uninterrupted run.  Replay touches no telemetry registries and no
+    rollup builders: those months were already counted and persisted.
+    Returns the kernel and the restored months.
+    """
+    shard_store = spec.shard_store
+    if shard_store is None:
+        if spec.states is None:
+            raise CampaignExecutionError(
+                f"month-{spec.month} window of shard {spec.shard_index} carries "
+                f"references but no state documents to restore from",
+                shard_index=spec.shard_index,
+            )
+        states, keyframe_month = spec.states, spec.month - 1
+    else:
+        if len(shard_store.temperatures) < spec.month:
+            raise CampaignExecutionError(
+                f"shard store spec of shard {spec.shard_index} carries "
+                f"{len(shard_store.temperatures)} month temperatures, month "
+                f"{spec.month} window needs the full history",
+                shard_index=spec.shard_index,
+            )
+        keyframe = load_latest_shard_keyframe(shard_store.root, max_month=spec.month - 1)
+        states, keyframe_month = keyframe.boards, keyframe.completed_month
+    if set(states) != set(spec.board_ids):
+        raise CampaignExecutionError(
+            f"shard {spec.shard_index} keyframe covers boards "
+            f"{sorted(states)}, window expects {sorted(spec.board_ids)}",
+            shard_index=spec.shard_index,
+        )
+    kernel = build_fleet_kernel(
+        spec.board_ids,
+        spec.board_profiles,
+        states={board: board_state_from_doc(states[board]) for board in spec.board_ids},
+    )
+    gap = range(keyframe_month + 1, spec.month)
+    logger.info(
+        "shard %d restored from keyframe month %d (replaying %d month(s))",
+        spec.shard_index,
+        keyframe_month,
+        len(gap),
+    )
+    for month in gap:
+        evaluate_fleet(
+            kernel,
+            spec.references,
+            measurements=spec.measurements,
+            statistical=spec.statistical,
+            temperature_k=shard_store.temperatures[month],
+        )
+        kernel.age_months(spec.aging_acceleration, steps=spec.aging_steps_per_month)
+    return kernel, (keyframe_month, *gap)
+
+
+def _resident_kernel(spec: WindowSpec) -> Tuple[Any, Dict[int, np.ndarray]]:
+    """The shard's slot kernel and references; the slot is taken out.
+
+    A failing window therefore never leaves half-advanced state behind:
+    the slot is only put back once the window has finished.
+    """
+    slot = _SLOTS.pop(spec.shard_index, None)
+    if slot is None or slot.token != spec.run_token or slot.month != spec.month - 1:
+        held = "nothing" if slot is None else f"run {slot.token} after month {slot.month}"
+        raise CampaignExecutionError(
+            f"month-{spec.month} window of shard {spec.shard_index} needs run "
+            f"{spec.run_token} after month {spec.month - 1}; this worker holds {held}",
+            shard_index=spec.shard_index,
+        )
+    return slot.kernel, slot.references
+
+
+def _wants_states(spec: WindowSpec) -> bool:
+    """Whether this window's outbound state documents get written."""
+    if spec.shard_store is None:
+        return spec.return_states
+    return keyframe_due(
+        ArtifactStore(spec.shard_store.root), spec.month, spec.shard_store.keyframe_every
+    )
+
+
 def _run_window_fleet(
     spec: WindowSpec,
     powerups,
@@ -350,42 +300,29 @@ def _run_window_fleet(
 ):
     """One month of the window's boards, together on one FleetKernel.
 
-    Returns ``(rows, states, references)``: the boards' monthly rows,
-    their outbound state documents and — for a month-0 window — their
-    day-0 references.
+    Returns ``(rows, states, new_references, restored_months, slot)``:
+    the boards' monthly rows, their outbound state documents (empty
+    unless :func:`_wants_states`), the day-0 references of a month-0
+    window, the months restored before the window ran and the shard's
+    slot after this month.
     """
     board_ids = spec.board_ids
     boards = len(board_ids)
-    fresh = [board.board_id for board in spec.boards if board.state is None]
     new_references: Dict[int, np.ndarray] = {}
+    restored: Tuple[int, ...] = ()
     with tracer.span("worker.board") if tracer is not None else NULL_SPAN:
-        if len(fresh) == boards:
+        if spec.month == 0:
             kernel = build_fleet_kernel(
                 board_ids, spec.board_profiles, root_seed=spec.root_seed
             )
             new_references = dict(zip(kernel.board_ids, kernel.read_startup()))
             powerups.inc(boards)  # the day-0 reference read-outs
             references = new_references
-        elif fresh:
-            raise CampaignExecutionError(
-                f"a window needs every board manufactured or every board "
-                f"restored: boards {fresh} have no state while others do "
-                f"(month-{spec.month} window of shard {spec.shard_index})",
-                shard_index=spec.shard_index,
-            )
+        elif spec.references is not None:
+            kernel, restored = _restore_kernel(spec)
+            references = spec.references
         else:
-            digests = tuple(state_digest(board.state) for board in spec.boards)
-            kernel = _cached_fleet(board_ids, digests)
-            if kernel is None:
-                kernel = build_fleet_kernel(
-                    board_ids,
-                    spec.board_profiles,
-                    states={
-                        board.board_id: board_state_from_doc(board.state)
-                        for board in spec.boards
-                    },
-                )
-            references = {board.board_id: board.reference for board in spec.boards}
+            kernel, references = _resident_kernel(spec)
         with tracer.span("board.measure") if tracer is not None else NULL_SPAN:
             fleet_rows = evaluate_fleet(
                 kernel,
@@ -410,27 +347,29 @@ def _run_window_fleet(
                         steps=spec.aging_steps_per_month,
                     )
             aging_steps.inc(spec.aging_steps_per_month * boards)
-        states = _export_fleet(board_ids, kernel)
-    return rows, states, new_references
+        states: Dict[int, Dict[str, Any]] = {}
+        if _wants_states(spec):
+            raw_states = kernel.export_states()
+            states = {board: board_state_to_doc(raw_states[board]) for board in board_ids}
+    slot = _Slot(spec.run_token, spec.month, kernel, references)
+    return rows, states, new_references, restored, slot
 
 
 def run_board_window(spec: WindowSpec) -> WindowResult:
     """Execute one month for every board of one shard.
 
     Month 0 additionally manufactures each board and takes its day-0
-    reference (exactly the serial campaign's draw order).  Failures
+    reference (exactly the serial campaign's draw order); later months
+    advance the shard's resident slot, or rebuild it in the first
+    window after a resume (see the module docstring).  Failures
     surface as :class:`~repro.errors.CampaignExecutionError` naming the
     shard (and the board, for the ``fail_board`` hook, which fires
     before any board is touched), like the full-trajectory worker's.
 
-    Under a sharded store (``spec.shard_store``) the boards arrive
-    with ``state=None`` after month 0; the worker attaches its own
-    carried (or keyframe-restored) state first, and persists the
-    month's rows and chain file to the shard's store before returning
-    a result with ``states={}``.
+    Under a sharded store (``spec.shard_store``) the worker persists
+    the month's rows and chain file to the shard's store before
+    returning a result with ``states={}``.
     """
-    if spec.shard_store is not None and spec.month > 0:
-        spec = _attach_shard_states(spec)
     sampler = ResourceSampler()
     eval_registry = MetricsRegistry()
     aging_registry = MetricsRegistry()
@@ -460,7 +399,7 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
                 shard_index=spec.shard_index,
             )
         try:
-            rows, states, references = _run_window_fleet(
+            rows, states, references, restored, slot = _run_window_fleet(
                 spec, powerups, aging_steps, builder, tracer
             )
         except CampaignExecutionError:
@@ -474,14 +413,15 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
         if spec.shard_store is not None:
             # The month is only "done" once the shard's own store says
             # so: rows record first, chain file (the commit mark)
-            # second.  The heavy state documents then stay in this
-            # process — the result ships no board state at all.
+            # second.  The state documents stay in this process.
             with get_profiler().phase(PHASE_STORE_IO):
                 persist_shard_window(
-                    spec.shard_store, spec.month, rows, states, references
+                    spec.shard_store, spec.month, rows, states, slot.references
                 )
-            _remember_shard_states(spec.shard_store, spec.month, states)
             states = {}
+        if spec.apply_aging:
+            # Only a month that aged has a next month to serve.
+            _SLOTS[spec.shard_index] = slot
     finally:
         if previous_profiler is not None:
             phase_deltas = install_profiler(previous_profiler).take()
@@ -503,4 +443,5 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
         resources=sampler.sample(),
         spans=board_span_records(tracer, spec.board_ids),
         phase_deltas=phase_deltas,
+        restored_months=restored,
     )

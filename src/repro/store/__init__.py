@@ -69,6 +69,7 @@ from repro.store.checkpoint import (
     checkpoint_scope,
     compact_checkpoints,
     fold_counter_deltas,
+    keyframe_due,
     list_checkpoints,
     load_latest_checkpoint,
     load_latest_shard_keyframe,
@@ -88,7 +89,6 @@ from repro.store.shardstore import (
     ShardStoreSpec,
     append_parent_month_record,
     build_parent_month_record,
-    campaign_config_digest,
     is_sharded_checkpoint,
     load_shard_manifest,
     load_sharded_checkpoint,
@@ -160,7 +160,6 @@ __all__ = [
     "build_parent_month_record",
     "build_shard_delta_doc",
     "build_shard_keyframe_doc",
-    "campaign_config_digest",
     "checkpoint_chain_report",
     "checkpoint_doc_version",
     "checkpoint_kind",
@@ -173,6 +172,7 @@ __all__ = [
     "encode_float64_array",
     "find_stray_tmp_files",
     "fold_counter_deltas",
+    "keyframe_due",
     "git_revision",
     "higher_is_better",
     "host_fingerprint",

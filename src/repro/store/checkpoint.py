@@ -588,16 +588,27 @@ def load_latest_shard_keyframe(
 
 # Checkpointer / loader -------------------------------------------------------
 
+def keyframe_due(store: ArtifactStore, month: int, keyframe_every: int) -> bool:
+    """Whether month ``month``'s chain file in ``store`` is a full keyframe.
+
+    The one keyframe rule of both store layouts: month ``m`` is a
+    keyframe iff ``m % keyframe_every == 0`` *or* the month-``m-1``
+    file is absent.  The second clause keeps standalone saves
+    resumable and is deterministic across straight and resumed runs —
+    resume re-executes from a keyframe, so the preceding file always
+    exists for exactly the months where it existed in the
+    uninterrupted run.
+    """
+    return month % keyframe_every == 0 or not store.exists(checkpoint_name(month - 1))
+
+
 class CampaignCheckpointer:
     """Writes one atomic checkpoint per completed campaign month.
 
-    Whether a month gets a full keyframe or a results-only delta is
-    decided here (and only here): month ``m`` is a keyframe iff
-    ``m % keyframe_every == 0`` *or* the month-``m-1`` file is absent.
-    The second clause keeps standalone saves resumable and is
-    deterministic across straight and resumed runs — resume re-executes
-    from a keyframe, so the preceding file always exists for exactly
-    the months where it existed in the uninterrupted run.
+    Whether a month gets a full keyframe or a results-only delta
+    follows :func:`keyframe_due`; the campaign driver applies the same
+    rule before dispatching a month, so it asks the workers for state
+    documents only in keyframe months.
     """
 
     def __init__(self, checkpoint_dir: str, config: Dict[str, Any]):
@@ -644,11 +655,7 @@ class CampaignCheckpointer:
         only the month's delta (``snapshots[-1]``, ``counter_deltas[-1]``
         and the walk position).
         """
-        keyframe = (
-            completed_month % self.keyframe_every == 0
-            or not self._store.exists(checkpoint_name(completed_month - 1))
-        )
-        if keyframe:
+        if keyframe_due(self._store, completed_month, self.keyframe_every):
             doc = build_checkpoint_doc(
                 self._config,
                 completed_month,

@@ -43,7 +43,6 @@ their stale files byte-identically.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -63,6 +62,7 @@ from repro.store.checkpoint import (
     checkpoint_name,
     checkpoint_scope,
     CheckpointState,
+    keyframe_due,
     list_checkpoints,
     load_latest_shard_keyframe,
     parse_shard_checkpoint_doc,
@@ -92,32 +92,21 @@ def shard_root(checkpoint_dir: str, shard_index: int) -> str:
     return os.path.join(checkpoint_dir, SHARDS_DIR, shard_dir_name(shard_index))
 
 
-def campaign_config_digest(config: Dict[str, Any]) -> str:
-    """Canonical digest identifying a campaign configuration.
-
-    Workers key their warm shard-state caches on it, so two campaigns
-    sharing a process (the serial executor under pytest) can never
-    poison each other's states.
-    """
-    payload = json.dumps(config, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
-
-
 @dataclass(frozen=True)
 class ShardStoreSpec:
     """One worker's persistence order, carried inside a WindowSpec.
 
     Plain picklable value (crosses the ``spawn`` boundary).  The
-    ``temperatures`` tuple holds the snapshot temperature of every
-    month up to the window's — a cold-restoring worker replays the
-    months between its newest keyframe and the window with exactly
-    these block temperatures, which keeps every board's draw sequence
-    bit-identical to the uninterrupted run.
+    ``temperatures`` tuple, sent with the first window after a resume,
+    holds the snapshot temperature of every month before the window's
+    — the restoring worker replays the months between its newest
+    keyframe and the window with exactly these block temperatures,
+    which keeps every board's draw sequence bit-identical to the
+    uninterrupted run.
     """
 
     root: str
     shard_index: int
-    config_digest: str
     keyframe_every: int
     months: int
     temperatures: Tuple[Optional[float], ...] = ()
@@ -278,9 +267,10 @@ def persist_shard_window(
     records.  Every month appends the metric rows record first and
     writes the chain file second — the chain file is the commit mark,
     so a crash between the two leaves a month the resume scan ignores.
-    The chain file is a full keyframe iff ``month % keyframe_every ==
-    0`` or the previous month's file is absent (the monolithic
-    checkpointer's exact, deterministic rule).
+    The chain file is a full keyframe iff
+    :func:`~repro.store.checkpoint.keyframe_due` (the monolithic
+    checkpointer's rule); ``states`` needs to cover the shard's boards
+    only in those months.
     """
     store = ArtifactStore(spec.root)
     board_ids = sorted(rows)
@@ -313,11 +303,7 @@ def persist_shard_window(
         },
         sort_keys=True,
     )
-    keyframe = (
-        month % spec.keyframe_every == 0
-        or not store.exists(checkpoint_name(month - 1))
-    )
-    if keyframe:
+    if keyframe_due(store, month, spec.keyframe_every):
         doc = build_shard_keyframe_doc(spec.shard_index, month, states)
     else:
         doc = build_shard_delta_doc(spec.shard_index, month)

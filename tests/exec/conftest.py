@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.campaign import CampaignResult
+from repro.exec.pool import WindowPool
 from repro.telemetry import reset_telemetry
 
 
@@ -30,6 +31,18 @@ def worker_counts() -> List[int]:
     if override:
         return sorted({1, int(override)})
     return [1, 2, 4]
+
+
+class InlineWindowPool(WindowPool):
+    """A WindowPool that runs its specs in-process, serially.
+
+    ``WindowPool.adopt`` passes instances through untouched, so this
+    injects an arbitrary *shard count* (``max_workers`` drives the
+    board partition) without paying worker-process start-up.
+    """
+
+    def run_tasks(self, fn, specs):
+        return [fn(spec) for spec in specs]
 
 
 @pytest.fixture(autouse=True)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec.plan import ShardSpec
-from repro.exec.windows import BoardWindowState, WindowSpec
+from repro.exec.windows import WindowSpec
 from repro.sram.population import PopulationMember, PopulationSpec
 from repro.sram.profiles import ATMEGA32U4, DFF_PUF
 
@@ -157,7 +157,7 @@ class TestProfileFieldNormalization:
             month=0,
             root_seed=1,
             measurements=5,
-            boards=(BoardWindowState(0), BoardWindowState(1)),
+            board_ids=(0, 1),
             profiles=(ATMEGA32U4, DFF_PUF),
             profile_index=(1, 0),
         )
