@@ -24,32 +24,32 @@ stays cheap and subpackages can be imported independently.
 import logging as _logging
 from typing import TYPE_CHECKING
 
+from repro import _lazy
+
 __version__ = "1.0.0"
 
 # Library silence by default (PEP 282 convention): applications opt in
 # to output, e.g. via repro.telemetry.init_logging or the CLI's -v.
 _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
-#: Maps public top-level names to the modules that define them.
-_EXPORTS = {
-    "AssessmentResult": "repro.core.assessment",
-    "LongTermAssessment": "repro.core.assessment",
-    "StudyConfig": "repro.core.config",
-    "CampaignExecutionError": "repro.errors",
-    "ParallelExecutor": "repro.exec.executor",
-    "SerialExecutor": "repro.exec.executor",
-    "PAPER": "repro.core.paper",
-    "ATMEGA32U4": "repro.sram.profiles",
-    "TESTCHIP_65NM": "repro.sram.profiles",
-    "DeviceProfile": "repro.sram.profiles",
-    "SRAMChip": "repro.sram.chip",
-    "SRAMArray": "repro.sram.array",
-    "SRAMKeyGenerator": "repro.keygen.keygen",
-    "SRAMTRNG": "repro.trng.trng",
-    "SeedHierarchy": "repro.rng",
-}
-
-__all__ = sorted(_EXPORTS) + ["__version__"]
+#: Each defining module and the top-level names it provides.
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "repro.core.assessment": ("AssessmentResult", "LongTermAssessment"),
+        "repro.core.config": ("StudyConfig",),
+        "repro.errors": ("CampaignExecutionError",),
+        "repro.exec.executor": ("ParallelExecutor", "SerialExecutor"),
+        "repro.core.paper": ("PAPER",),
+        "repro.sram.profiles": ("ATMEGA32U4", "TESTCHIP_65NM", "DeviceProfile"),
+        "repro.sram.chip": ("SRAMChip",),
+        "repro.sram.array": ("SRAMArray",),
+        "repro.keygen.keygen": ("SRAMKeyGenerator",),
+        "repro.trng.trng": ("SRAMTRNG",),
+        "repro.rng": ("SeedHierarchy",),
+    },
+)
+__all__ = sorted(__all__) + ["__version__"]
 
 if TYPE_CHECKING:  # pragma: no cover - import-time typing aid only
     from repro.core.assessment import AssessmentResult, LongTermAssessment
@@ -64,17 +64,3 @@ if TYPE_CHECKING:  # pragma: no cover - import-time typing aid only
     from repro.sram.profiles import ATMEGA32U4, TESTCHIP_65NM, DeviceProfile
     from repro.trng.trng import SRAMTRNG
 
-
-def __getattr__(name: str):
-    if name in _EXPORTS:
-        import importlib
-
-        module = importlib.import_module(_EXPORTS[name])
-        value = getattr(module, name)
-        globals()[name] = value  # cache for subsequent lookups
-        return value
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return __all__

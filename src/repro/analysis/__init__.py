@@ -13,64 +13,41 @@
   comparison study (Section IV-D vs Maes & van der Leest, HOST 2014).
 """
 
-from repro.analysis.accelerated import AcceleratedAgingStudy, AcceleratedResult
-from repro.analysis.campaign import CampaignResult, LongTermCampaign
-from repro.analysis.comparison import SourceComparisonStudy, SourceSnapshot
-from repro.analysis.environment import EnvironmentStudy, SweepPoint
-from repro.analysis.initial import InitialQualityEvaluation, startup_pattern_image
-from repro.analysis.lifetime import LifetimePoint, LifetimeProjection
-from repro.analysis.migration import (
-    CellCategory,
-    CellMigrationStudy,
-    MigrationResult,
-    classify_cells,
-)
-from repro.analysis.monthly import MonthlyEvaluation, evaluate_month
-from repro.analysis.reliability import (
-    CellReliabilityModel,
-    block_failure_probability,
-    key_failure_probability,
-)
-from repro.analysis.statistics import (
-    CampaignInference,
-    ConfidenceInterval,
-    PairedChangeTest,
-    bootstrap_mean_ci,
-    paired_change_test,
-)
-from repro.analysis.timeseries import MetricSeries, QualityTimeSeries
-from repro.analysis.trends import fit_power_law_trend, monthly_rates, PowerLawTrend
+from repro import _lazy
 
-__all__ = [
-    "AcceleratedAgingStudy",
-    "AcceleratedResult",
-    "CampaignResult",
-    "LongTermCampaign",
-    "SourceComparisonStudy",
-    "SourceSnapshot",
-    "EnvironmentStudy",
-    "SweepPoint",
-    "InitialQualityEvaluation",
-    "startup_pattern_image",
-    "LifetimePoint",
-    "LifetimeProjection",
-    "CellCategory",
-    "CellMigrationStudy",
-    "MigrationResult",
-    "classify_cells",
-    "MonthlyEvaluation",
-    "evaluate_month",
-    "CellReliabilityModel",
-    "block_failure_probability",
-    "key_failure_probability",
-    "CampaignInference",
-    "ConfidenceInterval",
-    "PairedChangeTest",
-    "bootstrap_mean_ci",
-    "paired_change_test",
-    "MetricSeries",
-    "QualityTimeSeries",
-    "fit_power_law_trend",
-    "monthly_rates",
-    "PowerLawTrend",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "repro.analysis.accelerated": ("AcceleratedAgingStudy", "AcceleratedResult"),
+        "repro.analysis.campaign": ("CampaignResult", "LongTermCampaign"),
+        "repro.analysis.comparison": ("SourceComparisonStudy", "SourceSnapshot"),
+        "repro.analysis.environment": ("EnvironmentStudy", "SweepPoint"),
+        "repro.analysis.initial": ("InitialQualityEvaluation", "startup_pattern_image"),
+        "repro.analysis.lifetime": ("LifetimePoint", "LifetimeProjection"),
+        "repro.analysis.migration": (
+            "CellCategory",
+            "CellMigrationStudy",
+            "MigrationResult",
+            "classify_cells",
+        ),
+        "repro.analysis.monthly": ("MonthlyEvaluation", "evaluate_month"),
+        "repro.analysis.reliability": (
+            "CellReliabilityModel",
+            "block_failure_probability",
+            "key_failure_probability",
+        ),
+        "repro.analysis.statistics": (
+            "CampaignInference",
+            "ConfidenceInterval",
+            "PairedChangeTest",
+            "bootstrap_mean_ci",
+            "paired_change_test",
+        ),
+        "repro.analysis.timeseries": ("MetricSeries", "QualityTimeSeries"),
+        "repro.analysis.trends": (
+            "fit_power_law_trend",
+            "monthly_rates",
+            "PowerLawTrend",
+        ),
+    },
+)

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.io.bitutil import ensure_bits
+from repro.io.bitutil import ensure_bits, pack_bit_vector, unpack_bits
 from repro.metrics.entropy import noise_min_entropy_from_counts, puf_min_entropy
 from repro.metrics.hamming import (
     between_class_hd,
@@ -90,7 +90,9 @@ class BoardMonthMetrics:
     its per-board quality numbers plus the first read-out of its block
     (the fleet-level BCHD / PUF-entropy input).  The object is a plain
     picklable value so worker processes can ship it back to the
-    campaign driver.
+    campaign driver.  It pickles its read-out packed eight bits per
+    byte, so a window result crossing the process boundary carries an
+    eighth of the read-out bytes; unpickling restores the same bits.
     """
 
     board_id: int
@@ -99,6 +101,28 @@ class BoardMonthMetrics:
     stable_ratio: float
     noise_entropy: float
     first_readout: np.ndarray = field(repr=False)
+
+    def __reduce__(self):
+        return (
+            _unpickle_board_row,
+            (
+                self.board_id,
+                self.wchd,
+                self.fhw,
+                self.stable_ratio,
+                self.noise_entropy,
+                *pack_bit_vector(self.first_readout),
+            ),
+        )
+
+
+def _unpickle_board_row(
+    board_id, wchd, fhw, stable_ratio, noise_entropy, packed, bit_count
+) -> BoardMonthMetrics:
+    """Inverse of :meth:`BoardMonthMetrics.__reduce__`."""
+    return BoardMonthMetrics(
+        board_id, wchd, fhw, stable_ratio, noise_entropy, unpack_bits(packed, bit_count)
+    )
 
 
 def evaluate_board(

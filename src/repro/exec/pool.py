@@ -5,8 +5,9 @@
 right shape for the full-trajectory sharded path — one dispatch per
 campaign — but the checkpointed month-window driver dispatches once
 *per month*, so a 24-month campaign paid 25 rounds of ``spawn``
-start-up (interpreter boot + numpy import per worker, the dominant
-cost for small fleets).
+start-up.  Most of a lane's start-up is importing
+:mod:`repro.exec.windows`, which the package inits keep to what a
+window runs (see "Worker start-up" in ``docs/parallel.md``).
 
 :class:`WindowPool` keeps its workers alive for the whole campaign.
 It exposes the same duck-typed executor surface (``max_workers`` plus
@@ -21,11 +22,9 @@ process that holds its boards after month ``m`` — the resident slot
 of :mod:`repro.exec.windows` — and no board state has to cross the
 process boundary between months.
 
-The pool defaults to the ``spawn`` start method for the same hermetic
-determinism reasons as :data:`repro.exec.executor.START_METHOD`;
-``forkserver`` may be selected on platforms that support it (workers
-fork from a clean server process — cheaper start-up, still no parent
-state inheritance).
+The lanes use :data:`repro.exec.executor.START_METHOD` (``spawn``),
+for the same hermetic determinism reasons as
+:class:`~repro.exec.executor.ParallelExecutor`.
 
 Determinism note: results are collected in plan order and every
 window is a pure function of its spec and the shard's resident slot
@@ -47,7 +46,7 @@ logger = logging.getLogger(__name__)
 
 
 class WindowPool:
-    """Sticky ``spawn``/``forkserver`` worker lanes with one lifetime.
+    """Sticky ``spawn`` worker lanes with one lifetime.
 
     Parameters
     ----------
@@ -56,25 +55,12 @@ class WindowPool:
         :class:`~repro.exec.executor.ParallelExecutor`, a pool of one
         runs tasks inline (no subprocess), and the live lanes never
         outnumber the widest dispatch seen so far.
-    start_method:
-        ``"spawn"`` (default, portable) or ``"forkserver"`` (POSIX
-        only).  ``"fork"`` is rejected — it inherits parent state and
-        would break the hermetic-worker guarantee.
     """
 
-    def __init__(self, max_workers: int, start_method: str = START_METHOD):
+    def __init__(self, max_workers: int):
         if max_workers < 1:
             raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
-        if start_method not in ("spawn", "forkserver"):
-            raise ConfigurationError(
-                f"start_method must be 'spawn' or 'forkserver', got {start_method!r}"
-            )
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ConfigurationError(
-                f"start method {start_method!r} is not available on this platform"
-            )
         self.max_workers = int(max_workers)
-        self.start_method = start_method
         #: How many times the lanes were started (all of them count
         #: once).  The pool-reuse regression test asserts this stays at
         #: 1 across a whole multi-month campaign.
@@ -97,13 +83,13 @@ class WindowPool:
         """The live lanes, (re)started only when absent or too few."""
         if len(self._lanes) < lanes:
             self.close()
-            context = multiprocessing.get_context(self.start_method)
+            context = multiprocessing.get_context(START_METHOD)
             self._lanes = [
                 ProcessPoolExecutor(max_workers=1, mp_context=context)
                 for _ in range(lanes)
             ]
             self.spawn_count += 1
-            logger.info("window pool started: %d %s lanes", lanes, self.start_method)
+            logger.info("window pool started: %d %s lanes", lanes, START_METHOD)
         return self._lanes
 
     def run_tasks(self, fn: Callable[[Any], Any], specs: Sequence[Any]) -> List[Any]:
@@ -151,7 +137,4 @@ class WindowPool:
 
     def __repr__(self) -> str:
         state = f"{len(self._lanes)} live lanes" if self._lanes else "idle"
-        return (
-            f"WindowPool(max_workers={self.max_workers}, "
-            f"start_method={self.start_method!r}, {state})"
-        )
+        return f"WindowPool(max_workers={self.max_workers}, {state})"

@@ -60,6 +60,7 @@ from repro.analysis.monthly import BoardMonthMetrics, evaluate_fleet
 from repro.errors import CampaignExecutionError
 from repro.exec.plan import normalize_profile_fields, rollup_shard_of
 from repro.exec.worker import board_span_records
+from repro.io.bitutil import pack_bit_vector, unpack_bits
 from repro.sram.fleetkernel import build_fleet_kernel
 from repro.sram.profiles import DeviceProfile
 from repro.store.artifact import ArtifactStore
@@ -192,6 +193,21 @@ class WindowResult:
     #: keyframe restored from, then any month replayed after it.  Empty
     #: when the window manufactured its boards or found them resident.
     restored_months: Tuple[int, ...] = ()
+
+    # The day-0 references are bit vectors: they pickle packed eight
+    # bits per byte, like the rows' read-outs.
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["references"] = {
+            board: pack_bit_vector(bits) for board, bits in self.references.items()
+        }
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        state["references"] = {
+            board: unpack_bits(*packed) for board, packed in state["references"].items()
+        }
+        self.__dict__.update(state)
 
 
 def _registry_deltas(registry: MetricsRegistry) -> Dict[str, int]:

@@ -9,7 +9,7 @@ the measurement database).
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,6 +51,17 @@ def pack_bits(bits: BitsLike) -> bytes:
     if arr.size % 8 != 0:
         raise ConfigurationError(f"bit count must be a multiple of 8, got {arr.size}")
     return np.packbits(arr).tobytes()
+
+
+def pack_bit_vector(bits: np.ndarray) -> Tuple[bytes, int]:
+    """``(packed bytes, bit count)`` of a bit vector of any length.
+
+    The compact form for shipping bits between processes; pass the pair
+    to :func:`unpack_bits` to get the same bits back.  ``bits`` must
+    already be a bit vector (see :func:`ensure_bits`); it is not
+    validated again on this per-board path.
+    """
+    return np.packbits(bits).tobytes(), bits.size
 
 
 def unpack_bits(data: bytes, bit_count: int = None) -> np.ndarray:

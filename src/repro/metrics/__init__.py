@@ -13,61 +13,44 @@
   devices, relative change and geometric monthly change.
 """
 
-from repro.metrics.entropy import (
-    min_entropy_bits,
-    noise_min_entropy,
-    noise_min_entropy_from_counts,
-    puf_min_entropy,
-)
-from repro.metrics.hamming import (
-    between_class_hd,
-    fractional_hamming_distance,
-    fractional_hamming_weight,
-    fractional_hamming_weight_from_counts,
-    hamming_distance,
-    within_class_hd,
-    within_class_hd_from_counts,
-)
-from repro.metrics.histograms import HistogramSummary, fractional_histogram
-from repro.metrics.spatial import (
-    aliasing_extremes,
-    autocorrelation,
-    bit_aliasing,
-    neighbourhood_correlation,
-    uniformity,
-)
-from repro.metrics.stability import (
-    one_probabilities_from_counts,
-    stable_cell_mask,
-    stable_cell_ratio,
-    stable_cell_ratio_from_counts,
-)
-from repro.metrics.summary import MetricSummary, QualityReport, geometric_monthly_change
+from repro import _lazy
 
-__all__ = [
-    "min_entropy_bits",
-    "noise_min_entropy",
-    "noise_min_entropy_from_counts",
-    "puf_min_entropy",
-    "between_class_hd",
-    "fractional_hamming_distance",
-    "fractional_hamming_weight",
-    "fractional_hamming_weight_from_counts",
-    "hamming_distance",
-    "within_class_hd",
-    "within_class_hd_from_counts",
-    "HistogramSummary",
-    "fractional_histogram",
-    "aliasing_extremes",
-    "autocorrelation",
-    "bit_aliasing",
-    "neighbourhood_correlation",
-    "uniformity",
-    "one_probabilities_from_counts",
-    "stable_cell_mask",
-    "stable_cell_ratio",
-    "stable_cell_ratio_from_counts",
-    "MetricSummary",
-    "QualityReport",
-    "geometric_monthly_change",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "repro.metrics.entropy": (
+            "min_entropy_bits",
+            "noise_min_entropy",
+            "noise_min_entropy_from_counts",
+            "puf_min_entropy",
+        ),
+        "repro.metrics.hamming": (
+            "between_class_hd",
+            "fractional_hamming_distance",
+            "fractional_hamming_weight",
+            "fractional_hamming_weight_from_counts",
+            "hamming_distance",
+            "within_class_hd",
+            "within_class_hd_from_counts",
+        ),
+        "repro.metrics.histograms": ("HistogramSummary", "fractional_histogram"),
+        "repro.metrics.spatial": (
+            "aliasing_extremes",
+            "autocorrelation",
+            "bit_aliasing",
+            "neighbourhood_correlation",
+            "uniformity",
+        ),
+        "repro.metrics.stability": (
+            "one_probabilities_from_counts",
+            "stable_cell_mask",
+            "stable_cell_ratio",
+            "stable_cell_ratio_from_counts",
+        ),
+        "repro.metrics.summary": (
+            "MetricSummary",
+            "QualityReport",
+            "geometric_monthly_change",
+        ),
+    },
+)

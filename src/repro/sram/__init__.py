@@ -19,58 +19,38 @@ Two fidelities are offered (see DESIGN.md §2):
   distribution for every metric the paper evaluates and ~1000x faster.
 """
 
-from repro.sram.aging import AgingSimulator, DataPolicy
-from repro.sram.array import SRAMArray
-from repro.sram.cell import SixTransistorCell
-from repro.sram.chip import SRAMChip
-from repro.sram.powerup import (
-    PowerUpSample,
-    binomial_ones_counts,
-    measure_power_ups,
-    sample_measurement_block,
-)
-from repro.sram.population import (
-    PopulationMember,
-    PopulationSpec,
-    load_population,
-    single_profile_population,
-)
-from repro.sram.profiles import (
-    ATMEGA32U4,
-    BUSKEEPER_PUF,
-    DFF_PUF,
-    TESTCHIP_65NM,
-    REGISTRY,
-    DeviceProfile,
-    NOISE_SIGMA_V,
-    profile_by_name,
-    register_profile,
-)
-from repro.sram.ramp import VoltageRamp, read_startup_with_ramp
+from repro import _lazy
 
-__all__ = [
-    "AgingSimulator",
-    "DataPolicy",
-    "SRAMArray",
-    "SixTransistorCell",
-    "SRAMChip",
-    "PowerUpSample",
-    "binomial_ones_counts",
-    "measure_power_ups",
-    "sample_measurement_block",
-    "ATMEGA32U4",
-    "BUSKEEPER_PUF",
-    "DFF_PUF",
-    "TESTCHIP_65NM",
-    "DeviceProfile",
-    "NOISE_SIGMA_V",
-    "REGISTRY",
-    "profile_by_name",
-    "register_profile",
-    "PopulationMember",
-    "PopulationSpec",
-    "load_population",
-    "single_profile_population",
-    "VoltageRamp",
-    "read_startup_with_ramp",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "repro.sram.aging": ("AgingSimulator", "DataPolicy"),
+        "repro.sram.array": ("SRAMArray",),
+        "repro.sram.cell": ("SixTransistorCell",),
+        "repro.sram.chip": ("SRAMChip",),
+        "repro.sram.powerup": (
+            "PowerUpSample",
+            "binomial_ones_counts",
+            "measure_power_ups",
+            "sample_measurement_block",
+        ),
+        "repro.sram.profiles": (
+            "ATMEGA32U4",
+            "BUSKEEPER_PUF",
+            "DFF_PUF",
+            "TESTCHIP_65NM",
+            "DeviceProfile",
+            "NOISE_SIGMA_V",
+            "REGISTRY",
+            "profile_by_name",
+            "register_profile",
+        ),
+        "repro.sram.population": (
+            "PopulationMember",
+            "PopulationSpec",
+            "load_population",
+            "single_profile_population",
+        ),
+        "repro.sram.ramp": ("VoltageRamp", "read_startup_with_ramp"),
+    },
+)

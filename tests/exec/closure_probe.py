@@ -1,0 +1,39 @@
+"""What a window worker has imported, for the worker-closure guard.
+
+Kept apart from the test modules on purpose: a lane unpickles
+:func:`probe` by importing this module, and a test module's own
+imports (the campaign driver, pytest) would land in the worker and
+hide what the windows themselves loaded.
+"""
+
+import os
+import sys
+from dataclasses import dataclass, field
+from typing import Tuple
+
+#: Modules no month window uses.  Each was in every worker's closure
+#: while the package ``__init__``s imported all their submodules.
+HEAVY_MODULES = (
+    "scipy.stats",
+    "scipy.optimize",
+    "scipy.spatial",
+    "scipy.interpolate",
+    "repro.analysis.campaign",
+    "repro.analysis.reliability",
+    "repro.analysis.trends",
+    "repro.keygen",
+    "repro.trng",
+)
+
+
+@dataclass(frozen=True)
+class ProbeSpec:
+    """Minimal work order for a pool lane (pool dispatch needs these)."""
+
+    shard_index: int
+    board_ids: Tuple[int, ...] = field(default=())
+
+
+def probe(spec: ProbeSpec):
+    """``(pid, imported HEAVY_MODULES)`` of the lane that ran ``spec``."""
+    return os.getpid(), sorted(name for name in HEAVY_MODULES if name in sys.modules)

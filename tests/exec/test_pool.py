@@ -12,7 +12,6 @@ used for the exact month that follows it.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -60,16 +59,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="max_workers"):
             WindowPool(0)
 
-    def test_fork_start_method_rejected(self):
-        with pytest.raises(ConfigurationError, match="'spawn' or 'forkserver'"):
-            WindowPool(2, start_method="fork")
-
-    def test_unavailable_start_method_rejected(self, monkeypatch):
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        with pytest.raises(ConfigurationError, match="not available"):
-            WindowPool(2, start_method="forkserver")
 
 
 class TestAdopt:

@@ -5,17 +5,20 @@ profiles once (``profiles``) plus per-board indices (``profile_index``)
 rather than one :class:`~repro.sram.profiles.DeviceProfile` per board —
 the ``spawn`` start method pickles every spec, so a 100k-board fleet
 must not ship 100k profile copies.  These tests pin that contract and
-the ``profile`` / ``profiles`` normalization the specs share.
+the ``profile`` / ``profiles`` normalization the specs share.  On the
+way back, a window result ships its boards' read-outs packed eight
+bits per byte.
 """
 
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec.plan import ShardSpec
-from repro.exec.windows import WindowSpec
+from repro.exec.windows import WindowSpec, clear_window_cache, run_board_window
 from repro.sram.population import PopulationMember, PopulationSpec
 from repro.sram.profiles import ATMEGA32U4, DFF_PUF
 
@@ -163,3 +166,48 @@ class TestProfileFieldNormalization:
         )
         assert window.profile is None
         assert window.board_profiles == (DFF_PUF, ATMEGA32U4)
+
+
+class TestResultPayload:
+    def month_zero_result(self):
+        spec = WindowSpec(
+            shard_index=0,
+            month=0,
+            root_seed=7,
+            measurements=10,
+            board_ids=(0, 1, 2, 3),
+            run_token="payload",
+            profile=ATMEGA32U4,
+        )
+        clear_window_cache()
+        try:
+            return run_board_window(spec)
+        finally:
+            clear_window_cache()
+
+    def test_read_outs_round_trip_bit_for_bit(self):
+        result = self.month_zero_result()
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone.rows.keys() == result.rows.keys()
+        for board, row in result.rows.items():
+            again = clone.rows[board]
+            assert again.first_readout.dtype == row.first_readout.dtype
+            np.testing.assert_array_equal(again.first_readout, row.first_readout)
+            assert (again.wchd, again.fhw, again.stable_ratio, again.noise_entropy) == (
+                row.wchd,
+                row.fhw,
+                row.stable_ratio,
+                row.noise_entropy,
+            )
+        assert clone.references.keys() == result.references.keys()
+        for board, bits in result.references.items():
+            assert clone.references[board].dtype == bits.dtype
+            np.testing.assert_array_equal(clone.references[board], bits)
+
+    def test_read_outs_travel_packed(self):
+        result = self.month_zero_result()
+        read_out_bits = sum(row.first_readout.size for row in result.rows.values())
+        read_out_bits += sum(bits.size for bits in result.references.values())
+        # One byte per bit unpacked; packed, the read-outs are an eighth
+        # of that and everything else in a month-0 result is small.
+        assert len(pickle.dumps(result)) < read_out_bits / 4

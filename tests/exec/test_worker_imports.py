@@ -1,0 +1,75 @@
+"""A window worker imports only what a window runs.
+
+Every ``WindowPool`` lane is a ``spawn``-ed interpreter that imports
+:mod:`repro.exec.windows` before its first window, so whatever that
+import drags in is paid once per lane per pool.  The package
+``__init__``s export lazily to keep scipy.stats/optimize/spatial/
+interpolate, the campaign driver, the trend and reliability models,
+key generation and the TRNG out of that closure.
+
+The test process has all of those imported already, so the checks
+run in a fresh interpreter and in live pool workers.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+from repro.analysis.campaign import LongTermCampaign
+from repro.errors import CampaignInterrupted
+from repro.exec.pool import WindowPool
+
+from tests.exec.closure_probe import HEAVY_MODULES, ProbeSpec, probe
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def fresh_interpreter_heavy_modules(statement: str):
+    """The heavy modules a new interpreter holds after ``statement``."""
+    code = (
+        f"import json, sys\n{statement}\n"
+        f"print(json.dumps(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules)))"
+    )
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(completed.stdout)
+
+
+def test_window_modules_import_no_heavy_module():
+    loaded = fresh_interpreter_heavy_modules(
+        "import repro.exec.windows, repro.exec.executor"
+    )
+    assert loaded == [], f"a fresh window worker imports {loaded}"
+
+
+def test_live_lanes_hold_no_heavy_module_after_real_windows(tmp_path):
+    """Manufacture, resident and restoring windows, then probe each lane."""
+    ckpt = str(tmp_path / "ckpt")
+    campaign = LongTermCampaign(
+        device_count=4,
+        months=3,
+        measurements=40,
+        shard_store=True,
+        max_workers=2,
+        random_state=5,
+    )
+    with WindowPool(2) as pool:
+        with pytest.raises(CampaignInterrupted):
+            campaign.run(checkpoint_dir=ckpt, executor=pool, abort_after_month=1)
+        LongTermCampaign.resume(ckpt, executor=pool)
+        replies = pool.run_tasks(probe, [ProbeSpec(0), ProbeSpec(1)])
+        assert pool.spawn_count == 1  # the probes ran on the campaign's lanes
+    pids = [pid for pid, _loaded in replies]
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    for pid, loaded in replies:
+        assert loaded == [], f"window worker {pid} holds {loaded}"
