@@ -1,7 +1,7 @@
 """Mixed-fleet throughput: cohort batching vs a homogeneous fleet.
 
-Runs one shard of the campaign engine at fleet sizes 16 → 10,000 with
-a *heterogeneous* population (three bench profiles, multiple process
+Runs the campaign in memory at fleet sizes 16 → 4,096 with a
+*heterogeneous* population (three bench profiles, multiple process
 lots, mixed cell counts) and compares board-months/second against the
 homogeneous fleet of ``bench_fleet_kernel.py``'s regime.  Checks the
 mixed fleet against the single-device oracle first — the cohort kernel
@@ -24,17 +24,22 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 import sys
-import time
 
-from bench_fleet_kernel import assert_matches_oracle
+from bench_fleet_kernel import (
+    FLEET_LADDER,
+    MEASUREMENTS,
+    MONTHS,
+    ORACLE_BOARDS,
+    SEED,
+    _campaign,
+    _rate,
+    _timed,
+    assert_matches_oracle,
+)
 
-from repro.exec.plan import ShardSpec
-from repro.exec.worker import run_board_shard
 from repro.sram.population import PopulationMember, PopulationSpec
 from repro.sram.profiles import ATMEGA32U4, register_profile
-from repro.telemetry import reset_telemetry
 
 #: Small boards, big fleets — the cohort kernel's home regime (matches
 #: ``bench_fleet_kernel.py`` so the homogeneous rows are comparable).
@@ -74,63 +79,28 @@ MIXED = PopulationSpec(
     ),
 )
 
-FLEET_LADDER = (16, 64, 256, 1024, 4096, 10000)
-MONTHS = 2
-MEASUREMENTS = 100
-SEED = 1
 REPEATS = 3
-ORACLE_BOARDS = 16
 OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_population.json")
 
 
-def _mixed_spec(boards: int) -> ShardSpec:
-    table, index = MIXED.materialize(SEED, range(boards))
-    return ShardSpec(
-        shard_index=0,
-        root_seed=SEED,
-        board_ids=tuple(range(boards)),
-        months=MONTHS,
-        measurements=MEASUREMENTS,
-        profiles=table,
-        profile_index=index,
-        temperatures=(None,) * (MONTHS + 1),
-    )
+def _mixed(boards: int):
+    return _campaign(boards, population=MIXED)
 
 
-def _homogeneous_spec(boards: int) -> ShardSpec:
-    return ShardSpec(
-        shard_index=0,
-        root_seed=SEED,
-        board_ids=tuple(range(boards)),
-        months=MONTHS,
-        measurements=MEASUREMENTS,
-        profile=HOMOGENEOUS_PROFILE,
-        temperatures=(None,) * (MONTHS + 1),
-    )
-
-
-def _timed(spec: ShardSpec):
-    reset_telemetry()
-    start = time.perf_counter()
-    result = run_board_shard(spec)
-    return time.perf_counter() - start, result
-
-
-def _rate(boards: int, build, repeats: int) -> float:
-    wall = statistics.median(_timed(build(boards))[0] for _ in range(repeats))
-    return boards * (MONTHS + 1) / wall
+def _homogeneous(boards: int):
+    return _campaign(boards, HOMOGENEOUS_PROFILE)
 
 
 def main() -> int:
-    _timed(_mixed_spec(64))  # warm-up absorbs import effects
-    oracle_spec = _mixed_spec(ORACLE_BOARDS)
-    assert_matches_oracle(oracle_spec, _timed(oracle_spec)[1])
+    _timed(_mixed(64))  # warm-up absorbs import effects
+    oracle = _mixed(ORACLE_BOARDS)
+    assert_matches_oracle(oracle, _timed(oracle)[1])
 
     rows = {}
     for boards in FLEET_LADDER:
         repeats = REPEATS if boards <= 1024 else 1
-        homogeneous = _rate(boards, _homogeneous_spec, repeats)
-        mixed = _rate(boards, _mixed_spec, repeats)
+        homogeneous = _rate(boards, _homogeneous, repeats)
+        mixed = _rate(boards, _mixed, repeats)
         table, _ = MIXED.materialize(SEED, range(boards))
         rows[boards] = {
             "homogeneous_board_months_per_s": round(homogeneous, 1),

@@ -123,7 +123,7 @@ def _snapshot(month: int, boards: int, rows) -> MonthlyEvaluation:
     )
 
 
-def _run_monolithic(workdir: str, boards, states, rows, references) -> float:
+def _time_monolithic_writes(workdir: str, boards, states, rows, references) -> float:
     """Total parent wall seconds for months 0..MONTHS, monolithic chain."""
     checkpoint_dir = os.path.join(workdir, "mono")
     shutil.rmtree(checkpoint_dir, ignore_errors=True)
@@ -146,7 +146,7 @@ def _run_monolithic(workdir: str, boards, states, rows, references) -> float:
     return total
 
 
-def _run_sharded(workdir: str, boards, states, rows, references):
+def _time_sharded_writes(workdir: str, boards, states, rows, references):
     """(parent_s, worker_critical_s) totals for months 0..MONTHS, sharded."""
     checkpoint_dir = os.path.join(workdir, "sharded")
     shutil.rmtree(checkpoint_dir, ignore_errors=True)
@@ -198,9 +198,9 @@ def main() -> int:
             mono_samples, parent_samples, worker_samples = [], [], []
             for _ in range(REPEATS):
                 mono_samples.append(
-                    _run_monolithic(workdir, boards, states, rows, references)
+                    _time_monolithic_writes(workdir, boards, states, rows, references)
                 )
-                parent_s, worker_s = _run_sharded(
+                parent_s, worker_s = _time_sharded_writes(
                     workdir, boards, states, rows, references
                 )
                 parent_samples.append(parent_s)

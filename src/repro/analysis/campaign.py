@@ -23,11 +23,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.monthly import (
-    MonthlyEvaluation,
-    assemble_evaluation,
-    evaluate_fleet,
-)
+from repro.analysis.monthly import MonthlyEvaluation, assemble_evaluation
 from repro.errors import (
     CampaignExecutionError,
     CampaignInterrupted,
@@ -36,11 +32,9 @@ from repro.errors import (
 )
 from repro.rng import RandomState, SeedHierarchy
 from repro.sram.chip import SRAMChip
-from repro.sram.fleetkernel import build_fleet_kernel
 from repro.sram.population import PopulationSpec
 from repro.sram.profiles import ATMEGA32U4, DeviceProfile
 from repro.telemetry import (
-    PHASE_AGING,
     PHASE_MONITOR,
     PHASE_STORE_IO,
     get_flight_recorder,
@@ -55,7 +49,6 @@ from repro.telemetry import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing aid only
     from repro.exec.executor import CampaignExecutor
-    from repro.exec.plan import ShardSpec
     from repro.monitor.hub import MonitorHub
 
 logger = logging.getLogger(__name__)
@@ -135,8 +128,8 @@ class LongTermCampaign:
         stressed run whose drift the monitoring layer should flag.
     max_workers:
         Parallel worker processes for the board-sharded execution
-        engine (:mod:`repro.exec`).  1 (the default) runs the
-        in-process month loop; higher values shard the fleet over
+        engine (:mod:`repro.exec`).  1 (the default) runs every month
+        window in this process; higher values shard the fleet over
         ``spawn``-ed workers with bit-identical results (the
         ``tests/exec`` equivalence suite enforces this).
     keyframe_every:
@@ -291,28 +284,18 @@ class LongTermCampaign:
             return self._population.display_name
         return self._profile.name
 
-    def _profile_spec_fields(self, boards) -> Dict[str, object]:
-        """Profile kwargs for one shard's Shard/Window spec.
+    @staticmethod
+    def _profile_spec_fields(profiles: Sequence[DeviceProfile]) -> Dict[str, object]:
+        """Profile kwargs of one shard's window specs.
 
-        Homogeneous campaigns pass ``profile=`` exactly as before the
-        population layer existed; heterogeneous ones pass a shard-local
-        re-interned ``profiles`` table plus per-board indices, so each
-        distinct profile pickles once per spawn payload.
+        ``profiles`` are the shard's per-board profiles; they are
+        re-interned into a table of the *distinct* profiles plus
+        per-board indices, so each distinct profile pickles once per
+        spawn payload.
         """
-        if self._population is None:
-            return {"profile": self._profile}
-        local: Dict[int, int] = {}
-        profiles: List[DeviceProfile] = []
-        index: List[int] = []
-        for board in boards:
-            slot = self._profile_index[board]
-            pos = local.get(slot)
-            if pos is None:
-                pos = len(profiles)
-                local[slot] = pos
-                profiles.append(self._profile_table[slot])
-            index.append(pos)
-        return {"profiles": tuple(profiles), "profile_index": tuple(index)}
+        table: Dict[DeviceProfile, int] = {}
+        index = [table.setdefault(profile, len(table)) for profile in profiles]
+        return {"profiles": tuple(table), "profile_index": tuple(index)}
 
     def build_fleet(self) -> List[SRAMChip]:
         """Manufacture the campaign's devices (deterministic per seed)."""
@@ -333,11 +316,16 @@ class LongTermCampaign:
     ) -> CampaignResult:
         """Execute the campaign and return its result.
 
+        Every run is the same month loop: one dispatch of month
+        windows (:mod:`repro.exec.windows`) per snapshot, whatever the
+        worker count and whether or not checkpoints are written.
+
         ``chips`` may inject an externally built fleet (e.g. boards
         pulled out of a :class:`~repro.hardware.testbed.Testbed`);
-        their current state is taken as day 0.  The campaign copies
-        that state into its fleet kernel and leaves the chips
-        themselves unchanged.  ``progress``, when
+        their current state is taken as day 0.  The month-0 windows
+        start from the chips' exported states, under the chips' own ids
+        and profiles, and leave the chips themselves unchanged.
+        ``progress``, when
         given, is called after every monthly snapshot with
         ``(completed, total)`` snapshot counts (a
         :class:`~repro.monitor.heartbeat.SnapshotEmitter` plugs in
@@ -348,35 +336,31 @@ class LongTermCampaign:
         a counter poll per month, so drift alerts fire *while the
         campaign runs* rather than in post-processing.
 
-        ``executor`` overrides the execution strategy: a
-        :class:`~repro.exec.executor.SerialExecutor` or
-        :class:`~repro.exec.executor.ParallelExecutor` shards the fleet
-        by board (see :mod:`repro.exec` and ``docs/parallel.md``).
-        When ``None``, the constructor's ``max_workers`` decides — 1
-        runs the in-process month loop, more builds a
-        :class:`~repro.exec.executor.ParallelExecutor`.  Either way the
-        result is bit-identical; on the sharded path, snapshots are
-        merged (and ``monitor``/``progress`` are fed) in month order
-        after the workers return, so alert sequences are unchanged.
-        An injected ``chips`` fleet cannot be re-manufactured inside
-        workers and therefore requires the serial path.
+        ``executor`` overrides the execution strategy: the fleet is
+        sharded by board over ``executor.max_workers`` shards (see
+        :mod:`repro.exec` and ``docs/parallel.md``).  When ``None``,
+        the constructor's ``max_workers`` decides — 1 runs every window
+        in this process, more starts one
+        :class:`~repro.exec.pool.WindowPool` for the campaign.  Either
+        way the result is bit-identical: snapshots are assembled (and
+        ``monitor``/``progress`` are fed) month by month in month
+        order, so alert sequences are unchanged.
 
         The run is instrumented: a ``campaign.run`` span with one
-        ``campaign.month`` child per snapshot, and the counters
+        ``campaign.month`` child per snapshot, under which the workers'
+        per-board ``worker.board`` spans are grafted, and the counters
         ``campaign.powerups``, ``campaign.snapshots`` and
         ``campaign.aging_steps`` (see ``docs/telemetry.md``).
         Telemetry and monitoring are purely observational — they read
         no random stream, so results are identical with either on or
         off.
 
-        ``checkpoint_dir`` switches to the *checkpointed* month-window
-        pipeline (see ``docs/storage.md``): after each monthly
-        snapshot, the complete campaign state is atomically persisted
-        to that directory, and :meth:`resume` can later continue from
-        the last complete month with byte-identical final results.
-        Checkpointed runs route through the same windowed driver for
-        every worker count, so the checkpoint files themselves are
-        byte-identical across serial and parallel execution.
+        ``checkpoint_dir`` switches persistence on (see
+        ``docs/storage.md``): after each monthly snapshot, the complete
+        campaign state is atomically persisted to that directory, and
+        :meth:`resume` can later continue from the last complete month
+        with byte-identical final results.  The checkpoint files
+        themselves are byte-identical across worker counts.
         ``abort_after_month`` (requires ``checkpoint_dir``) raises
         :class:`~repro.errors.CampaignInterrupted` right after that
         month's checkpoint is on disk — the deterministic
@@ -425,40 +409,25 @@ class LongTermCampaign:
                 raise ConfigurationError(
                     f"abort_after_month cannot be negative, got {abort_after_month}"
                 )
-        if checkpoint_dir is not None:
-            if chips is not None:
-                raise ConfigurationError(
-                    "an injected fleet cannot be checkpointed (workers "
-                    "re-manufacture boards from the seed hierarchy); "
-                    "run without chips to use checkpoint_dir"
-                )
-            if executor is None:
-                from repro.exec.executor import executor_for
-
-                executor = executor_for(self._max_workers)
-            return self._run_windowed(
-                executor, progress, monitor, checkpoint_dir, abort_after_month,
-                stream=stream,
+        if checkpoint_dir is not None and chips is not None:
+            raise ConfigurationError(
+                "an injected fleet cannot be checkpointed (resume rebuilds "
+                "the fleet from the campaign's own configuration); run "
+                "without chips to use checkpoint_dir"
             )
-        if executor is None and self._max_workers > 1:
+        if executor is None:
             from repro.exec.executor import executor_for
 
             executor = executor_for(self._max_workers)
-        if executor is None and self._fail_board is not None and chips is None:
-            # The in-process serial loop has no fault-injection hook;
-            # route through the (bit-identical) sharded path instead.
-            from repro.exec.executor import executor_for
-
-            executor = executor_for(1)
-        if executor is not None:
-            if chips is not None:
-                raise ConfigurationError(
-                    "an injected fleet cannot run on the sharded executor path "
-                    "(workers re-manufacture boards from the seed hierarchy); "
-                    "run with max_workers=1 and no executor instead"
-                )
-            return self._run_sharded(executor, progress, monitor)
-        return self._run_serial(chips, progress, monitor)
+        return self._run_windowed(
+            executor,
+            progress,
+            monitor,
+            checkpoint_dir,
+            abort_after_month,
+            stream=stream,
+            chips=chips,
+        )
 
     @classmethod
     def resume(
@@ -552,118 +521,6 @@ class LongTermCampaign:
             abort_after_month,
             resume_state=state,
             stream=stream,
-        )
-
-    def _run_serial(
-        self,
-        chips: Optional[Sequence[SRAMChip]],
-        progress: Optional[ProgressCallback],
-        monitor: Optional["MonitorHub"],
-    ) -> CampaignResult:
-        """The in-process month loop over one fleet kernel.
-
-        An injected ``chips`` fleet enters the kernel through its
-        exported device states, so the chips themselves are left
-        untouched; results follow the chips' order.
-        """
-        metrics = get_metrics()
-        tracer = get_tracer()
-        powerups = metrics.counter("campaign.powerups")
-        snapshots_done = metrics.counter("campaign.snapshots")
-        aging_steps = metrics.counter("campaign.aging_steps")
-        metrics.gauge("campaign.devices").set(self._device_count)
-
-        with tracer.span(
-            "campaign.run", devices=self._device_count, months=self._months
-        ):
-            states = None
-            if chips is None:
-                board_ids = list(range(self._device_count))
-                profiles = [self._board_profile(board) for board in board_ids]
-            else:
-                fleet = list(chips)
-                if not fleet:
-                    raise ConfigurationError("campaign fleet is empty")
-                board_ids = [chip.chip_id for chip in fleet]
-                profiles = [chip.profile for chip in fleet]
-                states = {chip.chip_id: chip.array.export_state() for chip in fleet}
-            kernel = build_fleet_kernel(
-                board_ids, profiles, root_seed=self._seeds.root_seed, states=states
-            )
-            boards = len(board_ids)
-            logger.info(
-                "campaign started: %d devices, %d months, %d measurements/month",
-                boards,
-                self._months,
-                self._measurements,
-            )
-
-            by_id = dict(zip(kernel.board_ids, kernel.read_startup()))
-            references = {board: by_id[board] for board in board_ids}
-            powerups.inc(boards)  # the day-0 reference read-outs
-            temperatures = self._month_temperatures()
-
-            total_snapshots = self._months + 1
-            snapshots: List[MonthlyEvaluation] = []
-            for month in range(total_snapshots):
-                with tracer.span("campaign.month", month=month):
-                    with tracer.span("campaign.measure"):
-                        rows = {
-                            row.board_id: row
-                            for row in evaluate_fleet(
-                                kernel,
-                                references,
-                                measurements=self._measurements,
-                                statistical=self._statistical,
-                                temperature_k=temperatures[month],
-                            )
-                        }
-                        snapshots.append(
-                            assemble_evaluation(
-                                month,
-                                self._measurements,
-                                [rows[board] for board in board_ids],
-                            )
-                        )
-                    powerups.inc(self._measurements * boards)
-                    self._count_labeled_powerups(metrics, month)
-                    snapshots_done.inc()
-                    self._ingest_rollups(snapshots[-1])
-                    if monitor is not None:
-                        with get_profiler().phase(PHASE_MONITOR):
-                            monitor.observe_evaluation(snapshots[-1])
-                            monitor.observe_rollups(index=month)
-                            monitor.poll_counters(index=month)
-                    get_flight_recorder().record(
-                        "month",
-                        month=month,
-                        wchd_mean=float(snapshots[-1].wchd.mean()),
-                    )
-                    if month < self._months:
-                        with tracer.span("campaign.age"):
-                            with get_profiler().phase(PHASE_AGING, calls=boards):
-                                kernel.age_months(
-                                    self._aging_acceleration,
-                                    steps=self._aging_steps,
-                                )
-                            aging_steps.inc(self._aging_steps * boards)
-                logger.debug(
-                    "month %d/%d evaluated (WCHD mean %.4f)",
-                    month,
-                    self._months,
-                    float(snapshots[-1].wchd.mean()),
-                )
-                if progress is not None:
-                    progress(month + 1, total_snapshots)
-            logger.info("campaign finished: %d snapshots", len(snapshots))
-
-        return CampaignResult(
-            profile_name=self._result_profile_name(),
-            months=self._months,
-            measurements=self._measurements,
-            board_ids=board_ids,
-            references=references,
-            snapshots=snapshots,
         )
 
     def _rollup_shard_of(self, board_id: int) -> int:
@@ -789,166 +646,6 @@ class LongTermCampaign:
             )
         fold_rollup_docs(get_rollups(), docs, get_metrics())
 
-    def _month_temperatures(self) -> List[Optional[float]]:
-        """Pre-draw every month's ambient measurement temperature.
-
-        Consumes the shared ``ambient-temperature`` stream one
-        Gaussian step per snapshot, so every execution path measures at the
-        identical temperature sequence and the sharded paths hand it to
-        workers without shipping the stream itself.  ``None`` entries mean
-        profile-nominal (walk disabled).
-        """
-        if self._temperature_walk_k <= 0.0:
-            return [None] * (self._months + 1)
-        temp_rng = self._seeds.stream("ambient-temperature")
-        temperature = self._nominal_temperature
-        temperatures: List[Optional[float]] = []
-        for _ in range(self._months + 1):
-            temperature += float(temp_rng.normal(0.0, self._temperature_walk_k))
-            temperatures.append(temperature)
-        return temperatures
-
-    def _plan_shards(self, shard_count: int) -> List["ShardSpec"]:
-        """Build the work orders for the sharded path.
-
-        Overridable seam: the crash-robustness suite subclasses this to
-        set :attr:`~repro.exec.plan.ShardSpec.fail_board` on one spec.
-        """
-        from repro.exec.plan import ShardSpec, partition_boards
-
-        temperatures = tuple(self._month_temperatures())
-        worker_rollups = self._rollup_shards if rollups_enabled() else 0
-        trace = get_tracer().context(phases=profiling_enabled())
-        return [
-            ShardSpec(
-                shard_index=index,
-                root_seed=self._seeds.root_seed,
-                board_ids=boards,
-                months=self._months,
-                measurements=self._measurements,
-                statistical=self._statistical,
-                temperatures=temperatures,
-                aging_steps_per_month=self._aging_steps,
-                aging_acceleration=self._aging_acceleration,
-                fail_board=(
-                    self._fail_board if self._fail_board in boards else None
-                ),
-                rollup_shards=worker_rollups,
-                fleet_size=self._device_count,
-                trace=trace,
-                **self._profile_spec_fields(boards),
-            )
-            for index, boards in enumerate(
-                partition_boards(range(self._device_count), shard_count)
-            )
-        ]
-
-    def _run_sharded(
-        self,
-        executor: "CampaignExecutor",
-        progress: Optional[ProgressCallback],
-        monitor: Optional["MonitorHub"],
-    ) -> CampaignResult:
-        """Board-sharded execution: fan out, then merge in month order.
-
-        Workers return per-board trajectories plus per-month telemetry
-        counter deltas; the merge loop folds each month's deltas into
-        the parent registry *before* that month's monitor poll, so the
-        counter-rate series (and with it every alert sequence) matches
-        the serial run poll for poll.
-        """
-        from repro.exec.merge import collate_shard_results
-
-        metrics = get_metrics()
-        tracer = get_tracer()
-        powerups = metrics.counter("campaign.powerups")
-        snapshots_done = metrics.counter("campaign.snapshots")
-        # Same instrument set as the serial run (no worker-count gauge):
-        # a parallel run's manifest metrics must be indistinguishable
-        # from the serial run's.
-        metrics.counter("campaign.aging_steps")
-        metrics.gauge("campaign.devices").set(self._device_count)
-
-        with tracer.span(
-            "campaign.run",
-            devices=self._device_count,
-            months=self._months,
-            workers=executor.max_workers,
-        ):
-            board_ids = list(range(self._device_count))
-            specs = self._plan_shards(executor.max_workers)
-            logger.info(
-                "campaign started (sharded): %d devices over %d shards "
-                "(%d workers), %d months, %d measurements/month",
-                self._device_count,
-                len(specs),
-                executor.max_workers,
-                self._months,
-                self._measurements,
-            )
-            with tracer.span("campaign.shards", shards=len(specs)) as shards_span:
-                results = executor.run_shards(specs)
-                self._graft_worker_spans(shards_span, results)
-            self._merge_worker_phases(results)
-            merged = collate_shard_results(board_ids, self._months, results)
-            self._ingest_worker_resources(result.resources for result in results)
-
-            total_snapshots = self._months + 1
-            snapshots: List[MonthlyEvaluation] = []
-            with tracer.span("campaign.merge"):
-                for month in range(total_snapshots):
-                    for name, delta in merged.counter_deltas[month].items():
-                        metrics.counter(name).inc(delta)
-                    snapshots.append(
-                        assemble_evaluation(
-                            month,
-                            self._measurements,
-                            [merged.rows[board][month] for board in board_ids],
-                        )
-                    )
-                    self._count_labeled_powerups(metrics, month)
-                    snapshots_done.inc()
-                    self._ingest_rollups(
-                        snapshots[-1],
-                        docs=(
-                            merged.rollup_docs[month]
-                            if merged.rollup_docs
-                            else None
-                        ),
-                    )
-                    if monitor is not None:
-                        with get_profiler().phase(PHASE_MONITOR):
-                            monitor.observe_evaluation(snapshots[-1])
-                            monitor.observe_rollups(index=month)
-                            monitor.poll_counters(index=month)
-                    get_flight_recorder().record(
-                        "month",
-                        month=month,
-                        wchd_mean=float(snapshots[-1].wchd.mean()),
-                    )
-                    logger.debug(
-                        "month %d/%d merged (WCHD mean %.4f)",
-                        month,
-                        self._months,
-                        float(snapshots[-1].wchd.mean()),
-                    )
-                    if progress is not None:
-                        progress(month + 1, total_snapshots)
-            logger.info(
-                "campaign finished (sharded): %d snapshots, %d power-ups",
-                len(snapshots),
-                powerups.value,
-            )
-
-        return CampaignResult(
-            profile_name=self._result_profile_name(),
-            months=self._months,
-            measurements=self._measurements,
-            board_ids=board_ids,
-            references=merged.references,
-            snapshots=snapshots,
-        )
-
     def _checkpoint_config(self) -> Dict:
         """The campaign's complete configuration as a JSON document.
 
@@ -982,10 +679,11 @@ class LongTermCampaign:
         executor: "CampaignExecutor",
         progress: Optional[ProgressCallback],
         monitor: Optional["MonitorHub"],
-        checkpoint_dir: str,
+        checkpoint_dir: Optional[str],
         abort_after_month: Optional[int],
         resume_state=None,
         stream=None,
+        chips: Optional[Sequence[SRAMChip]] = None,
     ) -> CampaignResult:
         """Adopt the executor into a persistent pool, then run the loop.
 
@@ -1007,6 +705,7 @@ class LongTermCampaign:
                 abort_after_month,
                 resume_state=resume_state,
                 stream=stream,
+                chips=chips,
             )
         finally:
             if dispatch is not executor:
@@ -1017,35 +716,43 @@ class LongTermCampaign:
         executor,
         progress: Optional[ProgressCallback],
         monitor: Optional["MonitorHub"],
-        checkpoint_dir: str,
+        checkpoint_dir: Optional[str],
         abort_after_month: Optional[int],
         resume_state=None,
         stream=None,
+        chips: Optional[Sequence[SRAMChip]] = None,
     ) -> CampaignResult:
-        """Checkpointed month-window pipeline (serial *and* parallel).
+        """The campaign's one month loop, persistence on or off.
 
         One executor dispatch per month: every shard advances its
         resident boards by exactly one month and returns metric rows
         (plus serialized device state in keyframe months), the driver
-        assembles the snapshot, feeds the monitor, and cuts an atomic
-        checkpoint.  All
-        checkpointed runs — any worker count — use this one loop, so
-        checkpoint files are byte-identical across execution modes.
+        checks each result covers its window, assembles the snapshot,
+        feeds the monitor, and — when ``checkpoint_dir`` is set — cuts
+        an atomic checkpoint.  Every run, any worker count, uses this
+        one loop, so results and checkpoint files are byte-identical
+        across execution modes.
 
-        Counter bookkeeping mirrors the serial loop poll for poll:
-        evaluation deltas fold in *before* the month's monitor poll,
-        aging deltas *after* (they become visible at the next poll,
-        exactly as in-process aging would).  The per-poll deltas are
-        recorded into the checkpoint so a resumed process can replay
-        its registry — and the monitor's alert sequence — to the exact
-        interrupted-run state.
+        Counter bookkeeping is the same poll for poll at every worker
+        count: evaluation deltas fold in *before* the month's monitor
+        poll, aging deltas *after* (they become visible at the next
+        poll, exactly as in-process aging would).  The per-poll deltas
+        are recorded into the checkpoint so a resumed process can
+        replay its registry — and the monitor's alert sequence — to the
+        exact interrupted-run state.
         """
         from repro.exec.plan import partition_boards
-        from repro.exec.windows import WindowSpec, clear_window_cache, run_board_window
+        from repro.exec.windows import (
+            WindowSpec,
+            check_window_result,
+            clear_window_cache,
+            run_board_window,
+        )
         from repro.store.artifact import ArtifactStore
         from repro.store.checkpoint import (
             CampaignCheckpointer,
             CounterDeltaRecorder,
+            board_state_to_doc,
             fold_counter_deltas,
             keyframe_due,
         )
@@ -1064,13 +771,34 @@ class LongTermCampaign:
         metrics = get_metrics()
         tracer = get_tracer()
         snapshots_done = metrics.counter("campaign.snapshots")
-        # Same instrument set as the serial run — see _run_sharded.
+        # One instrument set for every run, whatever its worker count.
         metrics.counter("campaign.powerups")
         metrics.counter("campaign.aging_steps")
         metrics.gauge("campaign.devices").set(self._device_count)
 
-        checkpointer = CampaignCheckpointer(checkpoint_dir, self._checkpoint_config())
-        board_ids = list(range(self._device_count))
+        persist = checkpoint_dir is not None
+        checkpointer = (
+            CampaignCheckpointer(checkpoint_dir, self._checkpoint_config())
+            if persist
+            else None
+        )
+        # An injected fleet starts from the chips' exported states, under
+        # their own ids and profiles; otherwise month 0 manufactures it.
+        day0_states: Optional[Dict[int, Dict]] = None
+        if chips is None:
+            board_ids = list(range(self._device_count))
+            board_profiles = [self._board_profile(board) for board in board_ids]
+        else:
+            fleet = list(chips)
+            if not fleet:
+                raise ConfigurationError("campaign fleet is empty")
+            board_ids = [chip.chip_id for chip in fleet]
+            board_profiles = [chip.profile for chip in fleet]
+            day0_states = {
+                chip.chip_id: board_state_to_doc(chip.array.export_state())
+                for chip in fleet
+            }
+        profile_of = dict(zip(board_ids, board_profiles))
         total_snapshots = self._months + 1
         walk = self._temperature_walk_k > 0.0
         temp_rng = self._seeds.stream("ambient-temperature")
@@ -1082,13 +810,15 @@ class LongTermCampaign:
             workers=executor.max_workers,
         ):
             if resume_state is None:
-                # A fresh run clears *both* layouts' residue: stale
-                # month files of a previous monolithic run and the
-                # manifest/log/shards tree of a previous sharded one —
-                # resume auto-detects the layout from what it finds, so
-                # leftovers of the other mode would shadow this run.
-                checkpointer.reset()
-                reset_sharded_layout(checkpoint_dir)
+                if persist:
+                    # A fresh run clears *both* layouts' residue: stale
+                    # month files of a previous monolithic run and the
+                    # manifest/log/shards tree of a previous sharded
+                    # one — resume auto-detects the layout from what it
+                    # finds, so leftovers of the other mode would
+                    # shadow this run.
+                    checkpointer.reset()
+                    reset_sharded_layout(checkpoint_dir)
                 start_month = 0
                 temperature = self._nominal_temperature
                 references: Dict[int, np.ndarray] = {}
@@ -1097,14 +827,18 @@ class LongTermCampaign:
                 counter_deltas: List[Dict[str, int]] = []
                 recorder = CounterDeltaRecorder(metrics)
                 logger.info(
-                    "campaign started (checkpointed, %s store): %d devices, "
-                    "%d months, %d measurements/month, %d workers -> %s",
-                    "sharded" if self._shard_store else "monolithic",
-                    self._device_count,
+                    "campaign started (%s): %d devices, %d months, "
+                    "%d measurements/month, %d workers",
+                    (
+                        f"{'sharded' if self._shard_store else 'monolithic'} "
+                        f"store at {checkpoint_dir}"
+                        if persist
+                        else "in memory"
+                    ),
+                    len(board_ids),
                     self._months,
                     self._measurements,
                     executor.max_workers,
-                    checkpoint_dir,
                 )
             else:
                 state = resume_state
@@ -1189,6 +923,10 @@ class LongTermCampaign:
                     self._keyframe_every,
                     shard_boards,
                 )
+            shard_profiles = [
+                self._profile_spec_fields([profile_of[board] for board in boards])
+                for boards in shard_boards
+            ]
             worker_rollups = self._rollup_shards if rollups_enabled() else 0
             trace_context = tracer.context(phases=profiling_enabled())
             run_token = uuid.uuid4().hex
@@ -1202,8 +940,16 @@ class LongTermCampaign:
                     # shard's resident boards; every later one only
                     # names them (docs/parallel.md, resident slots).
                     restoring = resume_state is not None and month == start_month
-                    return_states = not self._shard_store and keyframe_due(
-                        checkpointer.store, month, checkpointer.keyframe_every
+                    if restoring:
+                        inbound_states = None if self._shard_store else board_states
+                    else:
+                        inbound_states = day0_states if month == 0 else None
+                    return_states = (
+                        persist
+                        and not self._shard_store
+                        and keyframe_due(
+                            checkpointer.store, month, checkpointer.keyframe_every
+                        )
                     )
                     with tracer.span("campaign.month", month=month) as month_span:
                         specs = [
@@ -1225,8 +971,8 @@ class LongTermCampaign:
                                     else None
                                 ),
                                 states=(
-                                    {board: board_states[board] for board in boards}
-                                    if restoring and not self._shard_store
+                                    {board: inbound_states[board] for board in boards}
+                                    if inbound_states is not None
                                     else None
                                 ),
                                 return_states=return_states,
@@ -1254,11 +1000,18 @@ class LongTermCampaign:
                                     if self._shard_store
                                     else None
                                 ),
-                                **self._profile_spec_fields(boards),
+                                **shard_profiles[index],
                             )
                             for index, boards in enumerate(shard_boards)
                         ]
                         results = executor.run_tasks(run_board_window, specs)
+                        if len(results) != len(specs):
+                            raise CampaignExecutionError(
+                                f"month-{month} dispatch of {len(specs)} windows "
+                                f"returned {len(results)} results"
+                            )
+                        for spec, result in zip(specs, results):
+                            check_window_result(spec, result)
                         self._graft_worker_spans(month_span, results)
                         self._merge_worker_phases(results)
                         rows: Dict[int, "BoardMonthMetrics"] = {}
@@ -1285,14 +1038,14 @@ class LongTermCampaign:
                         )
                         self._count_labeled_powerups(metrics, month)
                         snapshots_done.inc()
-                        self._ingest_rollups(
-                            snapshots[-1],
-                            docs=(
-                                combine_rollup_docs(window_rollups)
-                                if window_rollups
-                                else None
-                            ),
+                        # One window's partial documents are already exact
+                        # and in name order: only several need merging.
+                        rollup_docs = (
+                            window_rollups[0]
+                            if len(window_rollups) == 1
+                            else combine_rollup_docs(window_rollups)
                         )
+                        self._ingest_rollups(snapshots[-1], docs=rollup_docs or None)
                         self._ingest_worker_resources(
                             result.resources for result in results
                         )
@@ -1308,34 +1061,36 @@ class LongTermCampaign:
                             wchd_mean=float(snapshots[-1].wchd.mean()),
                         )
                         fold_counter_deltas(metrics, aging_deltas)
-                        with tracer.span("campaign.checkpoint", month=month):
-                            with get_profiler().phase(PHASE_STORE_IO):
-                                if self._shard_store:
-                                    # The fleet's device state and rows
-                                    # are already on disk, written by
-                                    # the workers; the parent persists
-                                    # only its O(counters) month record.
-                                    append_parent_month_record(
-                                        checkpoint_dir,
-                                        build_parent_month_record(
+                        if persist:
+                            with tracer.span("campaign.checkpoint", month=month):
+                                with get_profiler().phase(PHASE_STORE_IO):
+                                    if self._shard_store:
+                                        # The fleet's device state and
+                                        # rows are already on disk,
+                                        # written by the workers; the
+                                        # parent persists only its
+                                        # O(counters) month record.
+                                        append_parent_month_record(
+                                            checkpoint_dir,
+                                            build_parent_month_record(
+                                                month,
+                                                temperature,
+                                                rng_state_doc(temp_rng) if walk else None,
+                                                counter_deltas[-1],
+                                                aging_deltas,
+                                            ),
+                                        )
+                                    else:
+                                        checkpointer.save(
                                             month,
                                             temperature,
                                             rng_state_doc(temp_rng) if walk else None,
-                                            counter_deltas[-1],
+                                            references,
+                                            board_states,
+                                            snapshots,
+                                            counter_deltas,
                                             aging_deltas,
-                                        ),
-                                    )
-                                else:
-                                    checkpointer.save(
-                                        month,
-                                        temperature,
-                                        rng_state_doc(temp_rng) if walk else None,
-                                        references,
-                                        board_states,
-                                        snapshots,
-                                        counter_deltas,
-                                        aging_deltas,
-                                    )
+                                        )
                         if stream is not None:
                             with get_profiler().phase(PHASE_STORE_IO):
                                 if month == 0:
@@ -1348,7 +1103,7 @@ class LongTermCampaign:
                                     )
                                 stream.append_snapshot(snapshots[-1])
                     logger.debug(
-                        "month %d/%d checkpointed (WCHD mean %.4f)",
+                        "month %d/%d done (WCHD mean %.4f)",
                         month,
                         self._months,
                         float(snapshots[-1].wchd.mean()),
@@ -1363,9 +1118,10 @@ class LongTermCampaign:
                             month=month,
                         )
             except CampaignExecutionError as exc:
-                flight = get_flight_recorder()
-                flight.record("crash", error=str(exc))
-                flight.dump(f"{checkpoint_dir}/flight.json", reason=str(exc))
+                if persist:
+                    flight = get_flight_recorder()
+                    flight.record("crash", error=str(exc))
+                    flight.dump(f"{checkpoint_dir}/flight.json", reason=str(exc))
                 raise
             finally:
                 # Windows run in this process (one worker) leave their
@@ -1373,7 +1129,7 @@ class LongTermCampaign:
                 clear_window_cache()
             if stream is not None:
                 stream.finalize()
-            logger.info("campaign finished (checkpointed): %d snapshots", len(snapshots))
+            logger.info("campaign finished: %d snapshots", len(snapshots))
 
         return CampaignResult(
             profile_name=self._result_profile_name(),

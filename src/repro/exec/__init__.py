@@ -1,4 +1,4 @@
-"""repro.exec — board-sharded parallel campaign execution.
+"""repro.exec — board-sharded campaign execution, one month at a time.
 
 The paper's study is embarrassingly parallel across its 16 boards:
 every board's trajectory (reference read-out, monthly blocks, aging)
@@ -7,25 +7,26 @@ fleet can be sharded over worker processes and merged back with
 **bit-identical** results — the determinism contract the
 ``tests/exec`` equivalence suite enforces.
 
+Every campaign run, in memory or checkpointed, at any worker count, is
+the same month loop: one dispatch of :class:`WindowSpec` orders per
+month, each shard's boards advancing one month in the worker that
+holds them.
+
 Layers (see ``docs/parallel.md`` for the full design):
 
-* :mod:`repro.exec.plan` — :class:`ShardSpec` work orders and the
-  board partitioner.
-* :mod:`repro.exec.worker` — the ``spawn``-safe shard worker: the
-  shard's boards on one :class:`~repro.sram.fleetkernel.FleetKernel`;
-  returns trajectories plus per-month telemetry counter deltas.
-* :mod:`repro.exec.windows` — month-granular work orders for the
-  checkpointed path (:class:`WindowSpec` / :func:`run_board_window`);
-  the driver regains control after every month to cut a checkpoint.
+* :mod:`repro.exec.plan` — the board partitioner and the profile-field
+  normalization of the specs.
+* :mod:`repro.exec.windows` — month-granular work orders
+  (:class:`WindowSpec` / :func:`run_board_window`) on a resident
+  :class:`~repro.sram.fleetkernel.FleetKernel` per shard; results
+  carry the month's rows plus telemetry counter deltas.
+* :mod:`repro.exec.pool` — :class:`WindowPool`, the persistent worker
+  pool: one pool lifetime per campaign instead of a respawn per month,
+  and sticky shard→worker lanes, so each shard's boards stay resident
+  in the worker that runs them.
 * :mod:`repro.exec.executor` — :class:`SerialExecutor` /
   :class:`ParallelExecutor` behind one surface; plan-order results,
   structured :class:`~repro.errors.CampaignExecutionError` on failure.
-* :mod:`repro.exec.pool` — :class:`WindowPool`, the persistent worker
-  pool of the checkpointed path: one pool lifetime per campaign
-  instead of a respawn per month, and sticky shard→worker lanes, so
-  each shard's boards stay resident in the worker that runs them.
-* :mod:`repro.exec.merge` — coverage-checked re-keying of shard
-  results into fleet order.
 
 Entry points: :class:`~repro.analysis.campaign.LongTermCampaign` and
 :class:`~repro.core.assessment.LongTermAssessment` accept
@@ -39,32 +40,26 @@ from repro.exec.executor import (
     SerialExecutor,
     executor_for,
 )
-from repro.exec.merge import MergedShards, collate_shard_results
-from repro.exec.plan import ShardSpec, partition_boards
+from repro.exec.plan import partition_boards
 from repro.exec.pool import WindowPool
 from repro.exec.windows import (
     WindowResult,
     WindowSpec,
+    check_window_result,
     clear_window_cache,
     run_board_window,
 )
-from repro.exec.worker import BoardTrajectory, ShardResult, run_board_shard
 
 __all__ = [
-    "BoardTrajectory",
     "CampaignExecutor",
-    "MergedShards",
     "ParallelExecutor",
     "SerialExecutor",
-    "ShardResult",
-    "ShardSpec",
     "WindowPool",
     "WindowResult",
     "WindowSpec",
+    "check_window_result",
     "clear_window_cache",
-    "collate_shard_results",
     "executor_for",
     "partition_boards",
-    "run_board_shard",
     "run_board_window",
 ]

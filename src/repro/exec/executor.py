@@ -1,77 +1,67 @@
-"""Shard executors: where the planned work actually runs.
+"""Campaign executors: where a month's window specs run.
 
-Two interchangeable strategies behind one duck-typed surface
-(``max_workers`` attribute plus ``run_shards(specs)``):
+Two interchangeable strategies behind the one duck-typed surface the
+campaign driver dispatches through (``max_workers`` attribute plus
+``run_tasks(fn, specs)``):
 
 :class:`SerialExecutor`
-    Runs every shard in-process, in plan order.  Zero overhead, no
-    subprocesses — the reference implementation the equivalence suite
-    compares everything against, and the automatic fallback at
+    Runs every spec in the calling process, in plan order — the
+    campaign's one in-process worker, and the automatic choice at
     ``max_workers=1``.
 
 :class:`ParallelExecutor`
-    Fans shards out over a :class:`concurrent.futures.ProcessPoolExecutor`
-    using the ``spawn`` start method — the only start method that is
-    safe on every platform and never inherits parent state (locks,
-    open files, loaded RNG state) that could perturb determinism.
+    Runs each dispatch on a one-shot :class:`~repro.exec.pool.WindowPool`
+    of ``spawn``-ed lanes.  A campaign never dispatches through it
+    directly: :meth:`~repro.exec.pool.WindowPool.adopt` swaps it for one
+    pool that lives as long as the campaign.
 
-Both return shard results **in plan order** regardless of completion
-order, so the merge is deterministic.  A failing shard raises
-:class:`~repro.errors.CampaignExecutionError` and cancels work that
-has not started; no partial fleet is ever returned.
+Both return results **in plan order** regardless of completion order,
+and both turn any failure into a
+:class:`~repro.errors.CampaignExecutionError` naming the shard; no
+partial fleet is ever returned.
 """
 
 from __future__ import annotations
 
-import logging
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Sequence, Union
 
-from repro.errors import CampaignExecutionError, ConfigurationError
-from repro.exec.plan import ShardSpec
-from repro.exec.worker import ShardResult, run_board_shard
+from repro.errors import ConfigurationError
+from repro.exec.pool import START_METHOD, WindowPool, run_inline
 
-logger = logging.getLogger(__name__)
-
-#: Start method used for worker processes.  ``fork`` would be faster on
-#: Linux but silently shares parent memory; ``spawn`` keeps workers
-#: hermetic and behaviour identical across platforms.
-START_METHOD = "spawn"
+__all__ = [
+    "START_METHOD",
+    "CampaignExecutor",
+    "ParallelExecutor",
+    "SerialExecutor",
+    "executor_for",
+]
 
 
 class SerialExecutor:
-    """Run shards one after another in the calling process."""
+    """Run specs one after another in the calling process."""
 
     max_workers = 1
 
     def run_tasks(self, fn: Callable[[Any], Any], specs: Sequence[Any]) -> List[Any]:
         """Apply ``fn`` to every spec sequentially, in plan order.
 
-        The generic dispatch surface: full-trajectory shards
-        (:func:`~repro.exec.worker.run_board_shard`) and checkpointed
-        month windows (:func:`~repro.exec.windows.run_board_window`)
-        both run through here.
+        Failures are wrapped exactly as a worker lane wraps them (see
+        :func:`~repro.exec.pool.run_inline`).
         """
-        return [fn(spec) for spec in specs]
-
-    def run_shards(self, specs: Sequence[ShardSpec]) -> List[ShardResult]:
-        """Execute every shard sequentially, in plan order."""
-        return self.run_tasks(run_board_shard, specs)
+        return run_inline(fn, specs)
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
 
 
 class ParallelExecutor:
-    """Run shards in ``spawn``-ed worker processes.
+    """Run specs in ``spawn``-ed worker processes.
 
     Parameters
     ----------
     max_workers:
-        Size of the process pool.  The pool never exceeds the number
-        of shards submitted, so small fleets do not pay for idle
-        workers.
+        Number of worker lanes.  The lanes never outnumber the specs
+        submitted, so small fleets do not pay for idle workers.
     """
 
     def __init__(self, max_workers: int):
@@ -82,50 +72,11 @@ class ParallelExecutor:
     def run_tasks(self, fn: Callable[[Any], Any], specs: Sequence[Any]) -> List[Any]:
         """Apply ``fn`` to the specs concurrently; plan-order results.
 
-        ``fn`` must be a picklable module-level callable and every spec
-        must expose ``shard_index`` and ``board_ids`` (for structured
-        error reports) — :class:`~repro.exec.plan.ShardSpec` and
-        :class:`~repro.exec.windows.WindowSpec` both do.
+        Same contract as :meth:`~repro.exec.pool.WindowPool.run_tasks`,
+        on lanes started for this call and shut down after it.
         """
-        if not specs:
-            return []
-        if self.max_workers == 1 or len(specs) == 1:
-            # A pool of one only adds process overhead; keep semantics
-            # (including error wrapping) by running the worker inline.
-            return [self._guarded(lambda s=spec: fn(s), spec) for spec in specs]
-        context = multiprocessing.get_context(START_METHOD)
-        workers = min(self.max_workers, len(specs))
-        logger.info(
-            "dispatching %d tasks to %d %s workers", len(specs), workers, START_METHOD
-        )
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            futures = [pool.submit(fn, spec) for spec in specs]
-            results: List[Any] = []
-            try:
-                for spec, future in zip(specs, futures):
-                    results.append(self._guarded(future.result, spec))
-            except CampaignExecutionError:
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
-        return results
-
-    def run_shards(self, specs: Sequence[ShardSpec]) -> List[ShardResult]:
-        """Execute shards concurrently; results come back in plan order."""
-        return self.run_tasks(run_board_shard, specs)
-
-    @staticmethod
-    def _guarded(call, spec) -> Any:
-        """Run a zero-arg ``call`` and normalise failures to CampaignExecutionError."""
-        try:
-            return call()
-        except CampaignExecutionError:
-            raise
-        except Exception as exc:  # BrokenProcessPool, pickling errors, ...
-            raise CampaignExecutionError(
-                f"shard {spec.shard_index} (boards {list(spec.board_ids)}) "
-                f"died without a structured error: {exc}",
-                shard_index=spec.shard_index,
-            ) from exc
+        with WindowPool(self.max_workers) as pool:
+            return pool._dispatch(fn, specs)
 
     def __repr__(self) -> str:
         return f"ParallelExecutor(max_workers={self.max_workers})"

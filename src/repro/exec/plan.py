@@ -1,145 +1,29 @@
 """Shard planning: which boards run in which worker.
 
-The campaign's unit of work is one *board trajectory* — a device's
-day-0 reference read-out followed by every monthly block and aging
-step.  Boards never share random streams (each draws from its own
-``chip-<id>`` stream of the :class:`~repro.rng.SeedHierarchy`), so any
-partition of the fleet over workers reproduces the serial run exactly;
-the planner only decides load balance, never results.
-
-:class:`ShardSpec` is the complete, picklable description of one
-worker's assignment.  It deliberately carries *values* (the root seed,
-the profile, the pre-drawn ambient temperatures) rather than live
-objects, so it survives the ``spawn`` start method on every platform.
+A shard's boards advance together, one month window at a time (see
+:mod:`repro.exec.windows`).  Boards never share random streams (each
+draws from its own ``chip-<id>`` stream of the
+:class:`~repro.rng.SeedHierarchy`), so any partition of the fleet over
+workers reproduces the one-worker run exactly; the planner only
+decides load balance, never results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sram.profiles import DeviceProfile
-from repro.telemetry.tracing import TraceContext
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One worker's complete, self-contained work order.
-
-    Parameters
-    ----------
-    shard_index:
-        Position of this shard in the plan (0-based); carried through
-        to :class:`~repro.exec.worker.ShardResult` and error reports.
-    root_seed:
-        Root seed of the campaign's :class:`~repro.rng.SeedHierarchy`;
-        the worker rebuilds the hierarchy and derives exactly the
-        per-board streams the serial run would have used.
-    board_ids:
-        The boards this worker simulates, each end to end.
-    months:
-        Aging duration; the worker produces ``months + 1`` monthly
-        metric rows per board.
-    measurements:
-        Monthly block size.
-    profile:
-        Device profile shared by every board of the shard (a frozen
-        dataclass, pickled by value).  Homogeneous shorthand: when set,
-        ``profiles``/``profile_index`` are derived from it.  Exactly
-        one of ``profile`` / ``profiles`` must be given.
-    profiles:
-        Interned table of the *distinct* profiles this shard's boards
-        use — each :class:`~repro.sram.profiles.DeviceProfile` pickles
-        once no matter how many boards share it, keeping spawn payloads
-        sublinear in fleet size (``tests/exec/test_spawn_payload.py``).
-    profile_index:
-        Per-board indices into ``profiles``, aligned with
-        ``board_ids``.
-    statistical:
-        Monthly-block simulation fidelity.
-    temperatures:
-        Per-month ambient measurement temperature, pre-drawn by the
-        parent from the shared ``ambient-temperature`` stream
-        (``None`` entries mean profile-nominal).  Length ``months + 1``.
-    aging_steps_per_month:
-        Drift-integration sub-steps per month.
-    aging_acceleration:
-        Equivalent field months aged per calendar month.
-    fail_board:
-        Fault-injection hook: the worker raises before simulating
-        any of its boards, naming this one.  Exercised by the
-        crash-robustness suite and available for chaos drills; leave
-        ``None`` in production.
-    rollup_shards:
-        Logical rollup-shard count of the whole fleet (``0`` disables
-        worker-side rollups).  This partition is deliberately
-        independent of how many executor workers run, so shard-scoped
-        rollup series are identical across worker counts.
-    fleet_size:
-        Total board count of the campaign (needed to place this
-        shard's boards in the fleet-wide rollup partition).
-    trace:
-        Observability context (``None`` when neither tracing nor phase
-        profiling is live — the spec then pickles exactly as before).
-        When :attr:`~repro.telemetry.tracing.TraceContext.spans` is
-        set the worker records per-board spans on a private tracer and
-        ships them back; :attr:`~repro.telemetry.tracing.TraceContext.phases`
-        likewise for hot-path phase timings.
-    """
-
-    shard_index: int
-    root_seed: int
-    board_ids: Tuple[int, ...]
-    months: int
-    measurements: int
-    profile: Optional[DeviceProfile] = field(default=None, repr=False)
-    profiles: Tuple[DeviceProfile, ...] = field(default=(), repr=False)
-    profile_index: Tuple[int, ...] = ()
-    statistical: bool = True
-    temperatures: Tuple[Optional[float], ...] = ()
-    aging_steps_per_month: int = 2
-    aging_acceleration: float = 1.0
-    fail_board: Optional[int] = None
-    rollup_shards: int = 0
-    fleet_size: int = 0
-    trace: Optional[TraceContext] = None
-
-    def __post_init__(self) -> None:
-        if not self.board_ids:
-            raise ConfigurationError("a shard needs at least one board")
-        if len(self.temperatures) != self.months + 1:
-            raise ConfigurationError(
-                f"expected {self.months + 1} per-month temperatures, "
-                f"got {len(self.temperatures)}"
-            )
-        normalize_profile_fields(self, len(self.board_ids))
-
-    def profile_for_position(self, position: int) -> DeviceProfile:
-        """The profile of the board at ``board_ids[position]``."""
-        return self.profiles[self.profile_index[position]]
-
-    @property
-    def board_profiles(self) -> Tuple[DeviceProfile, ...]:
-        """Per-board profiles, aligned with ``board_ids``."""
-        return tuple(self.profiles[i] for i in self.profile_index)
-
-    @property
-    def homogeneous(self) -> bool:
-        """True when every board of the shard shares one profile."""
-        return len(self.profiles) == 1
 
 
 def normalize_profile_fields(spec, board_count: int) -> None:
     """Reconcile a spec's ``profile`` / ``profiles`` / ``profile_index``.
 
-    Shared by :class:`ShardSpec` and
-    :class:`~repro.exec.windows.WindowSpec` ``__post_init__``: the
-    homogeneous shorthand (``profile=...``) expands to a one-entry
+    Called by :class:`~repro.exec.windows.WindowSpec` ``__post_init__``:
+    the homogeneous shorthand (``profile=...``) expands to a one-entry
     table, an explicit table is validated against ``board_count``, and
     a homogeneous table back-fills ``profile`` so existing call sites
     reading ``spec.profile`` keep working.  Mutates via
-    ``object.__setattr__`` (the specs are frozen dataclasses).
+    ``object.__setattr__`` (the spec is a frozen dataclass).
     """
     if spec.profile is not None and spec.profiles:
         # A normalized homogeneous spec round-trips through

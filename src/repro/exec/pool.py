@@ -1,16 +1,15 @@
-"""Persistent worker pool for month-windowed campaigns.
+"""Worker lanes and the guarded dispatch every executor shares.
 
-:class:`~repro.exec.executor.ParallelExecutor` builds a fresh
-``ProcessPoolExecutor`` for every ``run_tasks`` call.  That is the
-right shape for the full-trajectory sharded path — one dispatch per
-campaign — but the checkpointed month-window driver dispatches once
-*per month*, so a 24-month campaign paid 25 rounds of ``spawn``
-start-up.  Most of a lane's start-up is importing
-:mod:`repro.exec.windows`, which the package inits keep to what a
-window runs (see "Worker start-up" in ``docs/parallel.md``).
+Every campaign runs as month windows: one dispatch per month, each
+shard's window advancing its boards by one month (see
+:mod:`repro.exec.windows`).  A fresh process pool per dispatch would
+pay a round of ``spawn`` start-up every month, and most of a lane's
+start-up is importing :mod:`repro.exec.windows`, which the package
+inits keep to what a window runs (see "Worker start-up" in
+``docs/parallel.md``).
 
 :class:`WindowPool` keeps its workers alive for the whole campaign.
-It exposes the same duck-typed executor surface (``max_workers`` plus
+It exposes the duck-typed executor surface (``max_workers`` plus
 ``run_tasks``), so :meth:`LongTermCampaign.run` can adopt it
 transparently, tests can inject it, and the serial≡parallel
 byte-identity suite gates it like any other executor.
@@ -22,9 +21,10 @@ process that holds its boards after month ``m`` — the resident slot
 of :mod:`repro.exec.windows` — and no board state has to cross the
 process boundary between months.
 
-The lanes use :data:`repro.exec.executor.START_METHOD` (``spawn``),
-for the same hermetic determinism reasons as
-:class:`~repro.exec.executor.ParallelExecutor`.
+The lanes use the ``spawn`` start method (:data:`START_METHOD`): the
+only start method that is safe on every platform and never inherits
+parent state (locks, open files, loaded RNG state) that could perturb
+determinism.
 
 Determinism note: results are collected in plan order and every
 window is a pure function of its spec and the shard's resident slot
@@ -40,9 +40,37 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Sequence
 
 from repro.errors import CampaignExecutionError, ConfigurationError
-from repro.exec.executor import START_METHOD, ParallelExecutor
 
 logger = logging.getLogger(__name__)
+
+#: Start method used for worker processes.  ``fork`` would be faster on
+#: Linux but silently shares parent memory; ``spawn`` keeps workers
+#: hermetic and behaviour identical across platforms.
+START_METHOD = "spawn"
+
+
+def _guarded(call: Callable[[], Any], spec: Any) -> Any:
+    """Run a zero-arg ``call`` and normalise failures to CampaignExecutionError."""
+    try:
+        return call()
+    except CampaignExecutionError:
+        raise
+    except Exception as exc:  # BrokenProcessPool, pickling errors, OSError, ...
+        raise CampaignExecutionError(
+            f"shard {spec.shard_index} (boards {list(spec.board_ids)}) "
+            f"died without a structured error: {exc}",
+            shard_index=spec.shard_index,
+        ) from exc
+
+
+def run_inline(fn: Callable[[Any], Any], specs: Sequence[Any]) -> List[Any]:
+    """Apply ``fn`` to every spec in this process, in plan order.
+
+    Failures surface exactly as from a worker lane: a
+    :class:`~repro.errors.CampaignExecutionError` naming the spec's
+    shard, whatever the window raised.
+    """
+    return [_guarded(lambda s=spec: fn(s), spec) for spec in specs]
 
 
 class WindowPool:
@@ -51,10 +79,9 @@ class WindowPool:
     Parameters
     ----------
     max_workers:
-        Number of lanes.  Like
-        :class:`~repro.exec.executor.ParallelExecutor`, a pool of one
-        runs tasks inline (no subprocess), and the live lanes never
-        outnumber the widest dispatch seen so far.
+        Number of lanes.  A pool of one runs tasks inline (no
+        subprocess), and the live lanes never outnumber the widest
+        dispatch seen so far.
     """
 
     def __init__(self, max_workers: int):
@@ -95,27 +122,30 @@ class WindowPool:
     def run_tasks(self, fn: Callable[[Any], Any], specs: Sequence[Any]) -> List[Any]:
         """Apply ``fn`` to the specs on the persistent lanes; plan order.
 
-        Same contract as
-        :meth:`~repro.exec.executor.ParallelExecutor.run_tasks` —
-        picklable module-level ``fn``, specs exposing ``shard_index``
-        and ``board_ids``, structured
-        :class:`~repro.errors.CampaignExecutionError` on failure — but
-        the lanes survive the call, and shard ``i`` runs on lane
-        ``i % n``.  A failure *discards* every lane (worker processes
-        may be poisoned); the next dispatch respawns.
+        ``fn`` must be a picklable module-level callable and every spec
+        must expose ``shard_index`` and ``board_ids`` (for structured
+        :class:`~repro.errors.CampaignExecutionError` reports).  The
+        lanes survive the call, and shard ``i`` runs on lane ``i % n``.
+        A failure *discards* every lane (worker processes may be
+        poisoned); the next dispatch respawns.
         """
-        if not specs:
-            return []
-        if self.max_workers == 1 or len(specs) == 1:
-            return [
-                ParallelExecutor._guarded(lambda s=spec: fn(s), spec) for spec in specs
-            ]
+        return self._dispatch(fn, specs)
+
+    def _dispatch(self, fn: Callable[[Any], Any], specs: Sequence[Any]) -> List[Any]:
+        """The body of :meth:`run_tasks`.
+
+        :class:`~repro.exec.executor.ParallelExecutor` calls it on its
+        one-shot pool, so a dispatch through it is one ``run_tasks``
+        call, not two.
+        """
+        if self.max_workers == 1 or len(specs) <= 1:
+            return run_inline(fn, specs)
         lanes = self._ensure_lanes(min(self.max_workers, len(specs)))
         futures = [lanes[spec.shard_index % len(lanes)].submit(fn, spec) for spec in specs]
         results: List[Any] = []
         try:
             for spec, future in zip(specs, futures):
-                results.append(ParallelExecutor._guarded(future.result, spec))
+                results.append(_guarded(future.result, spec))
         except CampaignExecutionError:
             self.close()
             raise

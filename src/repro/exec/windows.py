@@ -1,9 +1,8 @@
 """Month-window workers: one month of one shard's boards at a time.
 
-The checkpointed campaign path cannot hand workers full-trajectory
-:class:`~repro.exec.plan.ShardSpec` orders — a checkpoint must be cut
-*between* months, which requires the driver to get control back after
-every month.  This module supplies the finer-grained work order:
+Every campaign run is a sequence of month windows: the driver gets
+control back after every month to assemble the snapshot, feed the
+monitor and, when persistence is on, cut a checkpoint.
 :class:`WindowSpec` describes one month of one shard by its board ids,
 and :func:`run_board_window` executes it.
 
@@ -15,7 +14,8 @@ is used only when the window's run token matches and the window is for
 month ``completed + 1``; the first window of a run says where the
 boards come from instead:
 
-* month 0 manufactures them from the seed hierarchy and takes their
+* month 0 manufactures them from the seed hierarchy — or, for an
+  injected fleet, restores the chips' exported states — and takes their
   day-0 references;
 * the first window after a resume carries the day-0 references plus,
   under the monolithic store, the keyframe state documents the parent
@@ -32,34 +32,35 @@ months (``WindowSpec.return_states``, monolithic store) or in the
 shard's own keyframe months (sharded store, persisted worker-side and
 never returned).
 
-Draw-order equivalence with the serial loop holds because boards never
-share random streams: each board's stream sees manufacture → day-0
-reference → month-0 block → month-0 aging → month-1 block → … in every
-schedule, and a restored board's state round-trips exactly through
+Draw-order equivalence across worker counts holds because boards
+never share random streams: each board's stream sees manufacture →
+day-0 reference → month-0 block → month-0 aging → month-1 block → … in
+every schedule, and a restored board's state round-trips exactly through
 :func:`repro.store.checkpoint.board_state_doc`.  The same window
 pipeline runs in-process and under :class:`~repro.exec.pool.WindowPool`,
 which is why checkpoint files — not just results — are byte-identical
 across worker counts.
 
-Telemetry follows the shard-worker convention: windows count work on
+Windows do not touch the process-global telemetry registry (they may
+share a process with the driver under
+:class:`~repro.exec.executor.SerialExecutor`).  They count work on
 private registries and return deltas, split into *evaluation* deltas
 (folded before the month's monitor poll) and *aging* deltas (folded
-after, visible at the next poll) so the driver reproduces the serial
-counter trajectory poll for poll.
+after, visible at the next poll), so the counter trajectory is the
+same poll for poll at every worker count.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.monthly import BoardMonthMetrics, evaluate_fleet
 from repro.errors import CampaignExecutionError
 from repro.exec.plan import normalize_profile_fields, rollup_shard_of
-from repro.exec.worker import board_span_records
 from repro.io.bitutil import pack_bit_vector, unpack_bits
 from repro.sram.fleetkernel import build_fleet_kernel
 from repro.sram.profiles import DeviceProfile
@@ -76,7 +77,7 @@ from repro.telemetry.profiling import PHASE_AGING, PHASE_STORE_IO, PhaseProfiler
 from repro.telemetry.resources import ResourceSampler
 from repro.telemetry.rollup import ROLLUP_STATS, ShardRollupBuilder
 from repro.telemetry.runtime import get_profiler, install_profiler
-from repro.telemetry.tracing import NULL_SPAN, TraceContext, Tracer
+from repro.telemetry.tracing import NULL_SPAN, TraceContext, Tracer, span_record
 
 logger = logging.getLogger(__name__)
 
@@ -103,10 +104,13 @@ def clear_window_cache() -> None:
 class WindowSpec:
     """One shard's work order for a single campaign month.
 
-    ``rollup_shards``/``fleet_size`` mirror
-    :class:`~repro.exec.plan.ShardSpec`: when ``rollup_shards`` is
-    positive the window also returns exact partial rollup documents
-    for its boards' month.  ``fail_board`` is the fault-injection
+    The spec carries *values* (the root seed, the profiles, the month's
+    temperature) rather than live objects, so it survives the ``spawn``
+    start method on every platform.  When ``rollup_shards`` (the
+    logical rollup-shard count of the whole fleet, independent of the
+    worker count) is positive, the window also returns exact partial
+    rollup documents for its boards' month; ``fleet_size`` places the
+    boards in that partition.  ``fail_board`` is the fault-injection
     hook — the worker raises before simulating any board of the
     window.
     """
@@ -120,9 +124,9 @@ class WindowSpec:
     #: windows of the run that filled it.
     run_token: str = ""
     #: Homogeneous shorthand — every board shares this profile.  Mixed
-    #: windows instead carry the interned ``profiles`` table plus
-    #: per-board ``profile_index`` entries (aligned with ``board_ids``),
-    #: mirroring :class:`~repro.exec.plan.ShardSpec`.
+    #: windows instead carry the interned table of *distinct*
+    #: ``profiles`` plus per-board ``profile_index`` entries (aligned
+    #: with ``board_ids``), so each profile pickles once per spec.
     profile: Optional[DeviceProfile] = field(default=None, repr=False)
     profiles: Tuple[DeviceProfile, ...] = field(default=(), repr=False)
     profile_index: Tuple[int, ...] = ()
@@ -136,6 +140,8 @@ class WindowSpec:
     #: it.  ``states`` then holds the keyframe state documents
     #: (monolithic store); under the sharded store it stays ``None``
     #: and the worker restores from the shard's own keyframe chain.
+    #: A month-0 window with ``states`` starts an injected fleet from
+    #: those documents instead of manufacturing its boards.
     references: Optional[Dict[int, np.ndarray]] = field(default=None, repr=False)
     states: Optional[Dict[int, Dict[str, Any]]] = field(default=None, repr=False)
     #: Ship the boards' outbound state documents back (the parent's
@@ -144,8 +150,10 @@ class WindowSpec:
     fail_board: Optional[int] = None
     rollup_shards: int = 0
     fleet_size: int = 0
-    #: Observability context (``None`` keeps the spec byte-compatible
-    #: with the pre-tracing pickle); mirrors ``ShardSpec.trace``.
+    #: Observability context (``None`` when neither tracing nor phase
+    #: profiling is live).  With ``trace.spans`` the worker records
+    #: per-board spans on a private tracer and ships them back; with
+    #: ``trace.phases`` likewise for hot-path phase timings.
     trace: Optional[TraceContext] = None
     #: Sharded persistence order (``None`` = monolithic: the driver
     #: checkpoints centrally).  When set, the worker owns the shard's
@@ -208,6 +216,73 @@ class WindowResult:
             board: unpack_bits(*packed) for board, packed in state["references"].items()
         }
         self.__dict__.update(state)
+
+
+def check_window_result(spec: WindowSpec, result: WindowResult) -> None:
+    """Refuse a result that does not cover its window exactly.
+
+    The result must be the spec's shard and month, with one row for
+    every planned board and none other: a missing, foreign or
+    unplanned board must never reach the assembled snapshot.  Raises
+    :class:`~repro.errors.CampaignExecutionError` naming the shard (and
+    the first offending board).
+    """
+    shard = spec.shard_index
+    if (result.shard_index, result.month) != (shard, spec.month):
+        raise CampaignExecutionError(
+            f"month-{spec.month} window of shard {shard} returned the result "
+            f"of shard {result.shard_index}, month {result.month}",
+            shard_index=shard,
+        )
+    if tuple(result.rows) == spec.board_ids:
+        return
+    missing = [board for board in spec.board_ids if board not in result.rows]
+    if missing:
+        raise CampaignExecutionError(
+            f"shard {shard} returned no month-{spec.month} rows for boards "
+            f"{missing}; refusing to assemble a partial fleet",
+            board_id=missing[0],
+            shard_index=shard,
+        )
+    unplanned = sorted(set(result.rows) - set(spec.board_ids))
+    if unplanned:
+        raise CampaignExecutionError(
+            f"shard {shard} returned month-{spec.month} rows for unplanned "
+            f"boards {unplanned}",
+            board_id=unplanned[0],
+            shard_index=shard,
+        )
+
+
+def board_span_records(
+    tracer: Optional[Tracer], board_ids: Tuple[int, ...]
+) -> List[Dict[str, object]]:
+    """Per-board span records of a window's trace.
+
+    The kernel advances a window's boards together, so the worker
+    traces one ``worker.board`` tree for the whole window and ships one
+    copy per board, tagged with the board id.  Every copy keeps the
+    shared wall-clock interval (the boards really ran at once) and an
+    equal share of the CPU time, so the merged tree — names, structure
+    and ids — is the same at every worker count.
+    """
+    if tracer is None or not tracer.roots:
+        return []
+    root = tracer.roots[0]
+    share = 1.0 / len(board_ids)
+
+    def scaled(record: Dict[str, object]) -> Dict[str, object]:
+        return dict(
+            record,
+            cpu_s=record["cpu_s"] * share,
+            children=[scaled(child) for child in record["children"]],
+        )
+
+    template = scaled(span_record(root, root.start_wall))
+    return [
+        dict(template, attributes={**root.attributes, "board": board})
+        for board in board_ids
+    ]
 
 
 def _registry_deltas(registry: MetricsRegistry) -> Dict[str, int]:
@@ -329,7 +404,14 @@ def _run_window_fleet(
     with tracer.span("worker.board") if tracer is not None else NULL_SPAN:
         if spec.month == 0:
             kernel = build_fleet_kernel(
-                board_ids, spec.board_profiles, root_seed=spec.root_seed
+                board_ids,
+                spec.board_profiles,
+                root_seed=spec.root_seed,
+                states=(
+                    None
+                    if spec.states is None
+                    else {b: board_state_from_doc(spec.states[b]) for b in board_ids}
+                ),
             )
             new_references = dict(zip(kernel.board_ids, kernel.read_startup()))
             powerups.inc(boards)  # the day-0 reference read-outs
@@ -374,13 +456,13 @@ def _run_window_fleet(
 def run_board_window(spec: WindowSpec) -> WindowResult:
     """Execute one month for every board of one shard.
 
-    Month 0 additionally manufactures each board and takes its day-0
-    reference (exactly the serial campaign's draw order); later months
+    Month 0 additionally manufactures each board (or restores an
+    injected fleet) and takes its day-0 reference; later months
     advance the shard's resident slot, or rebuild it in the first
     window after a resume (see the module docstring).  Failures
     surface as :class:`~repro.errors.CampaignExecutionError` naming the
     shard (and the board, for the ``fail_board`` hook, which fires
-    before any board is touched), like the full-trajectory worker's.
+    before any board is touched).
 
     Under a sharded store (``spec.shard_store``) the worker persists
     the month's rows and chain file to the shard's store before

@@ -14,10 +14,10 @@ that a regression on the campaign hot path moves its numbers:
   (:class:`repro.core.assessment.LongTermAssessment`), catching
   regressions that live around the kernel (dispatch, monitoring,
   store traffic).
-* ``fleet-kernel`` — a mid-size fleet advanced on the batched fleet
-  kernel (:class:`repro.sram.fleetkernel.FleetKernel` via
-  :func:`repro.exec.worker.run_board_shard`), the throughput the
-  ``BENCH_fleet_kernel.json`` ladder scales up.
+* ``fleet-kernel`` — a mid-size fleet of small boards through an
+  in-memory :class:`repro.analysis.campaign.LongTermCampaign` on the
+  batched fleet kernel (:class:`repro.sram.fleetkernel.FleetKernel`),
+  the throughput the ``BENCH_fleet_kernel.json`` ladder scales up.
 * ``shard-store`` — a short checkpointed campaign on the sharded
   persistence layer (:mod:`repro.store.shardstore`): worker-side
   shard streams and keyframe chains plus the parent's month records,
@@ -98,23 +98,21 @@ def _bench_campaign_small() -> Tuple[int, str]:
 
 
 def _bench_fleet_kernel() -> Tuple[int, str]:
-    from repro.exec.plan import ShardSpec
-    from repro.exec.worker import run_board_shard
+    from repro.analysis.campaign import LongTermCampaign
     from repro.sram.profiles import ATMEGA32U4
+    from repro.telemetry import reset_telemetry
 
+    reset_telemetry()
     boards, months, measurements = 256, 2, 100
-    spec = ShardSpec(
-        shard_index=0,
-        root_seed=1,
-        board_ids=tuple(range(boards)),
+    LongTermCampaign(
+        device_count=boards,
         months=months,
         measurements=measurements,
         profile=ATMEGA32U4.with_overrides(
             name="atmega32u4-bench", sram_bytes=128, read_bytes=64
         ),
-        temperatures=(None,) * (months + 1),
-    )
-    run_board_shard(spec)
+        random_state=1,
+    ).run()
     return boards * (months + 1), "board_months"
 
 

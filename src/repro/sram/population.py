@@ -295,7 +295,7 @@ class PopulationSpec:
         ``profiles`` holds each distinct :class:`DeviceProfile` once (in
         first-appearance order over ``board_ids``); ``index[i]`` points
         board ``board_ids[i]`` at its profile.  The interned shape is
-        what :class:`~repro.exec.plan.ShardSpec` pickles, keeping spawn
+        what :class:`~repro.exec.windows.WindowSpec` pickles, keeping spawn
         payloads sublinear in fleet size.
         """
         table: List[DeviceProfile] = []

@@ -1,26 +1,29 @@
-"""Crash robustness: failures surface structured, nothing merges.
+"""Crash robustness: failures surface structured, nothing is assembled.
 
 A fleet-scale executor that silently dropped a failed board would
 corrupt the science (WCHD envelopes over 15 boards instead of 16 look
 plausible).  The contract tested here: any worker failure — injected
-via the :attr:`~repro.exec.plan.ShardSpec.fail_board` chaos hook —
-surfaces as a :class:`~repro.errors.CampaignExecutionError` that names
-the board and shard, survives the process boundary, and aborts the
-campaign *before* anything is merged, observed or reported.
+via the :attr:`~repro.exec.windows.WindowSpec.fail_board` chaos hook,
+or raised by the store a window writes to — surfaces as a
+:class:`~repro.errors.CampaignExecutionError` that names the board and
+shard, survives the process boundary, and aborts the campaign *before*
+anything is assembled, observed or reported.  A result that does not
+cover its window exactly is refused the same way.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import errno
+import os
 
 import pytest
 
 from repro.analysis.campaign import LongTermCampaign
 from repro.errors import CampaignExecutionError
 from repro.exec.executor import ParallelExecutor, SerialExecutor
-from repro.exec.merge import collate_shard_results
-from repro.exec.plan import ShardSpec
-from repro.exec.worker import run_board_shard
+from repro.exec.pool import WindowPool
+from repro.exec.windows import WindowSpec, clear_window_cache, run_board_window
 from repro.monitor.defaults import default_ruleset
 from repro.monitor.hub import MonitorHub
 from repro.sram.profiles import ATMEGA32U4
@@ -29,24 +32,31 @@ from repro.telemetry import get_metrics, reset_telemetry
 MONTHS = 2
 
 
-def _spec(board_ids, shard_index=0, **overrides) -> ShardSpec:
+def _spec(board_ids, shard_index=0, **overrides) -> WindowSpec:
     spec = dict(
         shard_index=shard_index,
+        month=0,
         root_seed=3,
-        board_ids=tuple(board_ids),
-        months=MONTHS,
         measurements=50,
+        board_ids=tuple(board_ids),
+        run_token="crash",
         profile=ATMEGA32U4,
-        temperatures=(None,) * (MONTHS + 1),
     )
     spec.update(overrides)
-    return ShardSpec(**spec)
+    return WindowSpec(**spec)
+
+
+@pytest.fixture(autouse=True)
+def no_resident_slots():
+    clear_window_cache()
+    yield
+    clear_window_cache()
 
 
 class TestWorkerFailure:
     def test_injected_fault_names_board_and_shard(self):
         with pytest.raises(CampaignExecutionError) as excinfo:
-            run_board_shard(_spec([0, 1, 2], shard_index=4, fail_board=1))
+            run_board_window(_spec([0, 1, 2], shard_index=4, fail_board=1))
         assert excinfo.value.board_id == 1
         assert excinfo.value.shard_index == 4
         assert "board 1" in str(excinfo.value)
@@ -57,24 +67,45 @@ class TestWorkerFailure:
             _spec([2, 3], shard_index=1, fail_board=3),
         ]
         with pytest.raises(CampaignExecutionError) as excinfo:
-            ParallelExecutor(2).run_shards(specs)
+            ParallelExecutor(2).run_tasks(run_board_window, specs)
         assert excinfo.value.board_id == 3
         assert excinfo.value.shard_index == 1
 
     def test_serial_executor_wraps_failures_identically(self):
         with pytest.raises(CampaignExecutionError) as excinfo:
-            SerialExecutor().run_shards([_spec([5], fail_board=5)])
+            SerialExecutor().run_tasks(run_board_window, [_spec([5], fail_board=5)])
         assert excinfo.value.board_id == 5
 
 
-class _FaultyCampaign(LongTermCampaign):
-    """Campaign whose second shard dies on its first board."""
+def _disk_full(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    def _plan_shards(self, shard_count):
-        specs = super()._plan_shards(shard_count)
-        victim = specs[-1]
-        specs[-1] = dataclasses.replace(victim, fail_board=victim.board_ids[0])
-        return specs
+
+class TestInlineDispatchIsGuarded:
+    """A window that raises a raw error in this process is still named."""
+
+    @pytest.mark.parametrize(
+        "executor", [SerialExecutor(), WindowPool(1)], ids=["serial", "pool"]
+    )
+    def test_full_disk_names_the_shard_and_dumps_the_flight_record(
+        self, tmp_path, monkeypatch, executor
+    ):
+        import repro.exec.windows as windows
+
+        monkeypatch.setattr(windows, "persist_shard_window", _disk_full)
+        ckpt = tmp_path / "ckpt"
+        campaign = LongTermCampaign(
+            device_count=2,
+            months=MONTHS,
+            measurements=50,
+            shard_store=True,
+            random_state=3,
+        )
+        with pytest.raises(CampaignExecutionError) as excinfo:
+            campaign.run(checkpoint_dir=str(ckpt), executor=executor)
+        assert excinfo.value.shard_index == 0
+        assert "No space left on device" in str(excinfo.value)
+        assert (ckpt / "flight.json").exists()
 
 
 class TestNoPartialMerge:
@@ -83,8 +114,13 @@ class TestNoPartialMerge:
         alert_log = tmp_path / "alerts.jsonl"
         hub = MonitorHub(default_ruleset(), alert_log=str(alert_log))
         progress_calls = []
-        campaign = _FaultyCampaign(
-            device_count=4, months=MONTHS, measurements=50, random_state=3
+        # Board 3 lives in the second of two shards.
+        campaign = LongTermCampaign(
+            device_count=4,
+            months=MONTHS,
+            measurements=50,
+            fail_board=3,
+            random_state=3,
         )
         with pytest.raises(CampaignExecutionError) as excinfo:
             campaign.run(
@@ -92,40 +128,89 @@ class TestNoPartialMerge:
                 monitor=hub,
                 executor=ParallelExecutor(2),
             )
-        assert excinfo.value.board_id is not None
+        assert excinfo.value.board_id == 3
+        assert excinfo.value.shard_index == 1
         # Nothing downstream of the failure may have happened: no
         # snapshot observed, no alert written, no progress reported,
-        # no snapshot counted.
+        # no snapshot counted, and an in-memory run dumps no flight
+        # record of its own.
         assert progress_calls == []
         assert hub.alert_count == 0
         assert not alert_log.exists()
         assert get_metrics().counter("monitor.observations").value == 0
         assert get_metrics().counter("campaign.snapshots").value == 0
+        assert list(tmp_path.iterdir()) == []
+
+
+class TamperingPool(WindowPool):
+    """An in-process pool whose ``tamper`` rewrites each month's results."""
+
+    def __init__(self, max_workers, tamper):
+        super().__init__(max_workers)
+        self.tamper = tamper
+
+    def run_tasks(self, fn, specs):
+        return self.tamper([fn(spec) for spec in specs])
+
+
+def _without(rows, board):
+    return {b: row for b, row in rows.items() if b != board}
 
 
 class TestMergeRefusesBadCoverage:
-    def _results(self, *board_groups):
-        return [
-            run_board_shard(_spec(boards, shard_index=i))
-            for i, boards in enumerate(board_groups)
-        ]
+    """The driver checks every window result against its spec's boards."""
+
+    def _run(self, tamper):
+        reset_telemetry()
+        hub = MonitorHub(default_ruleset())
+        campaign = LongTermCampaign(
+            device_count=4, months=MONTHS, measurements=50, random_state=3
+        )
+        with pytest.raises(CampaignExecutionError) as excinfo:
+            campaign.run(monitor=hub, executor=TamperingPool(2, tamper))
+        # Refused before the month's snapshot was assembled or observed.
+        assert get_metrics().counter("campaign.snapshots").value == 0
+        assert get_metrics().counter("monitor.observations").value == 0
+        return excinfo.value
 
     def test_missing_board_is_refused(self):
-        results = self._results((0, 1), (2,))
-        with pytest.raises(CampaignExecutionError, match="missing boards \\[3\\]"):
-            collate_shard_results([0, 1, 2, 3], MONTHS, results)
+        def drop(results):
+            last = results[-1]
+            return results[:-1] + [
+                dataclasses.replace(last, rows=_without(last.rows, 3))
+            ]
+
+        error = self._run(drop)
+        assert "boards [3]" in str(error) and "partial fleet" in str(error)
+        assert (error.shard_index, error.board_id) == (1, 3)
 
     def test_duplicate_board_is_refused(self):
-        results = self._results((0, 1), (1, 2))
-        with pytest.raises(CampaignExecutionError, match="more than one shard"):
-            collate_shard_results([0, 1, 2], MONTHS, results)
+        def duplicate(results):
+            first, second = results
+            rows = {1: first.rows[1], **second.rows}
+            return [first, dataclasses.replace(second, rows=rows)]
+
+        error = self._run(duplicate)
+        assert "unplanned boards [1]" in str(error)
+        assert (error.shard_index, error.board_id) == (1, 1)
 
     def test_unplanned_board_is_refused(self):
-        results = self._results((0, 1, 2))
-        with pytest.raises(CampaignExecutionError, match="unplanned boards \\[2\\]"):
-            collate_shard_results([0, 1], MONTHS, results)
+        def add(results):
+            first, second = results
+            rows = dict(second.rows)
+            rows[9] = rows[3]
+            return [first, dataclasses.replace(second, rows=rows)]
+
+        error = self._run(add)
+        assert "unplanned boards [9]" in str(error)
+        assert (error.shard_index, error.board_id) == (1, 9)
 
     def test_wrong_month_count_is_refused(self):
-        results = self._results((0, 1))
-        with pytest.raises(CampaignExecutionError, match="expected 4"):
-            collate_shard_results([0, 1], MONTHS + 1, results)
+        def stale(results):
+            return [dataclasses.replace(results[0], month=results[0].month + 1)] + (
+                results[1:]
+            )
+
+        error = self._run(stale)
+        assert "returned the result of shard 0, month 1" in str(error)
+        assert error.shard_index == 0

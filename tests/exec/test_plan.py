@@ -6,8 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec.executor import ParallelExecutor, SerialExecutor, executor_for
-from repro.exec.plan import ShardSpec, partition_boards
-from repro.sram.profiles import ATMEGA32U4
+from repro.exec.plan import partition_boards
 
 
 class TestPartitionBoards:
@@ -43,32 +42,6 @@ class TestPartitionBoards:
             partition_boards([], 2)
 
 
-class TestShardSpecValidation:
-    def test_temperature_length_must_cover_every_snapshot(self):
-        with pytest.raises(ConfigurationError, match="per-month temperatures"):
-            ShardSpec(
-                shard_index=0,
-                root_seed=0,
-                board_ids=(0,),
-                months=3,
-                measurements=10,
-                profile=ATMEGA32U4,
-                temperatures=(None,) * 3,  # needs months + 1 = 4
-            )
-
-    def test_empty_board_list_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="at least one board"):
-            ShardSpec(
-                shard_index=0,
-                root_seed=0,
-                board_ids=(),
-                months=1,
-                measurements=10,
-                profile=ATMEGA32U4,
-                temperatures=(None, None),
-            )
-
-
 class TestExecutorSelection:
     def test_one_worker_falls_back_to_serial(self):
         assert isinstance(executor_for(1), SerialExecutor)
@@ -85,4 +58,5 @@ class TestExecutorSelection:
             ParallelExecutor(0)
 
     def test_empty_plan_is_a_noop(self):
-        assert ParallelExecutor(2).run_shards([]) == []
+        assert ParallelExecutor(2).run_tasks(len, []) == []
+        assert SerialExecutor().run_tasks(len, []) == []

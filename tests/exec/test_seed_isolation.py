@@ -6,17 +6,19 @@ is isolated in its own named stream of the
 stable SHA-256 hash).  These tests pin that property at the worker
 level: reordering boards, dropping boards, or re-partitioning the
 fleet must leave every remaining board's trajectory — reference,
-monthly metrics, first read-outs — exactly unchanged.  If someone ever
+monthly metrics, first read-outs, window after window — exactly
+unchanged.  If someone ever
 reworks :class:`SeedHierarchy` to derive streams positionally, this
 file is what fails.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from repro.exec.plan import ShardSpec
-from repro.exec.worker import run_board_shard
+from repro.exec.windows import WindowSpec, clear_window_cache, run_board_window
 from repro.rng import SeedHierarchy
 from repro.sram.profiles import ATMEGA32U4
 
@@ -25,30 +27,47 @@ MONTHS = 2
 MEASUREMENTS = 60
 
 
-def _spec(board_ids, **overrides) -> ShardSpec:
-    spec = dict(
-        shard_index=0,
-        root_seed=SEED,
-        board_ids=tuple(board_ids),
-        months=MONTHS,
-        measurements=MEASUREMENTS,
-        profile=ATMEGA32U4,
-        statistical=True,
-        temperatures=(None,) * (MONTHS + 1),
-    )
-    spec.update(overrides)
-    return ShardSpec(**spec)
+@dataclass
+class Trajectory:
+    """One board's reference and monthly rows, window by window."""
+
+    board_id: int
+    reference: np.ndarray
+    months: list = field(default_factory=list)
 
 
-def _trajectories(board_ids, **overrides):
-    result = run_board_shard(_spec(board_ids, **overrides))
-    return {t.board_id: t for t in result.trajectories}
+def _trajectories(board_ids, shard_index=0):
+    """Run one shard's windows for every month, as a one-worker campaign does."""
+    clear_window_cache()
+    try:
+        trajectories = {}
+        for month in range(MONTHS + 1):
+            result = run_board_window(
+                WindowSpec(
+                    shard_index=shard_index,
+                    month=month,
+                    root_seed=SEED,
+                    measurements=MEASUREMENTS,
+                    board_ids=tuple(board_ids),
+                    run_token="isolation",
+                    profile=ATMEGA32U4,
+                    statistical=True,
+                    apply_aging=month < MONTHS,
+                )
+            )
+            for board, reference in result.references.items():
+                trajectories[board] = Trajectory(board, reference)
+            for board, row in result.rows.items():
+                trajectories[board].months.append(row)
+        return trajectories
+    finally:
+        clear_window_cache()
 
 
 def assert_trajectory_equal(a, b) -> None:
     assert a.board_id == b.board_id
     np.testing.assert_array_equal(a.reference, b.reference)
-    assert len(a.months) == len(b.months)
+    assert len(a.months) == len(b.months) == MONTHS + 1
     for row_a, row_b in zip(a.months, b.months):
         assert row_a.wchd == row_b.wchd
         assert row_a.fhw == row_b.fhw
@@ -97,7 +116,7 @@ class TestSpawnKeyStability:
     def test_rebuilt_hierarchy_reproduces_worker_streams(self):
         """A spawned worker sees the exact streams of the parent."""
         parent = SeedHierarchy(SEED)
-        worker_side = SeedHierarchy(parent.root_seed)  # what ShardSpec ships
+        worker_side = SeedHierarchy(parent.root_seed)  # what WindowSpec ships
         np.testing.assert_array_equal(
             parent.stream("chip-11").random(16),
             worker_side.stream("chip-11").random(16),

@@ -1,10 +1,11 @@
 """Spawn payloads stay sublinear in fleet size via profile interning.
 
-A :class:`~repro.exec.plan.ShardSpec` carries the shard's *distinct*
-profiles once (``profiles``) plus per-board indices (``profile_index``)
-rather than one :class:`~repro.sram.profiles.DeviceProfile` per board —
-the ``spawn`` start method pickles every spec, so a 100k-board fleet
-must not ship 100k profile copies.  These tests pin that contract and
+A :class:`~repro.exec.windows.WindowSpec` carries the shard's
+*distinct* profiles once (``profiles``) plus per-board indices
+(``profile_index``) rather than one
+:class:`~repro.sram.profiles.DeviceProfile` per board — the ``spawn``
+start method pickles every spec, so a 100k-board fleet must not ship
+100k profile copies.  These tests pin that contract and
 the ``profile`` / ``profiles`` normalization the specs share.  On the
 way back, a window result ships its boards' read-outs packed eight
 bits per byte.
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec.plan import ShardSpec
 from repro.exec.windows import WindowSpec, clear_window_cache, run_board_window
 from repro.sram.population import PopulationMember, PopulationSpec
 from repro.sram.profiles import ATMEGA32U4, DFF_PUF
@@ -38,17 +38,16 @@ MIXED = PopulationSpec(
 )
 
 
-def mixed_shard(board_count: int) -> ShardSpec:
+def mixed_shard(board_count: int) -> WindowSpec:
     table, index = MIXED.materialize(7, range(board_count))
-    return ShardSpec(
+    return WindowSpec(
         shard_index=0,
+        month=0,
         root_seed=7,
-        board_ids=tuple(range(board_count)),
-        months=2,
         measurements=10,
+        board_ids=tuple(range(board_count)),
         profiles=table,
         profile_index=index,
-        temperatures=(None, None, None),
     )
 
 
@@ -82,55 +81,49 @@ class TestPayloadSublinearity:
         clone = pickle.loads(pickle.dumps(shard))
         assert clone == shard
         assert clone.board_profiles == shard.board_profiles
-        for position in range(len(shard.board_ids)):
-            assert clone.profile_for_position(position) == shard.profile_for_position(
-                position
-            )
+        assert len(clone.board_profiles) == len(shard.board_ids)
 
 
 class TestProfileFieldNormalization:
     def kwargs(self, **overrides):
         base = dict(
             shard_index=0,
+            month=0,
             root_seed=1,
-            board_ids=(0, 1, 2),
-            months=1,
             measurements=5,
-            temperatures=(None, None),
+            board_ids=(0, 1, 2),
         )
         base.update(overrides)
         return base
 
     def test_homogeneous_shorthand_expands_to_a_table(self):
-        shard = ShardSpec(**self.kwargs(profile=ATMEGA32U4))
+        shard = WindowSpec(**self.kwargs(profile=ATMEGA32U4))
         assert shard.profiles == (ATMEGA32U4,)
         assert shard.profile_index == (0, 0, 0)
-        assert shard.homogeneous
 
     def test_homogeneous_table_backfills_profile(self):
-        shard = ShardSpec(
+        shard = WindowSpec(
             **self.kwargs(profiles=(ATMEGA32U4,), profile_index=(0, 0, 0))
         )
         assert shard.profile == ATMEGA32U4
-        assert shard.homogeneous
+        assert shard.profiles == (ATMEGA32U4,)
 
     def test_heterogeneous_table_keeps_profile_unset(self):
-        shard = ShardSpec(
+        shard = WindowSpec(
             **self.kwargs(profiles=(ATMEGA32U4, DFF_PUF), profile_index=(0, 1, 0))
         )
         assert shard.profile is None
-        assert not shard.homogeneous
         assert shard.board_profiles == (ATMEGA32U4, DFF_PUF, ATMEGA32U4)
 
     def test_replace_round_trip_survives_normalization(self):
-        shard = ShardSpec(**self.kwargs(profile=ATMEGA32U4))
+        shard = WindowSpec(**self.kwargs(profile=ATMEGA32U4))
         clone = dataclasses.replace(shard, fail_board=1)
         assert clone.profiles == shard.profiles
         assert clone.profile_index == shard.profile_index
 
     def test_conflicting_profile_and_table_rejected(self):
         with pytest.raises(ConfigurationError, match="not both"):
-            ShardSpec(
+            WindowSpec(
                 **self.kwargs(
                     profile=ATMEGA32U4,
                     profiles=(DFF_PUF,),
@@ -140,17 +133,17 @@ class TestProfileFieldNormalization:
 
     def test_missing_profile_information_rejected(self):
         with pytest.raises(ConfigurationError, match="profile"):
-            ShardSpec(**self.kwargs())
+            WindowSpec(**self.kwargs())
 
     def test_misaligned_index_rejected(self):
         with pytest.raises(ConfigurationError, match="align"):
-            ShardSpec(
+            WindowSpec(
                 **self.kwargs(profiles=(ATMEGA32U4,), profile_index=(0,))
             )
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ConfigurationError, match="point into"):
-            ShardSpec(
+            WindowSpec(
                 **self.kwargs(profiles=(ATMEGA32U4,), profile_index=(0, 1, 0))
             )
 

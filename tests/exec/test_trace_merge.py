@@ -1,9 +1,9 @@
 """The distributed-trace merge gate: one coherent tree, any worker count.
 
-A traced campaign dispatches shards to workers; each worker records
-spans on a private tracer and ships them home as pickle-safe records;
-the driver grafts them under the dispatching span and numbers the
-merged forest pre-order.  The contract mirrors the scientific one:
+A traced campaign dispatches one window per shard and month; each
+window records spans on a private tracer and ships them home as
+pickle-safe records; the driver grafts them under the month's span and
+numbers the merged forest pre-order.  The contract mirrors the scientific one:
 the merged tree's *names, attributes, structure and span ids* are
 identical at every worker count — only timings differ — and turning
 the whole observability layer on changes no campaign output byte.
@@ -35,9 +35,9 @@ SEED = 7
 _RUNS = {}
 
 
-#: Attributes that legitimately encode the dispatch size ("workers=2",
-#: "shards=4"); everything else — board, month, devices — must match.
-_DISPATCH_ATTRIBUTES = frozenset({"workers", "shards"})
+#: Attributes that legitimately encode the dispatch size ("workers=2");
+#: everything else — board, month, devices — must match.
+_DISPATCH_ATTRIBUTES = frozenset({"workers"})
 
 
 def _shape(span):
@@ -99,19 +99,20 @@ class TestMergedTreeDeterminism:
 
     def test_worker_spans_grafted_with_correct_parentage(self):
         workers = max(worker_counts())
-        _traced_run(workers)
-        # Re-derive the live tree for structural drill-down.
         _, shapes, _, _ = _traced_run(workers)
         (campaign_run,) = [s for s in shapes if s[0] == "campaign.run"]
-        (shards,) = [c for c in campaign_run[2] if c[0] == "campaign.shards"]
-        boards = [c for c in shards[2] if c[0] == "worker.board"]
-        assert [dict(b[1])["board"] for b in boards] == ["0", "1", "2", "3"]
-        for board in boards:
-            months = [c for c in board[2] if c[0] == "board.month"]
-            assert [dict(m[1])["month"] for m in months] == ["0", "1", "2"]
-            for month in months:
-                names = [c[0] for c in month[2]]
-                assert "board.measure" in names
+        months = [c for c in campaign_run[2] if c[0] == "campaign.month"]
+        assert [dict(m[1])["month"] for m in months] == ["0", "1", "2"]
+        for month in months:
+            boards = [c for c in month[2] if c[0] == "worker.board"]
+            assert [dict(b[1])["board"] for b in boards] == ["0", "1", "2", "3"]
+            for board in boards:
+                names = [c[0] for c in board[2]]
+                # Measure, then age — except after the last snapshot.
+                if month is months[-1]:
+                    assert names == ["board.measure"]
+                else:
+                    assert names == ["board.measure", "board.age"]
 
     @pytest.mark.parametrize("workers", [w for w in worker_counts() if w > 1])
     def test_phase_attribution_identical_serial_vs_parallel(self, workers):
@@ -164,7 +165,11 @@ class TestChromeExportFromMergedTree:
         events = doc["traceEvents"]
         assert doc["otherData"]["format"] == "repro-trace-chrome"
         board_events = [e for e in events if e["name"] == "worker.board"]
-        assert sorted(e["tid"] for e in board_events) == [1, 2, 3, 4]
+        # One lane per board, one board span per month on it.
+        months = CONFIG["months"] + 1
+        assert sorted(e["tid"] for e in board_events) == [
+            tid for tid in (1, 2, 3, 4) for _ in range(months)
+        ]
         for event in events:
             assert event["ph"] == "X"
             assert event["dur"] >= 0.0

@@ -47,12 +47,16 @@ class TestCampaignInstrumentation:
         assert campaign_span.name == "campaign.run"
         months = [s for s in campaign_span.children if s.name == "campaign.month"]
         assert [s.attributes["month"] for s in months] == [0, 1]
-        assert [c.name for c in months[0].children] == [
-            "campaign.measure",
-            "campaign.age",
+        for month in months:
+            # One grafted worker.board tree per board, in board order.
+            assert [c.name for c in month.children] == ["worker.board"] * 2
+            assert [c.attributes["board"] for c in month.children] == [0, 1]
+        assert [c.name for c in months[0].children[0].children] == [
+            "board.measure",
+            "board.age",
         ]
         # The last snapshot has no aging step after it.
-        assert [c.name for c in months[-1].children] == ["campaign.measure"]
+        assert [c.name for c in months[-1].children[0].children] == ["board.measure"]
 
     def test_tracing_does_not_change_results(self):
         def run():

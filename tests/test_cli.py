@@ -150,10 +150,11 @@ class TestTelemetryCli:
     def test_profile_honors_workers_flag(self, capsys):
         code, out = run_cli(capsys, *PROFILE_SMALL, "--workers", "2")
         assert code == 0
-        # The sharded path shows grafted worker spans in the tree and
-        # the same phase attribution merged back from the workers.
-        assert "campaign.shards" in out
+        # The tree shows the workers' spans grafted under each month,
+        # and the same phase attribution merged back from the workers.
+        assert "campaign.month" in out
         assert "worker.board" in out
+        assert "board.age" in out
         assert "noise_draw" in out
 
     def test_verbose_flag_accepted(self, capsys):
