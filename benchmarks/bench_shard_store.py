@@ -1,32 +1,28 @@
-"""Parent-side persistence cost per month: sharded vs monolithic store.
+"""Persistence cost per month of the checkpoint layout, by shard count.
 
-The monolithic checkpointer serialises the *whole fleet's* device
-state in the parent process on every keyframe month; the sharded
-store (``repro.store.shardstore``) moves that work into the window
-workers — each persists only its own shard's boards — and leaves the
-parent an O(counters) month record.  This ladder isolates exactly
-that write path at fleet sizes the simulation itself could never
-reach in a benchmark, by synthesising the per-board state and metric
-documents and timing the store calls alone:
+Every checkpointed campaign persists through the sharded layout
+(``repro.store.shardstore``): each window worker writes its own
+shard's boards and the parent appends an O(counters) month record.  A
+serial run is the one-shard case, where a single writer serialises the
+*whole fleet's* device state on every keyframe month.  This ladder
+isolates exactly that write path at fleet sizes the simulation itself
+could never reach in a benchmark, by synthesising the per-board state
+and metric documents and timing the store calls alone:
 
-* ``parent_monolithic_ms_per_month`` — the classic
-  :class:`~repro.store.checkpoint.CampaignCheckpointer` writing the
-  keyframe/delta chain for the full fleet (keyframes at the default
-  cadence endpoints, deltas between).
-* ``parent_sharded_ms_per_month`` — the sharded parent's
-  ``append_parent_month_record`` call (fleet-size independent).
-* ``worker_critical_ms_per_month`` — the *slowest* shard's
-  :func:`~repro.store.shardstore.persist_shard_window` per month: the
-  persistence term on the parallel critical path.
+* ``one_shard_ms_per_month`` — :func:`~repro.store.shardstore.persist_shard_window`
+  of the full fleet as one shard (keyframes at the default cadence
+  endpoints, deltas between): the serial run's write path.
+* ``parent_ms_per_month`` — the parent's ``append_parent_month_record``
+  call (fleet-size independent).
+* ``worker_critical_ms_per_month`` — the *slowest* of ``SHARDS``
+  shards' ``persist_shard_window`` per month: the persistence term on
+  the parallel critical path.
 
-Snapshot payloads (the cross-board ``bchd_pairs`` vector) are left
-empty on both sides: they are O(boards^2), identical in both modes'
-in-memory life, and would drown the board-state term this bench
-exists to compare.  The committed ``BENCH_shard_store.json`` records
-the honest numbers; the gates assert the architectural claim — the
-sharded parent's per-month cost must not scale with the fleet, and
-the critical path (parent + slowest worker) must beat the monolithic
-parent once keyframes dominate (>= 1024 boards).
+The committed ``BENCH_shard_store.json`` records the honest numbers;
+the gates assert the architectural claim — the parent's per-month
+cost must not scale with the fleet, and the sharded critical path
+(parent + slowest worker) must beat the single writer once keyframes
+dominate (>= 1024 boards).
 
 Run it directly::
 
@@ -42,20 +38,20 @@ import statistics
 import sys
 import tempfile
 import time
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from repro.analysis.monthly import BoardMonthMetrics, MonthlyEvaluation
-from repro.store.checkpoint import DEFAULT_KEYFRAME_EVERY, CampaignCheckpointer
+from repro.analysis.monthly import BoardMonthMetrics
+from repro.store.checkpoint import DEFAULT_KEYFRAME_EVERY
 from repro.store.codecs import encode_float64_array
 from repro.store.shardstore import (
     ShardStoreSpec,
     append_parent_month_record,
     build_parent_month_record,
+    persist_shard_window,
     shard_root,
 )
-from repro.store.shardstore import persist_shard_window
 
 #: Synthetic device size: enough skew floats for a realistic document,
 #: small enough that a 10k-board keyframe stays a benchmark, not a job.
@@ -66,8 +62,8 @@ SHARDS = 8
 MONTHS = DEFAULT_KEYFRAME_EVERY
 FLEETS = (16, 64, 256, 1024, 4096, 10000)
 REPEATS = 3
-#: Demanded at fleets >= GATE_FLEET: the sharded parent's month record
-#: must be this much cheaper than the monolithic parent's chain write.
+#: Demanded at fleets >= GATE_FLEET: the parent's month record must be
+#: this much cheaper than the single writer's full-fleet chain write.
 TARGET_PARENT_SPEEDUP = 10.0
 #: And the parallel critical path (parent + slowest worker) must win too.
 TARGET_CRITICAL_SPEEDUP = 2.0
@@ -108,51 +104,13 @@ def _fleet_fixture(boards: int, rng: np.random.Generator):
     return states, rows, references
 
 
-def _snapshot(month: int, boards: int, rows) -> MonthlyEvaluation:
-    board_ids = sorted(rows)
-    return MonthlyEvaluation(
-        month=month,
-        measurements=1000,
-        board_ids=board_ids,
-        wchd=np.asarray([rows[b].wchd for b in board_ids]),
-        fhw=np.asarray([rows[b].fhw for b in board_ids]),
-        stable_ratio=np.asarray([rows[b].stable_ratio for b in board_ids]),
-        noise_entropy=np.asarray([rows[b].noise_entropy for b in board_ids]),
-        bchd_pairs=np.empty(0, dtype=float),  # O(boards^2); see module doc
-        puf_entropy=0.75,
-    )
-
-
-def _time_monolithic_writes(workdir: str, boards, states, rows, references) -> float:
-    """Total parent wall seconds for months 0..MONTHS, monolithic chain."""
-    checkpoint_dir = os.path.join(workdir, "mono")
-    shutil.rmtree(checkpoint_dir, ignore_errors=True)
-    checkpointer = CampaignCheckpointer(
-        checkpoint_dir,
-        {"months": MONTHS, "keyframe_every": DEFAULT_KEYFRAME_EVERY},
-    )
-    snapshots: List[MonthlyEvaluation] = []
-    counter_deltas: List[Dict[str, int]] = []
-    total = 0.0
-    for month in range(MONTHS + 1):
-        snapshots.append(_snapshot(month, boards, rows))
-        counter_deltas.append({"campaign.months": 1})
-        start = time.perf_counter()
-        checkpointer.save(
-            month, 298.15, None, references, states, snapshots,
-            counter_deltas, {},
-        )
-        total += time.perf_counter() - start
-    return total
-
-
-def _time_sharded_writes(workdir: str, boards, states, rows, references):
-    """(parent_s, worker_critical_s) totals for months 0..MONTHS, sharded."""
-    checkpoint_dir = os.path.join(workdir, "sharded")
+def _time_writes(workdir: str, shards: int, states, rows, references):
+    """(parent_s, slowest_shard_s) totals for months 0..MONTHS."""
+    checkpoint_dir = os.path.join(workdir, f"shards-{shards}")
     shutil.rmtree(checkpoint_dir, ignore_errors=True)
     os.makedirs(checkpoint_dir)
     board_ids = sorted(states)
-    shard_boards = [list(board_ids[i::SHARDS]) for i in range(SHARDS)]
+    shard_boards = [list(board_ids[i::shards]) for i in range(shards)]
     specs = [
         ShardStoreSpec(
             root=shard_root(checkpoint_dir, index),
@@ -160,7 +118,7 @@ def _time_sharded_writes(workdir: str, boards, states, rows, references):
             keyframe_every=DEFAULT_KEYFRAME_EVERY,
             months=MONTHS,
         )
-        for index in range(SHARDS)
+        for index in range(shards)
     ]
     parent_total = 0.0
     worker_total = 0.0
@@ -195,27 +153,26 @@ def main() -> int:
         for boards in FLEETS:
             rng = np.random.default_rng(1)
             states, rows, references = _fleet_fixture(boards, rng)
-            mono_samples, parent_samples, worker_samples = [], [], []
+            single_samples, parent_samples, worker_samples = [], [], []
             for _ in range(REPEATS):
-                mono_samples.append(
-                    _time_monolithic_writes(workdir, boards, states, rows, references)
-                )
-                parent_s, worker_s = _time_sharded_writes(
-                    workdir, boards, states, rows, references
+                parent_s, shard_s = _time_writes(workdir, 1, states, rows, references)
+                single_samples.append(parent_s + shard_s)
+                parent_s, worker_s = _time_writes(
+                    workdir, SHARDS, states, rows, references
                 )
                 parent_samples.append(parent_s)
                 worker_samples.append(worker_s)
             months = MONTHS + 1
-            mono = statistics.median(mono_samples) / months
+            single = statistics.median(single_samples) / months
             parent = statistics.median(parent_samples) / months
             worker = statistics.median(worker_samples) / months
             ladder[str(boards)] = {
-                "parent_monolithic_ms_per_month": round(1e3 * mono, 4),
-                "parent_sharded_ms_per_month": round(1e3 * parent, 4),
+                "one_shard_ms_per_month": round(1e3 * single, 4),
+                "parent_ms_per_month": round(1e3 * parent, 4),
                 "worker_critical_ms_per_month": round(1e3 * worker, 4),
-                "parent_speedup": round(mono / parent, 2) if parent else None,
+                "parent_speedup": round(single / parent, 2) if parent else None,
                 "critical_path_speedup": (
-                    round(mono / (parent + worker), 2) if parent + worker else None
+                    round(single / (parent + worker), 2) if parent + worker else None
                 ),
             }
             print(f"fleet {boards}: {json.dumps(ladder[str(boards)])}")
@@ -247,14 +204,13 @@ def main() -> int:
         "target_critical_path_speedup": TARGET_CRITICAL_SPEEDUP,
         "notes": (
             "Synthetic store-layer ladder (no simulation): per-month wall "
-            "time of the parent's monolithic keyframe/delta chain vs the "
-            "sharded layout's parent month record plus the slowest shard's "
-            "persist_shard_window. bchd_pairs snapshot payloads are empty "
-            "on both sides (O(boards^2), mode-independent). The sharded "
-            "parent's cost is O(counters), so parent_speedup grows "
-            "linearly with the fleet; worker persists run in parallel in "
-            "real campaigns, so parent + slowest shard is the critical "
-            "path."
+            "time of the one-shard layout (a serial run: the whole fleet's "
+            "keyframe/delta chain plus the parent record) vs the parent "
+            "month record and the slowest of the sharded layout's "
+            "persist_shard_window calls. The parent's cost is O(counters), "
+            "so parent_speedup grows linearly with the fleet; worker "
+            "persists run in parallel in real campaigns, so parent + "
+            "slowest shard is the critical path."
         ),
     }
     with open(OUTPUT, "w", encoding="utf-8") as handle:

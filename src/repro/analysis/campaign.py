@@ -152,15 +152,8 @@ class LongTermCampaign:
         drills and the CI flight-recorder smoke; leave ``None`` in
         production.
     shard_store:
-        Sharded persistence (requires ``checkpoint_dir`` at run time):
-        each window worker owns a store under ``shards/<shard-dir>/``
-        and writes its shard's keyframed chain and results stream
-        locally; the parent keeps only a campaign manifest and an
-        O(counters) month log (see :mod:`repro.store.shardstore` and
-        ``docs/storage.md``).  Like ``max_workers`` a pure
-        scaling knob: the monolithic artifact reassembled by ``store
-        merge`` / :func:`~repro.io.resultstore.load_campaign` is
-        byte-identical to the single-writer output.
+        Accepted and ignored: every checkpointed run writes the
+        sharded layout (``docs/storage.md``).
     random_state:
         Seed material; the same seed reproduces the same fleet and
         campaign.
@@ -217,7 +210,6 @@ class LongTermCampaign:
             raise ConfigurationError(
                 f"fail_board {fail_board} outside fleet of {device_count}"
             )
-        self._shard_store = bool(shard_store)
         self._rollup_shards_opt = rollup_shards
         self._rollup_shards = (
             rollup_shards if rollup_shards is not None else min(8, device_count)
@@ -312,7 +304,6 @@ class LongTermCampaign:
         executor: Optional["CampaignExecutor"] = None,
         checkpoint_dir: Optional[str] = None,
         abort_after_month: Optional[int] = None,
-        stream=None,
     ) -> CampaignResult:
         """Execute the campaign and return its result.
 
@@ -356,24 +347,18 @@ class LongTermCampaign:
         off.
 
         ``checkpoint_dir`` switches persistence on (see
-        ``docs/storage.md``): after each monthly snapshot, the complete
-        campaign state is atomically persisted to that directory, and
+        ``docs/storage.md``): the directory is cleared, a campaign
+        manifest records the shard map (one shard per worker), and
+        after each monthly snapshot every shard persists its boards'
+        rows and chain file while the parent appends one month record.
         :meth:`resume` can later continue from the last complete month
-        with byte-identical final results.  The checkpoint files
-        themselves are byte-identical across worker counts.
-        ``abort_after_month`` (requires ``checkpoint_dir``) raises
-        :class:`~repro.errors.CampaignInterrupted` right after that
-        month's checkpoint is on disk — the deterministic
+        with byte-identical final results.  The checkpoint tree depends
+        on the shard count; the artifact saved from the result does
+        not.  ``abort_after_month`` (requires ``checkpoint_dir``)
+        raises :class:`~repro.errors.CampaignInterrupted` right after
+        that month's checkpoint is on disk — the deterministic
         interruption hook the kill-and-resume tests and the CI
         ``resume-smoke`` job use.
-
-        ``stream`` (requires ``checkpoint_dir``) is a
-        :class:`~repro.store.CampaignStreamWriter`: the artifact grows
-        on disk month by month instead of being written whole at the
-        end, and is finalized when the campaign completes.  A streamed
-        artifact's bytes are identical to
-        :func:`~repro.store.write_campaign_stream` of the finished
-        result.
         """
         if chips is not None and self._population is not None:
             raise ConfigurationError(
@@ -381,24 +366,6 @@ class LongTermCampaign:
                 "(board profiles are materialized from the spec); run "
                 "without chips, or without population"
             )
-        if stream is not None and checkpoint_dir is None:
-            raise ConfigurationError(
-                "a stream artifact rides the checkpointed month-window "
-                "pipeline; pass checkpoint_dir (or save the finished result "
-                "with save_campaign(..., stream=True))"
-            )
-        if self._shard_store:
-            if checkpoint_dir is None:
-                raise ConfigurationError(
-                    "shard_store shards the checkpointed persistence layer; "
-                    "pass checkpoint_dir (docs/storage.md)"
-                )
-            if stream is not None:
-                raise ConfigurationError(
-                    "a sharded store already streams per shard; merge to a "
-                    "stream artifact afterwards with `repro store merge "
-                    "--stream` instead of passing stream"
-                )
         if abort_after_month is not None:
             if checkpoint_dir is None:
                 raise ConfigurationError(
@@ -425,7 +392,6 @@ class LongTermCampaign:
             monitor,
             checkpoint_dir,
             abort_after_month,
-            stream=stream,
             chips=chips,
         )
 
@@ -438,7 +404,6 @@ class LongTermCampaign:
         executor: Optional["CampaignExecutor"] = None,
         max_workers: int = 1,
         abort_after_month: Optional[int] = None,
-        stream=None,
     ) -> CampaignResult:
         """Continue a checkpointed campaign from its last complete month.
 
@@ -454,12 +419,17 @@ class LongTermCampaign:
         observations); its alert log, if any, is truncated and
         regenerated by the replay.
 
-        Under delta checkpointing (``docs/storage.md``) the resume
-        point is the newest *keyframe*: the at most
-        ``keyframe_every - 1`` delta months after it are re-executed
-        deterministically, re-writing byte-identical delta files.
-        ``stream``, when given, is rewound to the resume point and
-        replayed the same way.
+        The resume month is whatever the parent log *and every shard*
+        fully persisted; each shard restores from its newest keyframe
+        and replays the at most ``keyframe_every - 1`` months after it
+        (``docs/storage.md``).  The shard map comes from the manifest,
+        so the resumed months append to the same shard directories
+        whatever ``max_workers`` is.
+
+        A legacy campaign-scoped directory (``month-NNNN.json`` files
+        written by the parent, no manifest) is read, never extended:
+        the campaign restores from its newest keyframe and finishes the
+        remaining months without writing to the directory.
         """
         from repro.exec.executor import executor_for
         from repro.store.checkpoint import load_latest_checkpoint
@@ -468,22 +438,17 @@ class LongTermCampaign:
             load_sharded_checkpoint,
         )
 
-        sharded = is_sharded_checkpoint(checkpoint_dir)
-        if sharded:
-            # The layout is self-describing: a campaign manifest marks a
-            # sharded directory, and the resume month is whatever the
-            # parent log *and every shard* fully persisted.  The shard
-            # map travels in resume_state so the re-executed months
-            # keep the original partition regardless of max_workers.
-            if stream is not None:
-                raise ConfigurationError(
-                    "a sharded store already streams per shard; merge to a "
-                    "stream artifact afterwards with `repro store merge "
-                    "--stream` instead of passing stream"
-                )
+        if is_sharded_checkpoint(checkpoint_dir):
             state = load_sharded_checkpoint(checkpoint_dir)
         else:
             state = load_latest_checkpoint(checkpoint_dir)
+            logger.info(
+                "%s is a legacy campaign-scoped checkpoint directory: "
+                "resuming from its keyframe %s and finishing in memory; "
+                "nothing is written to the directory",
+                checkpoint_dir,
+                state.source,
+            )
         config = state.config
         population_doc = config.get("population")
         try:
@@ -504,7 +469,6 @@ class LongTermCampaign:
                 max_workers=max_workers,
                 keyframe_every=int(config.get("keyframe_every", 6)),
                 rollup_shards=config.get("rollup_shards"),
-                shard_store=sharded,
                 random_state=int(config["root_seed"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -520,14 +484,18 @@ class LongTermCampaign:
             checkpoint_dir,
             abort_after_month,
             resume_state=state,
-            stream=stream,
         )
 
-    def _rollup_shard_of(self, board_id: int) -> int:
-        """Logical rollup shard of ``board_id`` (worker-count independent)."""
+    def _rollup_shard_of(self, position: int) -> int:
+        """Logical rollup shard of the board at fleet ``position``.
+
+        Positions index the run's fleet order, not board ids: an
+        injected fleet keeps its chips' own ids.  Worker-count
+        independent.
+        """
         from repro.exec.plan import rollup_shard_of
 
-        return rollup_shard_of(board_id, self._device_count, self._rollup_shards)
+        return rollup_shard_of(position, self._device_count, self._rollup_shards)
 
     def _rollup_shard_sizes(self) -> List[int]:
         """Board counts per logical rollup shard, in shard order.
@@ -634,7 +602,10 @@ class LongTermCampaign:
         )
 
         if not docs:
-            docs = evaluation_shard_docs(evaluation, self._rollup_shard_of)
+            position = {board: i for i, board in enumerate(evaluation.board_ids)}
+            docs = evaluation_shard_docs(
+                evaluation, lambda b: self._rollup_shard_of(position[b])
+            )
         if self._population is not None:
             # Profile-cohort scopes are derived parent-side from the
             # assembled evaluation (never shipped by workers), so they
@@ -668,9 +639,8 @@ class LongTermCampaign:
             "profile": dataclasses.asdict(self._profile),
         }
         if self._population is not None:
-            # Only heterogeneous campaigns record the key: its absence
-            # keeps homogeneous checkpoints on schema v2, byte-identical
-            # to pre-population releases (docs/storage.md).
+            # Only heterogeneous campaigns record the key, so
+            # homogeneous manifests keep their pre-population bytes.
             config["population"] = self._population.to_doc()
         return config
 
@@ -682,7 +652,6 @@ class LongTermCampaign:
         checkpoint_dir: Optional[str],
         abort_after_month: Optional[int],
         resume_state=None,
-        stream=None,
         chips: Optional[Sequence[SRAMChip]] = None,
     ) -> CampaignResult:
         """Adopt the executor into a persistent pool, then run the loop.
@@ -704,7 +673,6 @@ class LongTermCampaign:
                 checkpoint_dir,
                 abort_after_month,
                 resume_state=resume_state,
-                stream=stream,
                 chips=chips,
             )
         finally:
@@ -719,28 +687,28 @@ class LongTermCampaign:
         checkpoint_dir: Optional[str],
         abort_after_month: Optional[int],
         resume_state=None,
-        stream=None,
         chips: Optional[Sequence[SRAMChip]] = None,
     ) -> CampaignResult:
         """The campaign's one month loop, persistence on or off.
 
         One executor dispatch per month: every shard advances its
-        resident boards by exactly one month and returns metric rows
-        (plus serialized device state in keyframe months), the driver
-        checks each result covers its window, assembles the snapshot,
-        feeds the monitor, and — when ``checkpoint_dir`` is set — cuts
-        an atomic checkpoint.  Every run, any worker count, uses this
-        one loop, so results and checkpoint files are byte-identical
-        across execution modes.
+        resident boards by exactly one month, persists them to its own
+        store when ``checkpoint_dir`` is set, and returns metric rows;
+        the driver checks each result covers its window, assembles the
+        snapshot, feeds the monitor and appends the parent's month
+        record.  Every run, any worker count, uses this one loop, so
+        results are byte-identical across execution modes.
 
         Counter bookkeeping is the same poll for poll at every worker
         count: evaluation deltas fold in *before* the month's monitor
         poll, aging deltas *after* (they become visible at the next
         poll, exactly as in-process aging would).  The per-poll deltas
-        are recorded into the checkpoint so a resumed process can
-        replay its registry — and the monitor's alert sequence — to the
-        exact interrupted-run state.
+        are recorded into the parent's month log so a resumed process
+        can replay its registry — and the monitor's alert sequence — to
+        the exact interrupted-run state.
         """
+        from itertools import accumulate
+
         from repro.exec.plan import partition_boards
         from repro.exec.windows import (
             WindowSpec,
@@ -754,17 +722,13 @@ class LongTermCampaign:
             CounterDeltaRecorder,
             board_state_to_doc,
             fold_counter_deltas,
-            keyframe_due,
         )
         from repro.store.codecs import restore_rng_state, rng_state_doc
         from repro.store.shardstore import (
+            ShardedCheckpointState,
             ShardStoreSpec,
-            append_parent_month_record,
-            build_parent_month_record,
             prepare_shard_resume,
-            reset_sharded_layout,
             shard_root,
-            write_shard_manifest,
         )
         from repro.telemetry.rollup import combine_rollup_docs
 
@@ -776,12 +740,11 @@ class LongTermCampaign:
         metrics.counter("campaign.aging_steps")
         metrics.gauge("campaign.devices").set(self._device_count)
 
-        persist = checkpoint_dir is not None
-        checkpointer = (
-            CampaignCheckpointer(checkpoint_dir, self._checkpoint_config())
-            if persist
-            else None
+        # A legacy campaign-scoped directory is read, never extended.
+        legacy = resume_state is not None and not isinstance(
+            resume_state, ShardedCheckpointState
         )
+        persist = checkpoint_dir is not None and not legacy
         # An injected fleet starts from the chips' exported states, under
         # their own ids and profiles; otherwise month 0 manufactures it.
         day0_states: Optional[Dict[int, Dict]] = None
@@ -802,6 +765,25 @@ class LongTermCampaign:
         total_snapshots = self._months + 1
         walk = self._temperature_walk_k > 0.0
         temp_rng = self._seeds.stream("ambient-temperature")
+        # The shard map is part of the persisted layout, not an
+        # execution knob: a resume follows the manifest's map under
+        # any max_workers (the executor just runs more specs than
+        # workers, or vice versa), so each shard keeps appending to
+        # its own directory.
+        if isinstance(resume_state, ShardedCheckpointState):
+            shard_boards = [list(boards) for boards in resume_state.shard_boards]
+        else:
+            shard_boards = partition_boards(board_ids, executor.max_workers)
+        checkpointer = (
+            CampaignCheckpointer(
+                checkpoint_dir,
+                self._checkpoint_config(),
+                self._result_profile_name(),
+                shard_boards,
+            )
+            if persist
+            else None
+        )
 
         with tracer.span(
             "campaign.run",
@@ -811,30 +793,17 @@ class LongTermCampaign:
         ):
             if resume_state is None:
                 if persist:
-                    # A fresh run clears *both* layouts' residue: stale
-                    # month files of a previous monolithic run and the
-                    # manifest/log/shards tree of a previous sharded
-                    # one — resume auto-detects the layout from what it
-                    # finds, so leftovers of the other mode would
-                    # shadow this run.
                     checkpointer.reset()
-                    reset_sharded_layout(checkpoint_dir)
                 start_month = 0
                 temperature = self._nominal_temperature
                 references: Dict[int, np.ndarray] = {}
-                board_states: Dict[int, Optional[Dict]] = {b: None for b in board_ids}
                 snapshots: List[MonthlyEvaluation] = []
                 counter_deltas: List[Dict[str, int]] = []
                 recorder = CounterDeltaRecorder(metrics)
                 logger.info(
                     "campaign started (%s): %d devices, %d months, "
                     "%d measurements/month, %d workers",
-                    (
-                        f"{'sharded' if self._shard_store else 'monolithic'} "
-                        f"store at {checkpoint_dir}"
-                        if persist
-                        else "in memory"
-                    ),
+                    f"checkpoints at {checkpoint_dir}" if persist else "in memory",
                     len(board_ids),
                     self._months,
                     self._measurements,
@@ -860,10 +829,9 @@ class LongTermCampaign:
                 # sort as strings, and the artifact's reference map must
                 # keep fleet insertion order to stay byte-identical.
                 references = {b: state.references[b] for b in board_ids}
-                board_states = {b: state.boards[b] for b in board_ids}
                 snapshots = list(state.snapshots)
                 counter_deltas = [dict(poll) for poll in state.counter_deltas]
-                if self._shard_store:
+                if persist:
                     # Roll the shard streams and parent log back to the
                     # resume month; the re-executed months then append
                     # exactly as the uninterrupted run would have.
@@ -871,19 +839,6 @@ class LongTermCampaign:
                 if monitor is not None and monitor.alert_log is not None:
                     log_store, log_name = ArtifactStore.locate(monitor.alert_log)
                     log_store.truncate(log_name)
-                if stream is not None and snapshots:
-                    # Rewind the stream artifact to the resume point and
-                    # replay; live months then append exactly as in the
-                    # uninterrupted run, so the final bytes match.
-                    stream.begin(
-                        self._result_profile_name(),
-                        self._months,
-                        self._measurements,
-                        board_ids,
-                        references,
-                    )
-                    for snapshot in snapshots:
-                        stream.append_snapshot(snapshot)
                 with tracer.span("campaign.replay", months=len(snapshots)):
                     for month, snapshot in enumerate(snapshots):
                         fold_counter_deltas(metrics, counter_deltas[month])
@@ -906,27 +861,14 @@ class LongTermCampaign:
                     executor.max_workers,
                 )
 
-            if self._shard_store and resume_state is not None:
-                # The shard map is part of the persisted layout, not an
-                # execution knob: resume follows the manifest's map even
-                # under a different max_workers (the executor just runs
-                # more specs than workers, or vice versa), so each
-                # worker keeps appending to the same shard directories.
-                shard_boards = [list(boards) for boards in resume_state.shard_boards]
-            else:
-                shard_boards = partition_boards(board_ids, executor.max_workers)
-            if self._shard_store and resume_state is None:
-                write_shard_manifest(
-                    checkpoint_dir,
-                    self._checkpoint_config(),
-                    self._result_profile_name(),
-                    self._keyframe_every,
-                    shard_boards,
-                )
             shard_profiles = [
                 self._profile_spec_fields([profile_of[board] for board in boards])
                 for boards in shard_boards
             ]
+            # Shards are contiguous runs of the fleet order.
+            shard_offsets = list(
+                accumulate((len(boards) for boards in shard_boards[:-1]), initial=0)
+            )
             worker_rollups = self._rollup_shards if rollups_enabled() else 0
             trace_context = tracer.context(phases=profiling_enabled())
             run_token = uuid.uuid4().hex
@@ -941,16 +883,9 @@ class LongTermCampaign:
                     # names them (docs/parallel.md, resident slots).
                     restoring = resume_state is not None and month == start_month
                     if restoring:
-                        inbound_states = None if self._shard_store else board_states
+                        inbound_states = resume_state.boards if legacy else None
                     else:
                         inbound_states = day0_states if month == 0 else None
-                    return_states = (
-                        persist
-                        and not self._shard_store
-                        and keyframe_due(
-                            checkpointer.store, month, checkpointer.keyframe_every
-                        )
-                    )
                     with tracer.span("campaign.month", month=month) as month_span:
                         specs = [
                             WindowSpec(
@@ -975,7 +910,6 @@ class LongTermCampaign:
                                     if inbound_states is not None
                                     else None
                                 ),
-                                return_states=return_states,
                                 fail_board=(
                                     self._fail_board
                                     if self._fail_board in boards
@@ -983,6 +917,7 @@ class LongTermCampaign:
                                 ),
                                 rollup_shards=worker_rollups,
                                 fleet_size=self._device_count,
+                                fleet_offset=shard_offsets[index],
                                 trace=trace_context,
                                 shard_store=(
                                     ShardStoreSpec(
@@ -997,7 +932,7 @@ class LongTermCampaign:
                                             else ()
                                         ),
                                     )
-                                    if self._shard_store
+                                    if persist
                                     else None
                                 ),
                                 **shard_profiles[index],
@@ -1020,7 +955,6 @@ class LongTermCampaign:
                         window_rollups: List[Dict[str, dict]] = []
                         for result in results:
                             rows.update(result.rows)
-                            board_states.update(result.states)
                             references.update(result.references)
                             for name, delta in result.eval_deltas.items():
                                 eval_deltas[name] = eval_deltas.get(name, 0) + delta
@@ -1062,46 +996,17 @@ class LongTermCampaign:
                         )
                         fold_counter_deltas(metrics, aging_deltas)
                         if persist:
+                            # The fleet's device state and rows are
+                            # already on disk, written by the shards.
                             with tracer.span("campaign.checkpoint", month=month):
                                 with get_profiler().phase(PHASE_STORE_IO):
-                                    if self._shard_store:
-                                        # The fleet's device state and
-                                        # rows are already on disk,
-                                        # written by the workers; the
-                                        # parent persists only its
-                                        # O(counters) month record.
-                                        append_parent_month_record(
-                                            checkpoint_dir,
-                                            build_parent_month_record(
-                                                month,
-                                                temperature,
-                                                rng_state_doc(temp_rng) if walk else None,
-                                                counter_deltas[-1],
-                                                aging_deltas,
-                                            ),
-                                        )
-                                    else:
-                                        checkpointer.save(
-                                            month,
-                                            temperature,
-                                            rng_state_doc(temp_rng) if walk else None,
-                                            references,
-                                            board_states,
-                                            snapshots,
-                                            counter_deltas,
-                                            aging_deltas,
-                                        )
-                        if stream is not None:
-                            with get_profiler().phase(PHASE_STORE_IO):
-                                if month == 0:
-                                    stream.begin(
-                                        self._result_profile_name(),
-                                        self._months,
-                                        self._measurements,
-                                        board_ids,
-                                        {board: references[board] for board in board_ids},
+                                    checkpointer.save(
+                                        month,
+                                        temperature,
+                                        rng_state_doc(temp_rng) if walk else None,
+                                        counter_deltas[-1],
+                                        aging_deltas,
                                     )
-                                stream.append_snapshot(snapshots[-1])
                     logger.debug(
                         "month %d/%d done (WCHD mean %.4f)",
                         month,
@@ -1127,8 +1032,6 @@ class LongTermCampaign:
                 # Windows run in this process (one worker) leave their
                 # slots here; spawned workers drop theirs with the pool.
                 clear_window_cache()
-            if stream is not None:
-                stream.finalize()
             logger.info("campaign finished: %d snapshots", len(snapshots))
 
         return CampaignResult(

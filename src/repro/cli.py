@@ -10,7 +10,7 @@
     python -m repro profile [--devices 4] [--months 3] [--prometheus PATH]
     python -m repro monitor campaign.json [--alerts PATH]
     python -m repro run --save campaign.json [--checkpoint-dir DIR] [--resume]
-                        [--stream-artifact] [--shard-store]
+                        [--stream-artifact]
                         [--keyframe-every K] [--rollup-shards N]
                         [--heartbeat-every K]
     python -m repro status campaign.json [--once | --interval S]
@@ -126,7 +126,6 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
         keyframe_every=getattr(args, "keyframe_every", 6),
         rollup_shards=getattr(args, "rollup_shards", None),
         fail_board=getattr(args, "fail_board", None),
-        shard_store=getattr(args, "shard_store", False),
         **_study_fleet_kwargs(args),
     )
 
@@ -252,19 +251,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     deterministically after that month's checkpoint and exits with
     code 3 — the CI resume-smoke job uses this to rehearse a crash.
 
-    ``--stream-artifact`` writes the campaign artifact in the JSON
-    Lines stream format (``docs/storage.md``): with
-    ``--checkpoint-dir`` it *grows on disk month by month*; without,
-    the finished result is stream-encoded at once.  Either way the
-    bytes are identical and ``load_campaign`` reads both formats.
+    The checkpoint directory holds one layout (``docs/storage.md``):
+    each window worker writes its own keyframed checkpoint chain and
+    results stream under ``shards/<shard>/``, the parent a campaign
+    manifest and month log; ``repro store merge`` reassembles the
+    artifact from the shard streams alone.  ``--resume`` of a legacy
+    campaign-scoped directory finishes the campaign without writing to
+    the directory.
 
-    ``--shard-store`` (requires ``--checkpoint-dir``) shards the
-    persistence layer: each window worker writes its own keyframed
-    checkpoint chain and results stream under ``shards/<shard>/``
-    instead of the parent writing one monolithic checkpoint per month
-    — see ``docs/storage.md``.  The saved artifact is byte-identical
-    either way, and ``repro store merge`` reassembles one from the
-    shard streams alone.
+    ``--stream-artifact`` saves the campaign artifact in the JSON Lines
+    stream format (``docs/storage.md``) instead of one JSON document;
+    ``load_campaign`` reads both formats.
 
     Every run heartbeats to ``<save>.heartbeat.jsonl`` (tail it, or
     point ``repro status`` at the artifact) and keeps a flight recorder
@@ -287,32 +284,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.telemetry.flight import flight_record_path_for
     from repro.telemetry.runtime import get_flight_recorder, get_rollups
 
-    from repro.store.shardstore import is_sharded_checkpoint
-
     if args.resume and not args.checkpoint_dir:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
         return 2
-    if args.shard_store and not args.checkpoint_dir:
-        print("error: --shard-store requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.shard_store and args.stream_artifact:
-        print(
-            "error: --shard-store and --stream-artifact are mutually "
-            "exclusive; merge to a stream artifact afterwards with "
-            "'repro store merge --stream'",
-            file=sys.stderr,
-        )
-        return 2
-    # A resumed sharded layout is auto-detected from the manifest, so
-    # the heartbeat's store tag matches what the campaign will do.
-    sharded = bool(args.shard_store) or bool(
-        args.resume
-        and args.checkpoint_dir
-        and is_sharded_checkpoint(args.checkpoint_dir)
-    )
-    # Incremental streaming rides the checkpointed pipeline; without a
-    # checkpoint dir the stream is written at once after the run.
-    incremental = bool(args.stream_artifact and args.checkpoint_dir)
     alert_log = args.alerts if args.alerts else alert_log_path_for(args.save)
     heartbeat = heartbeat_path_for(args.save)
     if not args.resume:
@@ -346,9 +320,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         flight=get_flight_recorder(),
         run_id=run_id,
         profiler=get_profiler(),
-        store_mode=("sharded" if sharded else "monolithic")
-        if args.checkpoint_dir
-        else None,
     )
     try:
         result = LongTermAssessment(config).run(
@@ -357,7 +328,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             abort_after_month=args.abort_after_month,
-            stream_artifact=args.save if incremental else None,
         )
     except CampaignInterrupted as exc:
         print(f"campaign interrupted after month {exc.month}; "
@@ -373,22 +343,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"campaign crashed: {exc}", file=sys.stderr)
         print(f"flight record written to {flight_path}", file=sys.stderr)
         return 4
-    if incremental:
-        # The artifact is already on disk (streamed by the campaign);
-        # write the side artifacts save_campaign would have.
-        from repro.io.jsonstore import save_manifest
-        from repro.monitor.alerts import write_alert_log
-
-        save_manifest(result.manifest, manifest_path_for(args.save))
-        write_alert_log(hub.alerts, alert_log_path_for(args.save))
-    else:
-        save_campaign(
-            result.campaign,
-            args.save,
-            manifest=result.manifest,
-            alerts=hub.alerts,
-            stream=bool(args.stream_artifact),
-        )
+    save_campaign(
+        result.campaign,
+        args.save,
+        manifest=result.manifest,
+        alerts=hub.alerts,
+        stream=args.stream,
+    )
     print(f"campaign saved to {args.save}")
     print(f"manifest saved to {manifest_path_for(args.save)}")
     print(f"alert log written to {alert_log} ({hub.alert_count} alerts)")
@@ -808,12 +769,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
-        help="write a resumable checkpoint after every month",
+        help="write a resumable checkpoint after every month: one shard "
+        "per worker under DIR/shards/ plus a parent manifest and month "
+        "log (see docs/storage.md)",
     )
     run.add_argument(
         "--resume",
         action="store_true",
-        help="continue from the last complete checkpoint in --checkpoint-dir",
+        help="continue from the last complete checkpoint in --checkpoint-dir "
+        "(a legacy campaign-scoped directory is finished without writing "
+        "to it)",
     )
     run.add_argument(
         "--abort-after-month",
@@ -826,17 +791,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--stream-artifact",
+        dest="stream",
         action="store_true",
-        help="write the campaign artifact in the JSON Lines stream format; "
-        "with --checkpoint-dir it grows on disk month by month",
-    )
-    run.add_argument(
-        "--shard-store",
-        action="store_true",
-        help="sharded persistence (requires --checkpoint-dir): each window "
-        "worker writes its own checkpoint chain and results stream under "
-        "shards/<shard>/; 'repro store merge' reassembles the artifact "
-        "byte-identically (see docs/storage.md)",
+        help="save the campaign artifact in the JSON Lines stream format",
     )
     run.add_argument(
         "--keyframe-every",

@@ -139,7 +139,6 @@ class LongTermAssessment:
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
         abort_after_month: Optional[int] = None,
-        stream_artifact: Optional[str] = None,
     ) -> AssessmentResult:
         """Execute the campaign and summarise it.
 
@@ -161,12 +160,6 @@ class LongTermAssessment:
         interrupts deterministically after that month's checkpoint —
         see ``docs/storage.md``.
 
-        ``stream_artifact`` (requires ``checkpoint_dir``) grows the
-        campaign artifact at that path month by month in the stream
-        format (``docs/storage.md``) instead of writing it whole at
-        the end; the stream is finalized when the campaign completes
-        and loads byte-identically to a post-hoc save.
-
         The returned result carries a
         :class:`~repro.telemetry.RunManifest` describing the run —
         config, seed, package version, per-phase wall times and the
@@ -177,16 +170,6 @@ class LongTermAssessment:
         cfg = self._config
         if resume and checkpoint_dir is None:
             raise ConfigurationError("resume=True requires checkpoint_dir")
-        if stream_artifact is not None and checkpoint_dir is None:
-            raise ConfigurationError(
-                "stream_artifact rides the checkpointed pipeline; pass "
-                "checkpoint_dir too"
-            )
-        stream = None
-        if stream_artifact is not None:
-            from repro.store.stream import CampaignStreamWriter
-
-            stream = CampaignStreamWriter(stream_artifact)
         manifest = RunManifest.for_config(cfg, command="LongTermAssessment.run")
         tracer = get_tracer()
         # One correlation key: the deterministic run id travels into
@@ -209,7 +192,6 @@ class LongTermAssessment:
                 keyframe_every=cfg.keyframe_every,
                 rollup_shards=cfg.rollup_shards,
                 fail_board=cfg.fail_board,
-                shard_store=cfg.shard_store,
                 random_state=cfg.seed,
             )
             phase_start = time.perf_counter()
@@ -221,7 +203,6 @@ class LongTermAssessment:
                     executor=executor,
                     max_workers=cfg.max_workers,
                     abort_after_month=abort_after_month,
-                    stream=stream,
                 )
             else:
                 result = campaign.run(
@@ -230,7 +211,6 @@ class LongTermAssessment:
                     executor=executor,
                     checkpoint_dir=checkpoint_dir,
                     abort_after_month=abort_after_month,
-                    stream=stream,
                 )
             manifest.record_phase("campaign", time.perf_counter() - phase_start)
 

@@ -82,14 +82,6 @@ class StudyConfig:
         before touching it, crashing the campaign deterministically
         (the CI status-smoke job exercises the flight recorder with
         it).  ``None`` (the default) injects nothing.
-    shard_store:
-        Sharded persistence (requires ``checkpoint_dir`` at run time):
-        window workers persist their shard's checkpoint chain and
-        results stream under ``shards/<shard-dir>/`` instead of the
-        parent writing one monolithic file per month (see
-        :mod:`repro.store.shardstore` and ``docs/storage.md``).  A pure
-        scaling knob — the artifact merged back with ``repro store
-        merge`` is byte-identical to the single-writer one.
     """
 
     device_count: int = 16
@@ -107,7 +99,6 @@ class StudyConfig:
     keyframe_every: int = 6
     rollup_shards: Optional[int] = None
     fail_board: Optional[int] = None
-    shard_store: bool = False
 
     def __post_init__(self) -> None:
         if self.device_count < 2:

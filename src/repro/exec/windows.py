@@ -17,20 +17,18 @@ boards come from instead:
 * month 0 manufactures them from the seed hierarchy — or, for an
   injected fleet, restores the chips' exported states — and takes their
   day-0 references;
-* the first window after a resume carries the day-0 references plus,
-  under the monolithic store, the keyframe state documents the parent
-  loaded — under the sharded store the worker restores from the
-  shard's own keyframe chain and silently replays the months after it.
+* the first window after a resume carries the day-0 references; the
+  worker restores from the shard's own keyframe chain and silently
+  replays the months after it — or, resuming a legacy campaign-scoped
+  directory, from the keyframe state documents the parent loaded.
 
 Any other window without a matching slot raises
 :class:`~repro.errors.CampaignExecutionError` naming the shard; stale
 state is never reused.  :class:`~repro.exec.pool.WindowPool` sends a
 shard to the same worker every month, so after the first window only
 board ids cross the process boundary.  A window exports state
-documents only when they will be written: in the parent's keyframe
-months (``WindowSpec.return_states``, monolithic store) or in the
-shard's own keyframe months (sharded store, persisted worker-side and
-never returned).
+documents only in its shard's keyframe months, and persists them
+itself; they never travel back to the parent.
 
 Draw-order equivalence across worker counts holds because boards
 never share random streams: each board's stream sees manufacture →
@@ -109,8 +107,10 @@ class WindowSpec:
     start method on every platform.  When ``rollup_shards`` (the
     logical rollup-shard count of the whole fleet, independent of the
     worker count) is positive, the window also returns exact partial
-    rollup documents for its boards' month; ``fleet_size`` places the
-    boards in that partition.  ``fail_board`` is the fault-injection
+    rollup documents for its boards' month; ``fleet_size`` and
+    ``fleet_offset`` (the fleet position of the window's first board —
+    shards are contiguous runs of the fleet) place the boards in that
+    partition.  ``fail_board`` is the fault-injection
     hook — the worker raises before simulating any board of the
     window.
     """
@@ -137,28 +137,24 @@ class WindowSpec:
     aging_acceleration: float = 1.0
     #: Day-0 references, sent only with the first window after a
     #: resume: the worker rebuilds the shard's slot instead of using
-    #: it.  ``states`` then holds the keyframe state documents
-    #: (monolithic store); under the sharded store it stays ``None``
-    #: and the worker restores from the shard's own keyframe chain.
-    #: A month-0 window with ``states`` starts an injected fleet from
-    #: those documents instead of manufacturing its boards.
+    #: it, from the shard's own keyframe chain — or from ``states``,
+    #: the keyframe state documents of a legacy campaign-scoped
+    #: directory.  A month-0 window with ``states`` starts an injected
+    #: fleet from those documents instead of manufacturing its boards.
     references: Optional[Dict[int, np.ndarray]] = field(default=None, repr=False)
     states: Optional[Dict[int, Dict[str, Any]]] = field(default=None, repr=False)
-    #: Ship the boards' outbound state documents back (the parent's
-    #: keyframe months under the monolithic store).
-    return_states: bool = False
     fail_board: Optional[int] = None
     rollup_shards: int = 0
     fleet_size: int = 0
+    fleet_offset: int = 0
     #: Observability context (``None`` when neither tracing nor phase
     #: profiling is live).  With ``trace.spans`` the worker records
     #: per-board spans on a private tracer and ships them back; with
     #: ``trace.phases`` likewise for hot-path phase timings.
     trace: Optional[TraceContext] = None
-    #: Sharded persistence order (``None`` = monolithic: the driver
-    #: checkpoints centrally).  When set, the worker owns the shard's
-    #: store: it persists the month's rows + chain file itself before
-    #: returning, and the result ships no board state.
+    #: Persistence order (``None`` = nothing is written).  When set,
+    #: the worker owns the shard's store: it persists the month's rows
+    #: + chain file itself before returning.
     shard_store: Optional[ShardStoreSpec] = None
 
     def __post_init__(self) -> None:
@@ -178,8 +174,6 @@ class WindowResult:
     shard_index: int
     month: int
     rows: Dict[int, BoardMonthMetrics] = field(repr=False)
-    #: Outbound state documents; empty unless ``WindowSpec.return_states``.
-    states: Dict[int, Dict[str, Any]] = field(repr=False)
     #: Day-0 references, populated only by month-0 windows.
     references: Dict[int, np.ndarray] = field(repr=False)
     #: Counters advanced by manufacture/reference/measurement work.
@@ -297,10 +291,10 @@ def _registry_deltas(registry: MetricsRegistry) -> Dict[str, int]:
 def _restore_kernel(spec: WindowSpec) -> Tuple[Any, Tuple[int, ...]]:
     """Rebuild a shard's kernel at the start of ``spec.month`` after a resume.
 
-    Under the monolithic store the states are the parent's keyframe of
-    month ``m-1``.  Under the sharded store the worker loads the shard's
-    newest keyframe at or below month ``m-1`` and *silently replays*
-    the months in between — the same measurement and aging calls the
+    Resuming a legacy campaign-scoped directory, ``spec.states`` is the
+    parent's keyframe of month ``m-1``.  Otherwise the worker loads the
+    shard's newest keyframe at or below month ``m-1`` and *silently
+    replays* the months in between — the same measurement and aging calls the
     original months made, with the recorded block temperatures, so
     every board's RNG stream lands on exactly the draw position of the
     uninterrupted run.  Replay touches no telemetry registries and no
@@ -375,9 +369,7 @@ def _resident_kernel(spec: WindowSpec) -> Tuple[Any, Dict[int, np.ndarray]]:
 
 def _wants_states(spec: WindowSpec) -> bool:
     """Whether this window's outbound state documents get written."""
-    if spec.shard_store is None:
-        return spec.return_states
-    return keyframe_due(
+    return spec.shard_store is not None and keyframe_due(
         ArtifactStore(spec.shard_store.root), spec.month, spec.shard_store.keyframe_every
     )
 
@@ -464,9 +456,8 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
     shard (and the board, for the ``fail_board`` hook, which fires
     before any board is touched).
 
-    Under a sharded store (``spec.shard_store``) the worker persists
-    the month's rows and chain file to the shard's store before
-    returning a result with ``states={}``.
+    With persistence on (``spec.shard_store``) the worker persists the
+    month's rows and chain file to the shard's store before returning.
     """
     sampler = ResourceSampler()
     eval_registry = MetricsRegistry()
@@ -475,8 +466,9 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
     aging_steps = aging_registry.counter("campaign.aging_steps")
     builder: Optional[ShardRollupBuilder] = None
     if spec.rollup_shards > 0:
+        position = {b: spec.fleet_offset + i for i, b in enumerate(spec.board_ids)}
         builder = ShardRollupBuilder(
-            lambda b: rollup_shard_of(b, spec.fleet_size, spec.rollup_shards)
+            lambda b: rollup_shard_of(position[b], spec.fleet_size, spec.rollup_shards)
         )
 
     trace = spec.trace
@@ -511,12 +503,11 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
         if spec.shard_store is not None:
             # The month is only "done" once the shard's own store says
             # so: rows record first, chain file (the commit mark)
-            # second.  The state documents stay in this process.
+            # second.
             with get_profiler().phase(PHASE_STORE_IO):
                 persist_shard_window(
                     spec.shard_store, spec.month, rows, states, slot.references
                 )
-            states = {}
         if spec.apply_aging:
             # Only a month that aged has a next month to serve.
             _SLOTS[spec.shard_index] = slot
@@ -533,7 +524,6 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
         shard_index=spec.shard_index,
         month=spec.month,
         rows=rows,
-        states=states,
         references=references,
         eval_deltas=_registry_deltas(eval_registry),
         aging_deltas=_registry_deltas(aging_registry),

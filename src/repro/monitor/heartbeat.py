@@ -75,11 +75,6 @@ class SnapshotEmitter:
         Optional :class:`~repro.telemetry.profiling.PhaseProfiler`
         whose per-phase totals ride along in every heartbeat when it
         is enabled (``repro status`` renders the top phases live).
-    store_mode:
-        Optional persistence-mode tag (``"sharded"`` /
-        ``"monolithic"``) stamped into every heartbeat line as
-        ``store``, so the dashboard shows which checkpoint layout a
-        run is writing (see ``docs/storage.md``).
     """
 
     def __init__(
@@ -93,7 +88,6 @@ class SnapshotEmitter:
         flight=None,
         run_id: Optional[str] = None,
         profiler=None,
-        store_mode: Optional[str] = None,
     ):
         if every < 1:
             raise ConfigurationError(f"every must be >= 1, got {every}")
@@ -106,7 +100,6 @@ class SnapshotEmitter:
         self._flight = flight
         self._run_id = run_id
         self._profiler = profiler
-        self._store_mode = store_mode
         self._wall_start = clock()
         self._cpu_start = cpu_clock()
         self._sequence = 0
@@ -144,8 +137,6 @@ class SnapshotEmitter:
             "run_id": self._run_id,
             "months_per_s": round(completed / wall_s, 3) if wall_s > 0 else None,
         }
-        if self._store_mode is not None:
-            document["store"] = self._store_mode
         if self._rollups is not None:
             document["rollups"] = self._rollups.snapshot()
         if self._profiler is not None and self._profiler.enabled:

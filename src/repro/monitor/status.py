@@ -161,9 +161,9 @@ def render_status(status: CampaignStatus) -> str:
         run_id = beat.get("run_id")
         if run_id:
             lines.append(f"  run id: {run_id}")
-        store_mode = beat.get("store")
-        if store_mode:
-            lines.append(f"  store: {store_mode}")
+        store = beat.get("store")  # written by older releases only
+        if store:
+            lines.append(f"  store: {store}")
         completed = beat.get("completed", 0)
         total = beat.get("total", 0)
         wall = beat.get("wall_s") or 0.0

@@ -18,11 +18,11 @@ that a regression on the campaign hot path moves its numbers:
   in-memory :class:`repro.analysis.campaign.LongTermCampaign` on the
   batched fleet kernel (:class:`repro.sram.fleetkernel.FleetKernel`),
   the throughput the ``BENCH_fleet_kernel.json`` ladder scales up.
-* ``shard-store`` — a short checkpointed campaign on the sharded
-  persistence layer (:mod:`repro.store.shardstore`): worker-side
+* ``shard-store`` — a short checkpointed campaign, which persists
+  through the sharded layout (:mod:`repro.store.shardstore`): worker-side
   shard streams and keyframe chains plus the parent's month records,
-  catching regressions in the per-shard store write path the
-  ``BENCH_shard_store.json`` ladder scales up.
+  catching regressions in the per-shard store write path that the
+  synthetic store-layer ladder under ``benchmarks/`` scales up.
 
 :func:`run_benchmark` runs one of them ``repeats`` times and returns
 the ledger-ready metrics dict — the *median* wall time (robust to one
@@ -116,7 +116,7 @@ def _bench_fleet_kernel() -> Tuple[int, str]:
     return boards * (months + 1), "board_months"
 
 
-def _bench_shard_store() -> Tuple[int, str]:
+def _bench_checkpointed_campaign() -> Tuple[int, str]:
     import os
     import shutil
     import tempfile
@@ -132,7 +132,6 @@ def _bench_shard_store() -> Tuple[int, str]:
             device_count=boards,
             months=months,
             measurements=200,
-            shard_store=True,
             random_state=1,
         )
         campaign.run(checkpoint_dir=os.path.join(workdir, "ckpt"))
@@ -168,9 +167,9 @@ BENCHMARKS: Dict[str, Benchmark] = {
         ),
         Benchmark(
             "shard-store",
-            "checkpointed campaign on the sharded store: 8 boards, "
+            "checkpointed campaign (sharded layout): 8 boards, "
             "6 months, 200 measurements/month",
-            _bench_shard_store,
+            _bench_checkpointed_campaign,
         ),
     )
 }

@@ -14,12 +14,13 @@ package:
   registered single-step migrations; old artifacts load forever.
 * :mod:`repro.store.artifact` — :class:`ArtifactStore`, the directory
   owner every writer goes through.
-* :mod:`repro.store.checkpoint` — campaign checkpoint/resume
-  documents (keyframes + per-month deltas), the per-month
-  checkpointer, compaction and chain validation.
+* :mod:`repro.store.checkpoint` — checkpoint chain documents
+  (keyframes + per-month deltas), the parent-side checkpointer, the
+  legacy campaign-scoped chain reader, compaction and chain
+  validation.
 * :mod:`repro.store.stream` — the incremental (JSON Lines) campaign
   artifact format and its writer/loader.
-* :mod:`repro.store.shardstore` — the sharded campaign layout: one
+* :mod:`repro.store.shardstore` — the checkpoint layout: one
   store per worker shard (keyframed v4 chain + results stream), a
   small parent manifest/month log, the per-shard resume scan and the
   merge-on-read reassembly behind ``store merge``.
@@ -58,12 +59,9 @@ from repro.store.checkpoint import (
     DeltaRecord,
     ShardCheckpointState,
     board_state_doc,
-    build_checkpoint_doc,
-    build_delta_doc,
     build_shard_delta_doc,
     build_shard_keyframe_doc,
     checkpoint_chain_report,
-    checkpoint_doc_version,
     checkpoint_kind,
     checkpoint_name,
     checkpoint_scope,
@@ -155,13 +153,10 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "board_state_doc",
-    "build_checkpoint_doc",
-    "build_delta_doc",
     "build_parent_month_record",
     "build_shard_delta_doc",
     "build_shard_keyframe_doc",
     "checkpoint_chain_report",
-    "checkpoint_doc_version",
     "checkpoint_kind",
     "checkpoint_name",
     "checkpoint_scope",

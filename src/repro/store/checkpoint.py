@@ -1,60 +1,44 @@
-"""Campaign checkpoint documents and the checkpointer/loader pair.
+"""Campaign checkpoint documents, the parent checkpointer and the readers.
 
-A checkpoint captures *everything* the month loop needs to continue a
-campaign exactly where it stopped — not approximately, exactly:
-
-* per-board device state (RNG draw position, aged per-cell skew, age,
-  power-up count) via :func:`board_state_doc`;
-* the day-0 references and every snapshot accumulated so far;
-* the ambient-temperature walk position (current temperature plus the
-  walk stream's RNG state);
-* per-poll telemetry **counter deltas** (so the resumed process can
-  replay the counter trajectory into its own registry) and the
-  *pending* deltas of the aging block that ran after the last poll;
-
-so that :meth:`LongTermCampaign.resume
-<repro.analysis.campaign.LongTermCampaign.resume>` produces a final
-artifact, manifest and alert log byte-identical to the uninterrupted
-run's.  One checkpoint file per completed month (``month-0007.json``),
-written atomically in canonical (sorted-key) JSON: a crash while
-checkpointing month *m* leaves ``month-(m-1)`` intact, and
-:func:`load_latest_checkpoint` falls back to the newest *complete*
-file on its own.
-
-Since checkpoint schema v2 the month files come in two kinds
-(``docs/storage.md``):
+A checkpointed campaign writes one layout (``docs/storage.md``): the
+parent keeps a campaign manifest and an O(counters) month log, and
+every shard keeps its own chain of ``month-NNNN.json`` files plus a
+results stream (:mod:`repro.store.shardstore`).  This module holds the
+chain documents and their rules:
 
 *keyframes*
-    Full state as described above.  Written every
-    ``keyframe_every`` months (default
-    :data:`DEFAULT_KEYFRAME_EVERY`), at month 0, and whenever the
-    preceding month's file is absent (so a standalone save is always
-    resumable).
+    Full device state of the shard's boards (per-board RNG draw
+    position, aged per-cell skew, age, power-up count — see
+    :func:`board_state_doc`).  Written every ``keyframe_every`` months
+    (default :data:`DEFAULT_KEYFRAME_EVERY`), at month 0, and whenever
+    the preceding month's file is absent (:func:`keyframe_due`).
 
 *deltas*
-    Everything between keyframes.  A delta records only the month's
-    *incremental results* — the new snapshot, the counter poll, the
-    temperature-walk position — not the fleet's device state: per-cell
-    skew is a dense float64 array whose month-over-month arithmetic
-    difference is exactly as large as the state itself, so shipping
-    "state deltas" would save nothing.  Instead, resume loads the
-    newest *keyframe* and deterministically re-executes the (at most
-    ``keyframe_every - 1``) months after it, re-writing byte-identical
-    delta files along the way.  That bounds checkpoint-directory
-    growth by ``O(months / keyframe_every)`` full states instead of
-    ``O(months)`` — the dominant term — while keeping every
-    byte-identity guarantee.
+    Payload-free markers between keyframes.  Per-cell skew is a dense
+    float64 array whose month-over-month difference is exactly as large
+    as the state itself, so "state deltas" would save nothing; resume
+    instead restores the newest keyframe and deterministically
+    re-executes the (at most ``keyframe_every - 1``) months after it.
 
-:func:`compact_checkpoints` prunes months older than the newest
-keyframes once they are no longer needed for resume, and
-:func:`checkpoint_chain_report` validates the keyframe/delta chain
-(the CLI's ``store inspect --deep``).
+:class:`CampaignCheckpointer` is the parent side of the layout: it
+clears the directory and writes the manifest at the start of a fresh
+run, then appends one month record per completed month.
+
+*Legacy directories.*  Before the sharded layout became the only
+writer, the parent wrote one campaign-scoped file per month — full
+keyframes (config, references, every snapshot, counter polls, device
+state) with results-only deltas in between, schema v1–v3.  Those
+directories are read, never extended: :func:`load_latest_checkpoint`
+parses the newest keyframe (through the v1→v4 migration chain) and
+resume finishes the campaign without writing back;
+:func:`checkpoint_chain_report` (``store inspect --deep``) and
+:func:`compact_checkpoints` still read and prune them.
 
 Monitor counters (``monitor.*``) and rollup counters (``rollup.*``)
-are deliberately excluded from the stored deltas: the resume path
-replays every stored snapshot through the hub (observation + poll, in
-order) and re-folds each month's rollup documents, which regenerates
-them — and the full alert sequence — exactly.
+are deliberately excluded from the stored counter polls: the resume
+path replays every stored snapshot through the hub (observation +
+poll, in order) and re-folds each month's rollup documents, which
+regenerates them — and the full alert sequence — exactly.
 """
 
 from __future__ import annotations
@@ -70,7 +54,6 @@ from repro.store.artifact import CHECKPOINT_FILE_RE, ArtifactStore
 from repro.store.codecs import (
     decode_float64_array,
     encode_float64_array,
-    pack_bits_hex,
     unpack_bits_hex,
 )
 from repro.store.schema import current_version, migrate
@@ -91,7 +74,7 @@ DEFAULT_KEYFRAME_EVERY = 6
 CHECKPOINT_KINDS = ("keyframe", "delta")
 
 #: Valid ``scope`` values of a v4 checkpoint document: ``"campaign"``
-#: (monolithic, the classic single-writer chain) or ``"shard"`` (one
+#: (the legacy single-writer chain) or ``"shard"`` (one
 #: chain per worker shard under ``shards/<shard-dir>/``).
 CHECKPOINT_SCOPES = ("campaign", "shard")
 
@@ -165,18 +148,6 @@ def restore_chip(board_id: int, profile, doc: Dict[str, Any]):
     return chip
 
 
-def checkpoint_doc_version(config: Dict[str, Any]) -> int:
-    """The schema version a campaign with ``config`` writes.
-
-    Deliberate *downlevel write*: only heterogeneous campaigns (a
-    ``population`` document in the config) need the v3 layout, so a
-    population-free campaign keeps writing v2 bytes — homogeneous
-    checkpoint files stay byte-identical to pre-population releases,
-    and older library versions keep reading them.
-    """
-    return 3 if config.get("population") else 2
-
-
 # Checkpoint document ---------------------------------------------------------
 
 @dataclass
@@ -195,41 +166,6 @@ class CheckpointState:
     source: str = ""
 
 
-def build_checkpoint_doc(
-    config: Dict[str, Any],
-    completed_month: int,
-    temperature: float,
-    temp_rng_state: Optional[Dict[str, Any]],
-    references: Dict[int, np.ndarray],
-    boards: Dict[int, Dict[str, Any]],
-    snapshots: List[Any],
-    counter_deltas: List[Dict[str, int]],
-    pending_deltas: Dict[str, int],
-) -> Dict[str, Any]:
-    """Assemble the canonical full-state *keyframe* document."""
-    from repro.io.resultstore import _snapshot_to_dict
-
-    return {
-        "checkpoint_version": checkpoint_doc_version(config),
-        "kind": "keyframe",
-        "config": config,
-        "completed_month": int(completed_month),
-        "temperature": float(temperature),
-        "temp_rng_state": temp_rng_state,
-        "references": {
-            str(board): {
-                "hex": pack_bits_hex(bits),
-                "bits": int(np.asarray(bits).size),
-            }
-            for board, bits in references.items()
-        },
-        "boards": {str(board): doc for board, doc in boards.items()},
-        "snapshots": [_snapshot_to_dict(snapshot) for snapshot in snapshots],
-        "counter_deltas": counter_deltas,
-        "pending_deltas": pending_deltas,
-    }
-
-
 @dataclass
 class DeltaRecord:
     """A parsed per-month delta checkpoint (results only, no state)."""
@@ -244,46 +180,6 @@ class DeltaRecord:
     source: str = ""
 
 
-def build_delta_doc(
-    completed_month: int,
-    temperature: float,
-    temp_rng_state: Optional[Dict[str, Any]],
-    snapshot: Any,
-    counter_delta: Dict[str, int],
-    pending_deltas: Dict[str, int],
-    version: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Assemble the canonical per-month *delta* document.
-
-    Carries only what the month added — the snapshot, the counter
-    poll, the walk position — against the previous month's file; full
-    device state lives in keyframes (see the module docstring for why
-    board-state deltas would not shrink anything).  ``version`` lets
-    the checkpointer downlevel-write population-free campaigns
-    (:func:`checkpoint_doc_version`); ``None`` writes the current
-    schema version.
-    """
-    from repro.io.resultstore import _snapshot_to_dict
-
-    if completed_month < 1:
-        raise StorageError(
-            f"delta checkpoints need a preceding month, got month {completed_month}"
-        )
-    return {
-        "checkpoint_version": (
-            current_version("checkpoint") if version is None else int(version)
-        ),
-        "kind": "delta",
-        "completed_month": int(completed_month),
-        "base_month": int(completed_month) - 1,
-        "temperature": float(temperature),
-        "temp_rng_state": temp_rng_state,
-        "snapshot": _snapshot_to_dict(snapshot),
-        "counter_delta": dict(counter_delta),
-        "pending_deltas": dict(pending_deltas),
-    }
-
-
 def checkpoint_kind(doc: Dict[str, Any]) -> str:
     """``"keyframe"`` or ``"delta"`` of a (migrated) checkpoint document."""
     migrated = migrate("checkpoint", doc)
@@ -296,7 +192,7 @@ def checkpoint_kind(doc: Dict[str, Any]) -> str:
 def checkpoint_scope(doc: Dict[str, Any]) -> str:
     """``"campaign"`` or ``"shard"`` of a (migrated) checkpoint document.
 
-    Pre-v4 documents carry no scope field; they are monolithic by
+    Pre-v4 documents carry no scope field; they are campaign-scoped by
     definition, which is what the v3→v4 migration stamps.
     """
     migrated = migrate("checkpoint", doc)
@@ -554,7 +450,7 @@ def load_latest_shard_keyframe(
 ) -> ShardCheckpointState:
     """Parse the newest usable shard keyframe at or below ``max_month``.
 
-    The shard-store counterpart of :func:`load_latest_checkpoint`:
+    The shard-chain counterpart of :func:`load_latest_checkpoint`:
     deltas and corrupt files are skipped newest-first; the caller
     (a window worker cold-restoring its shard, or the sharded resume
     scan) then deterministically replays the skipped months.
@@ -586,15 +482,15 @@ def load_latest_shard_keyframe(
     )
 
 
-# Checkpointer / loader -------------------------------------------------------
+# Checkpointer / legacy loader -----------------------------------------------
 
 def keyframe_due(store: ArtifactStore, month: int, keyframe_every: int) -> bool:
     """Whether month ``month``'s chain file in ``store`` is a full keyframe.
 
-    The one keyframe rule of both store layouts: month ``m`` is a
-    keyframe iff ``m % keyframe_every == 0`` *or* the month-``m-1``
-    file is absent.  The second clause keeps standalone saves
-    resumable and is deterministic across straight and resumed runs —
+    The keyframe rule of every chain: month ``m`` is a keyframe iff
+    ``m % keyframe_every == 0`` *or* the month-``m-1`` file is absent.
+    The second clause keeps standalone saves resumable and is
+    deterministic across straight and resumed runs —
     resume re-executes from a keyframe, so the preceding file always
     exists for exactly the months where it existed in the
     uninterrupted run.
@@ -603,90 +499,81 @@ def keyframe_due(store: ArtifactStore, month: int, keyframe_every: int) -> bool:
 
 
 class CampaignCheckpointer:
-    """Writes one atomic checkpoint per completed campaign month.
+    """The parent side of a checkpointed campaign.
 
-    Whether a month gets a full keyframe or a results-only delta
-    follows :func:`keyframe_due`; the campaign driver applies the same
-    rule before dispatching a month, so it asks the workers for state
-    documents only in keyframe months.
+    The shard workers persist device state and metric rows themselves
+    (:func:`repro.store.shardstore.persist_shard_window`); the parent
+    writes only the campaign manifest — :meth:`reset`, once per fresh
+    run — and one O(counters) month record per completed month
+    (:meth:`save`).  ``shard_boards`` is the shard map the manifest
+    records; resume follows it whatever the worker count.
     """
 
-    def __init__(self, checkpoint_dir: str, config: Dict[str, Any]):
-        self._store = ArtifactStore(checkpoint_dir)
-        self._config = dict(config)
-        keyframe_every = self._config.get("keyframe_every", DEFAULT_KEYFRAME_EVERY)
+    def __init__(
+        self,
+        checkpoint_dir: str,
+        config: Dict[str, Any],
+        profile_name: str,
+        shard_boards,
+    ):
+        keyframe_every = config.get("keyframe_every", DEFAULT_KEYFRAME_EVERY)
         if not isinstance(keyframe_every, int) or isinstance(keyframe_every, bool) or keyframe_every < 1:
             raise StorageError(
                 f"keyframe_every must be a positive integer, got {keyframe_every!r}"
             )
         self.keyframe_every = keyframe_every
-
-    @property
-    def store(self) -> ArtifactStore:
-        """The artifact store rooted at the checkpoint directory."""
-        return self._store
+        self._dir = checkpoint_dir
+        self._config = dict(config)
+        self._profile_name = profile_name
+        self._shard_boards = shard_boards
 
     def reset(self) -> None:
-        """Drop checkpoints from any previous run in this directory.
+        """Clear the directory of any previous run, then write the manifest.
 
-        A fresh (non-resume) run must not leave a *longer* stale run's
-        tail checkpoints behind — resume would otherwise pick up the
-        wrong campaign.
+        A fresh run must not leave a stale run's files behind — resume
+        reads whatever it finds.
         """
-        for name in self._store.entries():
-            if CHECKPOINT_FILE_RE.match(name):
-                self._store.remove(name)
-        self._store.clean_stray_tmp_files()
+        from repro.store.shardstore import reset_sharded_layout, write_shard_manifest
+
+        reset_sharded_layout(self._dir)
+        write_shard_manifest(
+            self._dir,
+            self._config,
+            self._profile_name,
+            self.keyframe_every,
+            self._shard_boards,
+        )
 
     def save(
         self,
         completed_month: int,
         temperature: float,
         temp_rng_state: Optional[Dict[str, Any]],
-        references: Dict[int, np.ndarray],
-        boards: Dict[int, Dict[str, Any]],
-        snapshots: List[Any],
-        counter_deltas: List[Dict[str, int]],
+        counter_delta: Dict[str, int],
         pending_deltas: Dict[str, int],
-    ) -> str:
-        """Atomically persist the state after ``completed_month``.
+    ) -> None:
+        """Append the parent record of ``completed_month`` to the month log.
 
-        Keyframe months store the full document; other months store
-        only the month's delta (``snapshots[-1]``, ``counter_deltas[-1]``
-        and the walk position).
+        The month's device state and rows are already on disk, written
+        by the shards; the record adds the walk position, the month's
+        counter poll and the aging deltas still pending at the poll.
         """
-        if keyframe_due(self._store, completed_month, self.keyframe_every):
-            doc = build_checkpoint_doc(
-                self._config,
+        from repro.store.shardstore import (
+            append_parent_month_record,
+            build_parent_month_record,
+        )
+
+        append_parent_month_record(
+            self._dir,
+            build_parent_month_record(
                 completed_month,
                 temperature,
                 temp_rng_state,
-                references,
-                boards,
-                snapshots,
-                counter_deltas,
+                counter_delta,
                 pending_deltas,
-            )
-        else:
-            doc = build_delta_doc(
-                completed_month,
-                temperature,
-                temp_rng_state,
-                snapshots[-1],
-                counter_deltas[-1],
-                pending_deltas,
-                version=checkpoint_doc_version(self._config),
-            )
-        path = self._store.write_json(
-            checkpoint_name(completed_month), doc, sort_keys=True
+            ),
         )
-        logger.debug(
-            "checkpoint saved: month %d (%s) -> %s",
-            completed_month,
-            doc["kind"],
-            path,
-        )
-        return path
+        logger.debug("checkpoint saved: month %d", completed_month)
 
 
 def list_checkpoints(checkpoint_dir: str) -> List[Tuple[int, str]]:
@@ -701,12 +588,12 @@ def list_checkpoints(checkpoint_dir: str) -> List[Tuple[int, str]]:
 
 
 def load_latest_checkpoint(checkpoint_dir: str) -> CheckpointState:
-    """Parse the newest *resumable* checkpoint in the directory.
+    """Parse the newest resumable keyframe of a legacy campaign-scoped chain.
 
     Only keyframes carry the device state resume needs, so the search
     walks newest-first past any delta files to the newest keyframe; the
     campaign driver then deterministically re-executes the skipped
-    months (re-writing byte-identical delta files along the way).  A
+    months in memory (a legacy directory is never written to).  A
     corrupt or truncated newest file (the classic kill-during-write
     residue) is logged and skipped in favour of the previous month;
     only when no keyframe parses does this raise

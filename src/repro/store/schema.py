@@ -169,11 +169,7 @@ def _checkpoint_v2_to_v3(document: Dict[str, Any]) -> Dict[str, Any]:
     ``None`` for the homogeneous fleet).  A v2 directory is by
     definition homogeneous, so the migration defaults the key and old
     checkpoint directories resume transparently.  Delta documents carry
-    no config and only gain the version stamp.  Writers *downlevel* on
-    purpose: a population-free campaign still writes v2 bytes (see
-    :func:`repro.store.checkpoint.checkpoint_doc_version`), keeping
-    homogeneous checkpoint files byte-identical to pre-population
-    releases.
+    no config and only gain the version stamp.
     """
     config = document.get("config")
     if isinstance(config, dict):
@@ -188,13 +184,11 @@ def _checkpoint_v3_to_v4(document: Dict[str, Any]) -> Dict[str, Any]:
 
     v4 introduced *shard-scoped* checkpoint documents (``scope:
     "shard"`` — one keyframed chain per shard directory, see
-    ``docs/storage.md``).  Monolithic documents are campaign-scoped;
-    every pre-v4 file is by definition monolithic, so the migration
-    stamps ``scope: "campaign"`` and old checkpoint directories resume
-    transparently.  Writers keep *downleveling* monolithic documents
-    (v2 homogeneous, v3 heterogeneous — see
-    :func:`repro.store.checkpoint.checkpoint_doc_version`), so only
-    shard chains actually carry v4 bytes.
+    ``docs/storage.md``).  Every pre-v4 file was written by the
+    parent's single campaign-scoped chain, so the migration stamps
+    ``scope: "campaign"`` and those legacy directories stay readable
+    (and resumable, without being written to).  Shard chains are the
+    only documents written today.
     """
     document.setdefault("scope", "campaign")
     document["checkpoint_version"] = 4

@@ -1,14 +1,12 @@
-"""Sharded campaign persistence: per-shard stores + merge-on-read.
+"""The checkpoint layout: per-shard stores + merge-on-read.
 
-The monolithic checkpoint chain writes the *whole fleet's* device
-state from the parent process every month — O(fleet) serialized in one
-writer, the last serial bottleneck at 100k boards.  The sharded layout
-moves persistence into the workers: each month-window worker owns an
-:class:`~repro.store.artifact.ArtifactStore` rooted at its shard
-directory and writes its own keyframed checkpoint chain (v4
-shard-scoped documents, :mod:`repro.store.checkpoint`) plus a
+Every checkpointed campaign persists through the workers: each
+month-window worker owns an :class:`~repro.store.artifact.ArtifactStore`
+rooted at its shard directory and writes its own keyframed checkpoint
+chain (v4 shard-scoped documents, :mod:`repro.store.checkpoint`) plus a
 streaming JSONL results file, so the per-month write cost is
-O(boards/shard) per worker and the parent persists only O(counters)::
+O(boards/shard) per worker and the parent persists only O(counters).
+A serial run is the one-shard case::
 
     <checkpoint_dir>/
       campaign-manifest.json      # config, shard map, profile name
@@ -23,12 +21,12 @@ O(boards/shard) per worker and the parent persists only O(counters)::
         shard-0001/
           ...
 
-Nothing fleet-shaped is ever written centrally; the monolithic
+Nothing fleet-shaped is ever written centrally; the campaign
 artifact is reassembled **on read**: :func:`merge_sharded_campaign`
 folds the shard streams back together in fleet order and recomputes
 the cross-board statistics (BCHD, PUF entropy) from the stored
 first read-outs — pure deterministic functions — so the merged bytes
-are identical to the single-writer artifact of the same campaign
+are identical to the artifact saved from the live result
 (``store merge`` / ``load_campaign`` both route through it).
 
 Resume is per-shard: each worker cold-restores from its *own* newest
@@ -53,7 +51,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import StorageError
-from repro.store.artifact import ArtifactStore
+from repro.store.artifact import CHECKPOINT_FILE_RE, ArtifactStore
 from repro.store.checkpoint import (
     ShardCheckpointState,
     build_shard_delta_doc,
@@ -200,17 +198,18 @@ def is_sharded_checkpoint(checkpoint_dir: str) -> bool:
 
 
 def reset_sharded_layout(checkpoint_dir: str) -> None:
-    """Drop any previous sharded run's files from the directory.
+    """Drop any previous run's files from the directory.
 
-    A fresh run must not leave a stale manifest, parent log or shard
-    tree behind — resume auto-detects the layout from the manifest, so
-    leftovers would shadow a later monolithic run in the same
-    directory.
+    Removes the manifest, the parent log, the shard tree, a legacy
+    campaign-scoped chain and stray temporary files.  A fresh run must
+    not leave a stale run behind: resume tells the layouts apart by the
+    manifest and reads whatever months it finds.
     """
     store = ArtifactStore(checkpoint_dir)
-    for name in (SHARD_MANIFEST_NAME, PARENT_LOG_NAME):
-        if store.exists(name):
+    for name in store.entries():
+        if name in (SHARD_MANIFEST_NAME, PARENT_LOG_NAME) or CHECKPOINT_FILE_RE.match(name):
             store.remove(name)
+    store.clean_stray_tmp_files()
     shards_path = os.path.join(checkpoint_dir, SHARDS_DIR)
     if os.path.isdir(shards_path):
         shutil.rmtree(shards_path)
@@ -268,9 +267,8 @@ def persist_shard_window(
     writes the chain file second — the chain file is the commit mark,
     so a crash between the two leaves a month the resume scan ignores.
     The chain file is a full keyframe iff
-    :func:`~repro.store.checkpoint.keyframe_due` (the monolithic
-    checkpointer's rule); ``states`` needs to cover the shard's boards
-    only in those months.
+    :func:`~repro.store.checkpoint.keyframe_due`; ``states`` needs to
+    cover the shard's boards only in those months.
     """
     store = ArtifactStore(spec.root)
     board_ids = sorted(rows)
@@ -417,8 +415,7 @@ def truncate_shard_stream(shard_dir: str, through_month: int) -> None:
     """Rewrite a shard stream keeping only months ``0..through_month``.
 
     Records are re-encoded through the canonical writer path, so the
-    kept prefix is byte-identical to what the original run wrote —
-    the sharded counterpart of the monolithic stream rewind on resume.
+    kept prefix is byte-identical to what the original run wrote.
     """
     store = ArtifactStore(shard_dir, create=False)
     records = _read_jsonl_tolerant(store, SHARD_STREAM_NAME)
@@ -509,7 +506,7 @@ class ShardedCheckpointState(CheckpointState):
 def _shard_chain_end(shard_dir: str) -> int:
     """Newest month restorable from the shard's keyframe/delta chain.
 
-    Mirrors the monolithic resume rule: month ``M`` is restorable when
+    Mirrors the legacy resume rule: month ``M`` is restorable when
     a parseable keyframe exists at some ``K <= M`` with parseable
     deltas at every month ``K+1..M``.  A compacted chain — months
     before the kept keyframe pruned by ``store compact`` — therefore
@@ -686,14 +683,14 @@ def prepare_shard_resume(checkpoint_dir: str, state: ShardedCheckpointState) -> 
 # Merge-on-read ---------------------------------------------------------------
 
 def merge_sharded_campaign(checkpoint_dir: str):
-    """Reassemble the monolithic campaign result from shard streams.
+    """Reassemble the campaign result from shard streams.
 
     Reads every shard's stream strictly (all months 0..months must be
     present — an unfinished campaign refuses to merge; resume it
     first), orders the per-board rows in fleet order, and recomputes
     the cross-board statistics exactly as the live driver does.  The
     returned :class:`~repro.analysis.campaign.CampaignResult`
-    serializes byte-identically to the single-writer artifact
+    serializes byte-identically to the artifact of the live result
     (``save_campaign`` plain or stream) — the acceptance gate the
     property suite and the CI ``shard-store-smoke`` job pin.
     """

@@ -38,15 +38,6 @@ def _utc_timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-#: Config fields that select *how* a study executes, never *what* it
-#: computes — results are bit-identical across their values, so they
-#: stay out of the flattened config (and therefore out of the
-#: deterministic run id and the stored manifest config): a sharded-store
-#: and a monolithic run of one study must share one correlation key and
-#: byte-identical alert logs, heartbeats and manifests — where the
-#: checkpoints land never changes what the campaign computes.
-_EXECUTION_ONLY_FIELDS = frozenset({"shard_store"})
-
 #: Config fields dropped from the flattened config while unset (None).
 #: Fields added to StudyConfig *after* artifacts shipped must not
 #: retroactively change the run ids of configs that never set them —
@@ -61,14 +52,11 @@ def _flatten_config(config: Any) -> Dict[str, Any]:
     Dataclass fields keep JSON-native values as-is, named objects
     (e.g. a :class:`~repro.sram.profiles.DeviceProfile`) flatten to
     their ``name``, everything else to ``repr``.  Plain dicts pass
-    through.  Execution-only fields (``_EXECUTION_ONLY_FIELDS``) are
-    dropped.
+    through.
     """
     if dataclasses.is_dataclass(config):
         flat: Dict[str, Any] = {}
         for f in dataclasses.fields(config):
-            if f.name in _EXECUTION_ONLY_FIELDS:
-                continue
             value = getattr(config, f.name)
             if value is None and f.name in _OMIT_WHEN_NONE:
                 continue

@@ -88,6 +88,37 @@ class TestOptions:
             np.testing.assert_array_equal(a.wchd, b.wchd)
             np.testing.assert_array_equal(a.bchd_pairs, b.bchd_pairs)
 
+    def test_injected_fleet_keeps_its_own_ids_under_rollups(self, small_profile):
+        """Rollup shards follow fleet positions, not board ids."""
+        from repro.sram.chip import SRAMChip
+        from repro.telemetry import get_rollups, reset_telemetry
+        from repro.telemetry.runtime import rollups_enabled
+
+        from tests.exec.conftest import InlineWindowPool, assert_campaigns_identical
+
+        assert rollups_enabled()
+        runs = []
+        for workers in (1, 2):
+            reset_telemetry()
+            chips = [SRAMChip(i, small_profile, random_state=4) for i in (3, 7)]
+            campaign = LongTermCampaign(
+                device_count=2, months=2, measurements=50, profile=small_profile
+            )
+            result = campaign.run(chips=chips, executor=InlineWindowPool(workers))
+            assert result.board_ids == [3, 7]
+            # Worker resource figures follow the worker count; every
+            # board-metric scope must not.
+            rollups = {
+                name: stats
+                for name, stats in get_rollups().snapshot().items()
+                if "scope=worker" not in name
+            }
+            runs.append((result, rollups))
+        (serial, serial_rollups), (sharded, sharded_rollups) = runs
+        assert_campaigns_identical(serial, sharded)
+        assert serial_rollups
+        assert serial_rollups == sharded_rollups
+
     def test_temperature_walk_runs(self):
         campaign = LongTermCampaign(
             device_count=2, months=2, measurements=100,

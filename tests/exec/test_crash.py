@@ -98,7 +98,6 @@ class TestInlineDispatchIsGuarded:
             device_count=2,
             months=MONTHS,
             measurements=50,
-            shard_store=True,
             random_state=3,
         )
         with pytest.raises(CampaignExecutionError) as excinfo:

@@ -108,11 +108,16 @@ class TestGoldenSnapshot:
         assert 0.80 < stable.end_avg < stable.start_avg < 0.95
 
     def test_artifact_and_checkpoint_chain_byte_identical(self, reference, tmp_path):
-        """Checkpointed runs at workers 1 and N: one artifact, one chain.
+        """Checkpointed runs at workers 1 and N: one artifact, one month log.
 
-        Both equal the in-memory serial run's artifact byte for byte,
-        and both write the same checkpoint files.
+        Both equal the in-memory serial run's artifact byte for byte —
+        saved from the live result and merged back from the checkpoint
+        tree alike — and both write the same parent month log.  The
+        shard files themselves follow the shard count (one per worker).
         """
+        from repro.io.resultstore import load_campaign
+        from repro.store.shardstore import PARENT_LOG_NAME
+
         in_memory = tmp_path / "in-memory.json"
         save_campaign(reference.campaign, str(in_memory))
         chains = {}
@@ -124,13 +129,14 @@ class TestGoldenSnapshot:
             artifact = tmp_path / f"w{workers}" / "campaign.json"
             save_campaign(result.campaign, str(artifact))
             assert artifact.read_bytes() == in_memory.read_bytes()
+            merged = tmp_path / f"w{workers}" / "merged.json"
+            save_campaign(load_campaign(str(checkpoint_dir)), str(merged))
+            assert merged.read_bytes() == in_memory.read_bytes()
             chains[workers] = _tree_bytes(checkpoint_dir)
         serial_chain = chains.pop(1)
         assert serial_chain, "checkpointed run wrote no checkpoint files"
         for chain in chains.values():
-            assert sorted(chain) == sorted(serial_chain)
-            for name, payload in serial_chain.items():
-                assert payload == chain[name], f"checkpoint file {name} differs"
+            assert chain[PARENT_LOG_NAME] == serial_chain[PARENT_LOG_NAME]
 
 
 def main() -> None:  # pragma: no cover - maintenance helper

@@ -160,14 +160,14 @@ class RecordingPool(WindowPool):
 
 
 def sharded_campaign(seed: int = SEED, **overrides) -> LongTermCampaign:
-    params = dict(PARAMS, device_count=4, months=4, shard_store=True, max_workers=2)
+    params = dict(PARAMS, device_count=4, months=4, max_workers=2)
     params.update(overrides)
     return LongTermCampaign(random_state=seed, **params)
 
 
 class TestStickyPlacement:
     def test_uninterrupted_campaign_restores_nothing(self, tmp_path):
-        baseline = sharded_campaign(shard_store=False, max_workers=1).run()
+        baseline = sharded_campaign(max_workers=1).run()
         reset_telemetry()
         with RecordingPool(2) as pool:
             result = sharded_campaign().run(
@@ -178,7 +178,7 @@ class TestStickyPlacement:
         assert_campaigns_identical(baseline, result)
 
     def test_resumed_campaign_restores_once_per_shard(self, tmp_path):
-        baseline = sharded_campaign(shard_store=False, max_workers=1).run()
+        baseline = sharded_campaign(max_workers=1).run()
         ckpt = str(tmp_path / "ckpt")
         reset_telemetry()
         # One caller-owned pool for both legs: the workers still hold
@@ -208,16 +208,17 @@ def _tree_bytes(root) -> dict:
 
 
 class TestSlotGuard:
-    @pytest.mark.parametrize("shard_store", [False, True], ids=["monolithic", "sharded"])
-    def test_interleaved_campaigns_match_clean_runs(self, tmp_path, shard_store):
+    # One shard is the monolithic case of the checkpoint layout.
+    @pytest.mark.parametrize("shards", [1, 2], ids=["monolithic", "sharded"])
+    def test_interleaved_campaigns_match_clean_runs(self, tmp_path, shards):
         """A, interrupted; B in full; A resumed — no cache clearing between."""
 
         def run(seed, name, abort=None, executor=None):
             reset_telemetry()
-            campaign = sharded_campaign(seed=seed, shard_store=shard_store)
+            campaign = sharded_campaign(seed=seed, max_workers=shards)
             result = campaign.run(
                 checkpoint_dir=str(tmp_path / name / "ckpt"),
-                executor=executor or InlineWindowPool(2),
+                executor=executor or InlineWindowPool(shards),
                 abort_after_month=abort,
             )
             save_campaign(result, str(tmp_path / name / "campaign.json"))

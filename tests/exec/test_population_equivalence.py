@@ -11,7 +11,6 @@ possible: board ``i``'s profile is a pure function of
 about which silicon it is simulating.
 """
 
-import os
 
 import pytest
 
@@ -99,15 +98,12 @@ class TestMixedFleetEquivalence:
         result = LongTermCampaign.resume(checkpoint_dir, max_workers=workers)
         assert_campaigns_identical(serial_reference, result)
 
-    def test_mixed_checkpoints_are_schema_v3(self, tmp_path):
-        import json
+    def test_mixed_checkpoint_manifest_records_the_population(self, tmp_path):
+        from repro.store.shardstore import load_shard_manifest
 
         run_campaign(checkpoint_dir=str(tmp_path))
-        path = os.path.join(str(tmp_path), "month-0000.json")
-        with open(path) as handle:
-            doc = json.load(handle)
-        assert doc["checkpoint_version"] == 3
-        assert doc["config"]["population"] == MIXED.to_doc()
+        manifest = load_shard_manifest(str(tmp_path))
+        assert manifest.config["population"] == MIXED.to_doc()
 
 
 class TestPopulationConfigGuards:

@@ -59,7 +59,6 @@ def test_live_lanes_hold_no_heavy_module_after_real_windows(tmp_path):
         device_count=4,
         months=3,
         measurements=40,
-        shard_store=True,
         max_workers=2,
         random_state=5,
     )

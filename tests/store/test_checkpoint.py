@@ -1,4 +1,10 @@
-"""Tests for checkpoint documents, the checkpointer and delta recording."""
+"""Tests for checkpoint documents, the checkpointer and delta recording.
+
+Legacy (campaign-scoped) directories come from the committed fixtures
+under ``fixtures/``: nothing writes that layout any more.
+"""
+
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +22,11 @@ from repro.store.checkpoint import (
     list_checkpoints,
     load_latest_checkpoint,
     restore_chip,
+)
+from repro.store.shardstore import (
+    is_sharded_checkpoint,
+    load_shard_manifest,
+    read_parent_log,
 )
 from repro.telemetry import get_metrics
 
@@ -95,56 +106,65 @@ class TestCounterDeltaRecorder:
         assert metrics.counter("campaign.aging").value == 2
 
 
-def _save_minimal_checkpoint(checkpoint_dir, month=0, config=None):
-    from repro.analysis.monthly import evaluate_month
+def _checkpointer(checkpoint_dir):
+    return CampaignCheckpointer(
+        checkpoint_dir,
+        {"root_seed": 1, "months": 3, "keyframe_every": 2},
+        ATMEGA32U4.name,
+        [(0, 1), (2,)],
+    )
 
-    chips = [SRAMChip(i, ATMEGA32U4, random_state=5 + i) for i in range(2)]
-    references = {chip.chip_id: chip.read_startup() for chip in chips}
-    snapshots = [
-        evaluate_month(chips, references, month=m, measurements=20)
-        for m in range(month + 1)
-    ]
-    checkpointer = CampaignCheckpointer(
-        checkpoint_dir, config or {"root_seed": 1, "months": 3}
-    )
-    checkpointer.save(
-        month,
-        temperature=298.15,
-        temp_rng_state=None,
-        references=references,
-        boards={chip.chip_id: board_state_doc(chip) for chip in chips},
-        snapshots=snapshots,
-        counter_deltas=[{"campaign.powerups": 20}] * (month + 1),
-        pending_deltas={"campaign.aging_steps": 2},
-    )
-    return checkpointer, references
+
+def _keep_only(checkpoint_dir, months):
+    """Delete every legacy month file whose month is not in ``months``."""
+    for month, name in list_checkpoints(str(checkpoint_dir)):
+        if month not in months:
+            os.remove(os.path.join(str(checkpoint_dir), name))
 
 
 class TestCheckpointerRoundtrip:
     def test_save_then_load(self, tmp_path):
+        """reset writes the manifest; every save appends one month record."""
         checkpoint_dir = str(tmp_path / "ckpt")
-        _, references = _save_minimal_checkpoint(checkpoint_dir, month=1)
-        state = load_latest_checkpoint(checkpoint_dir)
-        assert state.completed_month == 1
-        assert state.config["months"] == 3
-        assert set(state.references) == set(references)
-        for board, bits in references.items():
-            np.testing.assert_array_equal(state.references[board], bits)
-        assert len(state.snapshots) == 2
-        assert state.pending_deltas == {"campaign.aging_steps": 2}
-        assert state.source == "month-0001.json"
-
-    def test_list_checkpoints_ascending(self, tmp_path):
-        checkpoint_dir = str(tmp_path / "ckpt")
-        _save_minimal_checkpoint(checkpoint_dir, month=1)
-        _save_minimal_checkpoint(checkpoint_dir, month=0)
-        assert [month for month, _ in list_checkpoints(checkpoint_dir)] == [0, 1]
-
-    def test_reset_removes_checkpoints(self, tmp_path):
-        checkpoint_dir = str(tmp_path / "ckpt")
-        checkpointer, _ = _save_minimal_checkpoint(checkpoint_dir)
+        checkpointer = _checkpointer(checkpoint_dir)
         checkpointer.reset()
+        for month in range(2):
+            checkpointer.save(
+                month,
+                temperature=298.15,
+                temp_rng_state=None,
+                counter_delta={"campaign.powerups": 20},
+                pending_deltas={"campaign.aging_steps": 2},
+            )
+        manifest = load_shard_manifest(checkpoint_dir)
+        assert manifest.config["months"] == 3
+        assert manifest.keyframe_every == 2
+        assert manifest.shard_boards == ((0, 1), (2,))
+        records = read_parent_log(checkpoint_dir)
+        assert [record["month"] for record in records] == [0, 1]
+        assert records[-1]["counter_delta"] == {"campaign.powerups": 20}
+        assert records[-1]["pending_deltas"] == {"campaign.aging_steps": 2}
+
+    def test_legacy_keyframe_loads(self, legacy_dir):
+        state = load_latest_checkpoint(str(legacy_dir()))
+        assert state.completed_month == 6
+        assert state.config["months"] == 6
+        assert sorted(state.references) == list(range(16))
+        assert sorted(state.boards) == list(range(16))
+        assert len(state.snapshots) == 7
+        assert state.source == "month-0006.json"
+
+    def test_list_checkpoints_ascending(self, legacy_dir):
+        months = [month for month, _ in list_checkpoints(str(legacy_dir()))]
+        assert months == list(range(7))
+
+    def test_reset_removes_checkpoints(self, legacy_dir):
+        """A fresh run's reset leaves no month of a previous run behind."""
+        checkpoint_dir = str(legacy_dir())
+        _checkpointer(checkpoint_dir).reset()
         assert list_checkpoints(checkpoint_dir) == []
+        assert is_sharded_checkpoint(checkpoint_dir)
+        assert read_parent_log(checkpoint_dir) == []
 
     def test_empty_dir_raises(self, tmp_path):
         (tmp_path / "empty").mkdir()
@@ -153,23 +173,23 @@ class TestCheckpointerRoundtrip:
 
 
 class TestTruncatedCheckpointFallback:
-    """The satellite: a torn newest checkpoint falls back one month."""
+    """A torn newest legacy keyframe falls back to the previous one."""
 
-    def test_truncated_newest_falls_back_to_previous(self, tmp_path, caplog):
-        checkpoint_dir = str(tmp_path / "ckpt")
-        _save_minimal_checkpoint(checkpoint_dir, month=0)
-        store = ArtifactStore(checkpoint_dir)
-        # Simulate a kill mid-append of month 1: half a JSON document.
-        complete = store.read_text("month-0000.json")
-        with open(store.path("month-0001.json"), "w") as handle:
+    def test_truncated_newest_falls_back_to_previous(self, legacy_dir, caplog):
+        checkpoint_dir = legacy_dir()
+        store = ArtifactStore(str(checkpoint_dir))
+        # The residue of a kill mid-write of month 6: half a document.
+        complete = store.read_text("month-0006.json")
+        with open(store.path("month-0006.json"), "w") as handle:
             handle.write(complete[: len(complete) // 2])
 
         import logging
 
         with caplog.at_level(logging.WARNING, logger="repro.store.checkpoint"):
-            state = load_latest_checkpoint(checkpoint_dir)
-        assert state.completed_month == 0
-        assert any("month-0001.json" in record.message for record in caplog.records)
+            state = load_latest_checkpoint(str(checkpoint_dir))
+        # Month 5 is a delta, so the previous keyframe is month 4.
+        assert state.completed_month == 4
+        assert any("month-0006.json" in record.message for record in caplog.records)
 
     def test_all_corrupt_raises_with_clear_error(self, tmp_path):
         checkpoint_dir = str(tmp_path / "ckpt")
@@ -178,22 +198,22 @@ class TestTruncatedCheckpointFallback:
         with pytest.raises(StorageError, match="no usable checkpoint"):
             load_latest_checkpoint(checkpoint_dir)
 
-    def test_filename_month_mismatch_skipped(self, tmp_path):
-        checkpoint_dir = str(tmp_path / "ckpt")
-        _save_minimal_checkpoint(checkpoint_dir, month=0)
-        store = ArtifactStore(checkpoint_dir)
+    def test_filename_month_mismatch_skipped(self, legacy_dir):
+        checkpoint_dir = legacy_dir()
+        _keep_only(checkpoint_dir, {0})
+        store = ArtifactStore(str(checkpoint_dir))
         doc = store.read_json("month-0000.json")
         store.write_json("month-0005.json", doc, sort_keys=True)  # lies about month
-        state = load_latest_checkpoint(checkpoint_dir)
+        state = load_latest_checkpoint(str(checkpoint_dir))
         assert state.completed_month == 0
         assert state.source == "month-0000.json"
 
-    def test_incomplete_snapshot_list_rejected(self, tmp_path):
-        checkpoint_dir = str(tmp_path / "ckpt")
-        _save_minimal_checkpoint(checkpoint_dir, month=0)
-        store = ArtifactStore(checkpoint_dir)
+    def test_incomplete_snapshot_list_rejected(self, legacy_dir):
+        checkpoint_dir = legacy_dir()
+        _keep_only(checkpoint_dir, {0})
+        store = ArtifactStore(str(checkpoint_dir))
         doc = store.read_json("month-0000.json")
         doc["snapshots"] = []
         store.write_json("month-0000.json", doc, sort_keys=True)
         with pytest.raises(StorageError, match="expected 1"):
-            load_latest_checkpoint(checkpoint_dir)
+            load_latest_checkpoint(str(checkpoint_dir))

@@ -1,20 +1,25 @@
 """Delta checkpoints: keyframe cadence, chain integrity and compaction.
 
-The headline gates of the v2 checkpoint format:
+The headline gates of the keyframe/delta chain:
 
-* a keyframe every ``keyframe_every`` months, results-only deltas in
+* a keyframe every ``keyframe_every`` months, payload-free deltas in
   between, with the directory shrinking accordingly;
-* kill-and-resume byte identity preserved — resume loads the newest
+* kill-and-resume byte identity preserved — resume restores the newest
   keyframe and deterministically re-executes the delta months,
   re-writing byte-identical files;
 * ``compact_checkpoints`` prunes only months that resume can
   reconstruct;
-* v1 (cumulative) checkpoint directories resume transparently through
-  the schema migration.
+* legacy campaign-scoped chains (schema v1/v2, the committed
+  ``fixtures/ckpt_prepopulation`` directory) still parse, validate,
+  compact and resume through the schema migration.
+
+Checkpointed runs here use one worker, so the chain under test is the
+single shard's ``shards/shard-0000/``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -22,20 +27,26 @@ import pytest
 
 from repro.analysis.campaign import LongTermCampaign
 from repro.errors import CampaignInterrupted, ConfigurationError, StorageError
+from repro.io.resultstore import save_campaign
+from repro.store.artifact import ArtifactStore
 from repro.store.checkpoint import (
     CampaignCheckpointer,
     DEFAULT_KEYFRAME_EVERY,
     checkpoint_chain_report,
     checkpoint_name,
     compact_checkpoints,
+    keyframe_due,
     list_checkpoints,
     load_latest_checkpoint,
     parse_checkpoint_doc,
     parse_delta_doc,
 )
+from repro.store.shardstore import shard_root
 from repro.telemetry import reset_telemetry
 
 from tests.exec.conftest import assert_campaigns_identical, worker_counts
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 #: Small walk-enabled campaign spanning several keyframe intervals.
 PARAMS = dict(
@@ -44,6 +55,9 @@ PARAMS = dict(
 )
 SEED = 11
 
+with open(os.path.join(FIXTURES, "prepopulation_hashes.json")) as _handle:
+    LEGACY_ARTIFACT_SHA = json.load(_handle)["artifact_sha256"]
+
 
 def make_campaign(max_workers: int = 1, **overrides) -> LongTermCampaign:
     params = dict(PARAMS)
@@ -51,28 +65,51 @@ def make_campaign(max_workers: int = 1, **overrides) -> LongTermCampaign:
     return LongTermCampaign(max_workers=max_workers, random_state=SEED, **params)
 
 
-def read_doc(checkpoint_dir, name: str) -> dict:
-    with open(os.path.join(str(checkpoint_dir), name), "r", encoding="utf-8") as fh:
+def chain(checkpoint_dir) -> str:
+    """The keyframe/delta chain of a one-worker run's only shard."""
+    return shard_root(str(checkpoint_dir), 0)
+
+
+def read_doc(directory, name: str) -> dict:
+    with open(os.path.join(str(directory), name), "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def kinds_on_disk(checkpoint_dir) -> dict:
+def kinds_on_disk(directory) -> dict:
     return {
-        month: read_doc(checkpoint_dir, name)["kind"]
-        for month, name in list_checkpoints(str(checkpoint_dir))
+        month: read_doc(directory, name)["kind"]
+        for month, name in list_checkpoints(str(directory))
     }
 
 
-def read_bytes(path) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
+def remove_keyframes(directory) -> None:
+    for _, name in list_checkpoints(str(directory)):
+        if read_doc(directory, name)["kind"] == "keyframe":
+            os.remove(os.path.join(str(directory), name))
+
+
+def tree_bytes(root) -> dict:
+    root = str(root)
+    return {
+        os.path.relpath(os.path.join(dirpath, name), root): open(
+            os.path.join(dirpath, name), "rb"
+        ).read()
+        for dirpath, _, names in os.walk(root)
+        for name in names
+    }
+
+
+def artifact_sha(result, path) -> str:
+    save_campaign(result, str(path))
+    with open(str(path), "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
 class TestKeyframeCadence:
     def test_keyframes_every_k_months_deltas_between(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         make_campaign(keyframe_every=2, months=5).run(checkpoint_dir=str(ckpt))
-        assert kinds_on_disk(ckpt) == {
+        assert kinds_on_disk(chain(ckpt)) == {
             0: "keyframe", 1: "delta", 2: "keyframe",
             3: "delta", 4: "keyframe", 5: "delta",
         }
@@ -80,7 +117,7 @@ class TestKeyframeCadence:
     def test_keyframe_every_one_writes_only_keyframes(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         make_campaign(keyframe_every=1, months=3).run(checkpoint_dir=str(ckpt))
-        assert set(kinds_on_disk(ckpt).values()) == {"keyframe"}
+        assert set(kinds_on_disk(chain(ckpt)).values()) == {"keyframe"}
 
     def test_directory_shrinks_at_least_3x_with_default_cadence(self, tmp_path):
         sizes = {}
@@ -92,93 +129,82 @@ class TestKeyframeCadence:
                 keyframe_every=cadence,
             ).run(checkpoint_dir=str(ckpt))
             sizes[cadence] = sum(
-                os.path.getsize(ckpt / name)
-                for _, name in list_checkpoints(str(ckpt))
+                os.path.getsize(os.path.join(chain(ckpt), name))
+                for _, name in list_checkpoints(chain(ckpt))
             )
         assert sizes[1] / sizes[DEFAULT_KEYFRAME_EVERY] >= 3.0
 
     def test_standalone_save_without_base_is_a_keyframe(self, tmp_path):
-        # A month-1 save with no month-0 on disk must fall back to a
-        # keyframe, or it could never be resumed from.
-        ckpt = tmp_path / "ckpt"
-        checkpointer = CampaignCheckpointer(
-            str(ckpt), {"keyframe_every": 5}
-        )
+        # A month-1 file with no month-0 beside it must be a keyframe,
+        # or it could never be resumed from.
         straight = tmp_path / "straight"
         make_campaign(keyframe_every=5, months=2).run(checkpoint_dir=str(straight))
-        doc = read_doc(straight, checkpoint_name(1))
-        assert doc["kind"] == "delta"
-        # Replaying the same save into an empty directory flips it.
-        state = load_latest_checkpoint(str(straight))
-        checkpointer.save(
-            state.completed_month, state.temperature, state.temp_rng_state,
-            state.references, state.boards, state.snapshots,
-            state.counter_deltas, state.pending_deltas,
-        )
-        saved = read_doc(ckpt, checkpoint_name(state.completed_month))
-        assert saved["kind"] == "keyframe"
+        assert read_doc(chain(straight), checkpoint_name(1))["kind"] == "delta"
+        assert not keyframe_due(ArtifactStore(chain(straight)), 1, 5)
+        # The same month in an empty directory flips to a keyframe.
+        assert keyframe_due(ArtifactStore(str(tmp_path / "empty")), 1, 5)
 
     def test_invalid_keyframe_every_rejected(self, tmp_path):
-        with pytest.raises(StorageError, match="keyframe_every"):
-            CampaignCheckpointer(str(tmp_path), {"keyframe_every": 0})
-        with pytest.raises(StorageError, match="keyframe_every"):
-            CampaignCheckpointer(str(tmp_path), {"keyframe_every": "6"})
+        for keyframe_every in (0, "6"):
+            with pytest.raises(StorageError, match="keyframe_every"):
+                CampaignCheckpointer(
+                    str(tmp_path), {"keyframe_every": keyframe_every},
+                    "ATmega32u4", [(0, 1)],
+                )
         with pytest.raises(ConfigurationError, match="keyframe_every"):
             make_campaign(keyframe_every=0)
 
 
 class TestDeltaDocuments:
-    def _delta_doc(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        make_campaign(months=2, keyframe_every=3).run(checkpoint_dir=str(ckpt))
-        return read_doc(ckpt, checkpoint_name(1))
+    """The legacy campaign-scoped delta document (fixture month 1)."""
 
-    def test_parse_checkpoint_doc_rejects_deltas(self, tmp_path):
-        doc = self._delta_doc(tmp_path)
+    def _delta_doc(self):
+        return read_doc(
+            os.path.join(FIXTURES, "ckpt_prepopulation"), checkpoint_name(1)
+        )
+
+    def test_parse_checkpoint_doc_rejects_deltas(self):
         with pytest.raises(StorageError, match="cannot restore a campaign by itself"):
-            parse_checkpoint_doc(doc, source="month-0001.json")
+            parse_checkpoint_doc(self._delta_doc(), source="month-0001.json")
 
-    def test_parse_delta_doc_roundtrip(self, tmp_path):
-        record = parse_delta_doc(self._delta_doc(tmp_path), source="month-0001.json")
+    def test_parse_delta_doc_roundtrip(self):
+        record = parse_delta_doc(self._delta_doc(), source="month-0001.json")
         assert record.completed_month == 1
         assert record.base_month == 0
         assert record.snapshot.month == 1
 
-    def test_delta_with_wrong_base_month_rejected(self, tmp_path):
-        doc = self._delta_doc(tmp_path)
+    def test_delta_with_wrong_base_month_rejected(self):
+        doc = self._delta_doc()
         doc["base_month"] = 5
         with pytest.raises(StorageError, match="bases on month 5"):
             parse_delta_doc(doc)
 
-    def test_delta_with_wrong_snapshot_month_rejected(self, tmp_path):
-        doc = self._delta_doc(tmp_path)
+    def test_delta_with_wrong_snapshot_month_rejected(self):
+        doc = self._delta_doc()
         doc["snapshot"]["month"] = 2
         with pytest.raises(StorageError, match="month-2 snapshot"):
             parse_delta_doc(doc)
 
-    def test_unknown_kind_rejected(self, tmp_path):
-        doc = self._delta_doc(tmp_path)
+    def test_unknown_kind_rejected(self):
+        doc = self._delta_doc()
         doc["kind"] = "mystery"
         with pytest.raises(StorageError, match="unknown kind"):
             parse_checkpoint_doc(doc)
 
 
 class TestLoadLatestWithDeltas:
-    def test_resume_point_is_newest_keyframe(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        make_campaign().run(checkpoint_dir=str(ckpt))
-        # months=8, K=3: keyframes at 0, 3, 6; deltas at 7 and 8 are
-        # skipped in favour of the month-6 keyframe.
+    def test_resume_point_is_newest_keyframe(self, legacy_dir):
+        ckpt = legacy_dir()
+        # Keyframes at 0, 2, 4, 6: without month 6, the month-5 delta
+        # is skipped in favour of the month-4 keyframe.
+        os.remove(ckpt / checkpoint_name(6))
         state = load_latest_checkpoint(str(ckpt))
-        assert state.completed_month == 6
-        assert state.source == checkpoint_name(6)
+        assert state.completed_month == 4
+        assert state.source == checkpoint_name(4)
 
-    def test_directory_of_only_deltas_raises(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        make_campaign().run(checkpoint_dir=str(ckpt))
-        for month, name in list_checkpoints(str(ckpt)):
-            if read_doc(ckpt, name)["kind"] == "keyframe":
-                os.remove(ckpt / name)
+    def test_directory_of_only_deltas_raises(self, legacy_dir):
+        ckpt = legacy_dir()
+        remove_keyframes(ckpt)
         with pytest.raises(StorageError, match="no keyframe"):
             load_latest_checkpoint(str(ckpt))
 
@@ -199,17 +225,14 @@ class TestKillAndResumeUnderDeltas:
                 make_campaign().run(
                     checkpoint_dir=str(ckpt), abort_after_month=4
                 )
-            assert kinds_on_disk(ckpt)[4] == "delta"
+            assert kinds_on_disk(chain(ckpt))[4] == "delta"
             reset_telemetry()
             resumed = LongTermCampaign.resume(str(ckpt), max_workers=workers)
             assert_campaigns_identical(baseline, resumed)
-            # Every checkpoint file — the re-executed delta months
-            # included — is byte-identical to the uninterrupted run's.
-            assert [n for _, n in list_checkpoints(str(ckpt))] == [
-                n for _, n in list_checkpoints(str(straight_dir))
-            ]
-            for _, name in list_checkpoints(str(ckpt)):
-                assert read_bytes(ckpt / name) == read_bytes(straight_dir / name)
+            # Every file — the re-executed delta months included — is
+            # byte-identical to the uninterrupted run's: resume follows
+            # the manifest's shard map at any worker count.
+            assert tree_bytes(ckpt) == tree_bytes(straight_dir)
 
     def test_resume_right_after_keyframe(self, tmp_path):
         baseline = make_campaign().run()
@@ -217,7 +240,7 @@ class TestKillAndResumeUnderDeltas:
         reset_telemetry()
         with pytest.raises(CampaignInterrupted):
             make_campaign().run(checkpoint_dir=str(ckpt), abort_after_month=3)
-        assert kinds_on_disk(ckpt)[3] == "keyframe"
+        assert kinds_on_disk(chain(ckpt))[3] == "keyframe"
         reset_telemetry()
         resumed = LongTermCampaign.resume(str(ckpt))
         assert_campaigns_identical(baseline, resumed)
@@ -227,10 +250,10 @@ class TestCompaction:
     def test_compact_prunes_reconstructible_months(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         make_campaign().run(checkpoint_dir=str(ckpt))
-        removed = compact_checkpoints(str(ckpt), keep_keyframes=1)
+        removed = compact_checkpoints(chain(ckpt), keep_keyframes=1)
         # Newest keyframe is month 6; everything before it goes.
         assert removed == [checkpoint_name(m) for m in range(6)]
-        assert [m for m, _ in list_checkpoints(str(ckpt))] == [6, 7, 8]
+        assert [m for m, _ in list_checkpoints(chain(ckpt))] == [6, 7, 8]
 
     def test_resume_after_compaction_matches_baseline(self, tmp_path):
         baseline = make_campaign().run()
@@ -238,7 +261,7 @@ class TestCompaction:
         reset_telemetry()
         with pytest.raises(CampaignInterrupted):
             make_campaign().run(checkpoint_dir=str(ckpt), abort_after_month=7)
-        compact_checkpoints(str(ckpt))
+        compact_checkpoints(chain(ckpt))
         reset_telemetry()
         resumed = LongTermCampaign.resume(str(ckpt))
         assert_campaigns_identical(baseline, resumed)
@@ -246,40 +269,52 @@ class TestCompaction:
     def test_keep_keyframes_retains_older_keyframes(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         make_campaign().run(checkpoint_dir=str(ckpt))
-        removed = compact_checkpoints(str(ckpt), keep_keyframes=2)
+        removed = compact_checkpoints(chain(ckpt), keep_keyframes=2)
         # Oldest kept keyframe is month 3; months 0-2 go.
         assert removed == [checkpoint_name(m) for m in range(3)]
 
     def test_compact_refuses_directory_without_keyframe(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         make_campaign().run(checkpoint_dir=str(ckpt))
-        for month, name in list_checkpoints(str(ckpt)):
-            if read_doc(ckpt, name)["kind"] == "keyframe":
-                os.remove(ckpt / name)
+        remove_keyframes(chain(ckpt))
         with pytest.raises(StorageError, match="no parseable keyframe"):
-            compact_checkpoints(str(ckpt))
+            compact_checkpoints(chain(ckpt))
 
     def test_keep_keyframes_must_be_positive(self, tmp_path):
         with pytest.raises(StorageError, match="keep_keyframes"):
             compact_checkpoints(str(tmp_path), keep_keyframes=0)
+
+    def test_compacted_legacy_directory_still_resumes(self, legacy_dir, tmp_path):
+        ckpt = legacy_dir()
+        removed = compact_checkpoints(str(ckpt))
+        assert removed == [checkpoint_name(m) for m in range(6)]
+        resumed = LongTermCampaign.resume(str(ckpt))
+        assert artifact_sha(resumed, tmp_path / "a.json") == LEGACY_ARTIFACT_SHA
 
 
 class TestChainReport:
     def test_healthy_directory_reports_ok(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         make_campaign().run(checkpoint_dir=str(ckpt))
-        report = checkpoint_chain_report(str(ckpt))
+        report = checkpoint_chain_report(chain(ckpt))
         assert report["ok"] is True
         assert report["resume_month"] == 6
         kinds = {e["month"]: e["kind"] for e in report["entries"]}
-        assert kinds == kinds_on_disk(ckpt)
+        assert kinds == kinds_on_disk(chain(ckpt))
         assert all(e["status"] == "ok" for e in report["entries"])
+
+    def test_healthy_legacy_directory_reports_ok(self, legacy_dir):
+        report = checkpoint_chain_report(str(legacy_dir()))
+        assert report["ok"] is True
+        assert report["resume_month"] == 6
+        kinds = {e["month"]: e["kind"] for e in report["entries"]}
+        assert kinds == {m: "keyframe" if m % 2 == 0 else "delta" for m in range(7)}
 
     def test_broken_chain_is_flagged(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         make_campaign().run(checkpoint_dir=str(ckpt))
-        os.remove(ckpt / checkpoint_name(3))  # delta month 4 bases on it
-        report = checkpoint_chain_report(str(ckpt))
+        os.remove(os.path.join(chain(ckpt), checkpoint_name(3)))  # month 4 bases on it
+        report = checkpoint_chain_report(chain(ckpt))
         assert report["ok"] is False
         broken = {e["month"]: e for e in report["entries"]}[4]
         assert broken["status"] == "error"
@@ -288,45 +323,43 @@ class TestChainReport:
     def test_corrupt_rng_state_is_flagged(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         make_campaign(months=2).run(checkpoint_dir=str(ckpt))
-        doc = read_doc(ckpt, checkpoint_name(0))
+        doc = read_doc(chain(ckpt), checkpoint_name(0))
         first_board = next(iter(doc["boards"]))
         doc["boards"][first_board]["rng_state"] = {"not": "a bit generator"}
-        (ckpt / checkpoint_name(0)).write_text(json.dumps(doc, sort_keys=True))
-        report = checkpoint_chain_report(str(ckpt))
+        with open(os.path.join(chain(ckpt), checkpoint_name(0)), "w") as handle:
+            handle.write(json.dumps(doc, sort_keys=True))
+        report = checkpoint_chain_report(chain(ckpt))
         assert report["ok"] is False
         entry = {e["month"]: e for e in report["entries"]}[0]
         assert "rng_state" in entry["detail"]
 
 
 class TestV1Migration:
+    """Pre-delta v1 directories: cumulative keyframes, no ``kind``."""
+
     def _downgrade_to_v1(self, ckpt) -> None:
-        """Rewrite a K=1 directory as pre-delta v1 cumulative files."""
+        """Keep the fixture's keyframes, rewritten as v1 cumulative files."""
         for _, name in list_checkpoints(str(ckpt)):
             doc = read_doc(ckpt, name)
-            assert doc["kind"] == "keyframe"
+            if doc["kind"] != "keyframe":
+                os.remove(ckpt / name)
+                continue
             del doc["kind"]
             doc["checkpoint_version"] = 1
             doc["config"].pop("keyframe_every", None)
             (ckpt / name).write_text(json.dumps(doc, sort_keys=True))
 
-    def test_v1_directory_resumes_transparently(self, tmp_path):
-        baseline = make_campaign(keyframe_every=1).run()
-        ckpt = tmp_path / "ckpt"
-        reset_telemetry()
-        with pytest.raises(CampaignInterrupted):
-            make_campaign(keyframe_every=1).run(
-                checkpoint_dir=str(ckpt), abort_after_month=4
-            )
+    def test_v1_directory_resumes_transparently(self, legacy_dir, tmp_path):
+        ckpt = legacy_dir()
         self._downgrade_to_v1(ckpt)
-        reset_telemetry()
+        os.remove(ckpt / checkpoint_name(6))  # resume re-runs months 5-6
         resumed = LongTermCampaign.resume(str(ckpt))
-        assert_campaigns_identical(baseline, resumed)
+        assert artifact_sha(resumed, tmp_path / "a.json") == LEGACY_ARTIFACT_SHA
 
-    def test_v1_files_load_as_keyframes(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        make_campaign(keyframe_every=1, months=2).run(checkpoint_dir=str(ckpt))
+    def test_v1_files_load_as_keyframes(self, legacy_dir):
+        ckpt = legacy_dir()
         self._downgrade_to_v1(ckpt)
         state = load_latest_checkpoint(str(ckpt))
-        assert state.completed_month == 2
+        assert state.completed_month == 6
         report = checkpoint_chain_report(str(ckpt))
         assert report["ok"] is True

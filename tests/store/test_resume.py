@@ -9,14 +9,18 @@ and the same telemetry snapshot as the run that was never interrupted.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.analysis.campaign import LongTermCampaign
 from repro.errors import CampaignInterrupted, ConfigurationError, StorageError
-from repro.io.resultstore import save_campaign
+from repro.io.resultstore import load_campaign, save_campaign
 from repro.monitor.defaults import default_ruleset
 from repro.monitor.hub import MonitorHub
 from repro.store.artifact import ArtifactStore
+from repro.store.checkpoint import list_checkpoints
+from repro.store.shardstore import read_parent_log, shard_root
 from repro.telemetry import get_metrics, reset_telemetry
 
 from tests.exec.conftest import assert_campaigns_identical, worker_counts
@@ -41,6 +45,22 @@ def read_bytes(path: str) -> bytes:
         return handle.read()
 
 
+def chain_months(checkpoint_dir) -> list:
+    """Months of a one-worker run's shard chain, ascending."""
+    return [month for month, _ in list_checkpoints(shard_root(str(checkpoint_dir), 0))]
+
+
+def tree_bytes(root) -> dict:
+    root = str(root)
+    return {
+        os.path.relpath(os.path.join(dirpath, name), root): read_bytes(
+            os.path.join(dirpath, name)
+        )
+        for dirpath, _, names in os.walk(root)
+        for name in names
+    }
+
+
 class TestCheckpointedRun:
     def test_fresh_checkpointed_run_matches_plain_run(self, tmp_path):
         baseline = make_campaign().run()
@@ -53,16 +73,16 @@ class TestCheckpointedRun:
     def test_writes_one_checkpoint_per_snapshot(self, tmp_path):
         checkpoint_dir = tmp_path / "ckpt"
         make_campaign().run(checkpoint_dir=str(checkpoint_dir))
-        names = sorted(p.name for p in checkpoint_dir.glob("month-*.json"))
-        assert names == [f"month-{m:04d}.json" for m in range(SMALL["months"] + 1)]
+        months = list(range(SMALL["months"] + 1))
+        assert chain_months(checkpoint_dir) == months
+        assert [record["month"] for record in read_parent_log(str(checkpoint_dir))] == months
 
     def test_fresh_run_clears_stale_checkpoints(self, tmp_path):
         checkpoint_dir = tmp_path / "ckpt"
         make_campaign(months=5).run(checkpoint_dir=str(checkpoint_dir))
         reset_telemetry()
         make_campaign().run(checkpoint_dir=str(checkpoint_dir))
-        months = sorted(int(p.stem[-4:]) for p in checkpoint_dir.glob("month-*.json"))
-        assert months == list(range(SMALL["months"] + 1))
+        assert chain_months(checkpoint_dir) == list(range(SMALL["months"] + 1))
 
     def test_abort_raises_campaign_interrupted(self, tmp_path):
         checkpoint_dir = str(tmp_path / "ckpt")
@@ -71,8 +91,8 @@ class TestCheckpointedRun:
         assert excinfo.value.month == 1
         assert excinfo.value.checkpoint_dir == checkpoint_dir
         # Months 0 and 1 were checkpointed before the interrupt fired.
-        assert (tmp_path / "ckpt" / "month-0001.json").exists()
-        assert not (tmp_path / "ckpt" / "month-0002.json").exists()
+        assert chain_months(checkpoint_dir) == [0, 1]
+        assert len(read_parent_log(checkpoint_dir)) == 2
 
     def test_abort_requires_checkpoint_dir(self):
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):
@@ -116,21 +136,28 @@ class TestKillAndResume:
         save_campaign(LongTermCampaign.resume(checkpoint_dir), resumed_path)
         assert read_bytes(straight) == read_bytes(resumed_path)
 
-    def test_checkpoint_files_byte_identical_across_worker_counts(self, tmp_path):
-        reference = None
+    def test_checkpoint_tree_is_deterministic_at_every_worker_count(self, tmp_path):
+        """Same worker count, same tree; the merged artifact never moves.
+
+        The tree holds one shard per worker, so it differs between
+        worker counts — the artifact merged back from it does not.
+        """
+        merged = set()
         for workers in worker_counts():
-            reset_telemetry()
-            checkpoint_dir = tmp_path / f"ckpt-w{workers}"
-            make_campaign(max_workers=workers).run(checkpoint_dir=str(checkpoint_dir))
-            contents = {
-                p.name: p.read_bytes()
-                for p in sorted(checkpoint_dir.glob("month-*.json"))
-            }
-            assert contents, "run produced no checkpoints"
-            if reference is None:
-                reference = contents
-            else:
-                assert contents == reference, f"workers={workers}"
+            trees = []
+            for attempt in range(2):
+                reset_telemetry()
+                checkpoint_dir = tmp_path / f"ckpt-w{workers}-{attempt}"
+                make_campaign(max_workers=workers).run(
+                    checkpoint_dir=str(checkpoint_dir)
+                )
+                trees.append(tree_bytes(checkpoint_dir))
+            assert trees[0], "run produced no checkpoint files"
+            assert trees[0] == trees[1], f"workers={workers}"
+            artifact = str(tmp_path / f"merged-w{workers}.json")
+            save_campaign(load_campaign(str(checkpoint_dir)), artifact)
+            merged.add(read_bytes(artifact))
+        assert len(merged) == 1
 
     def test_resumed_checkpoints_byte_identical_to_straight_run(self, tmp_path):
         straight_dir = tmp_path / "straight"
@@ -141,9 +168,7 @@ class TestKillAndResume:
             make_campaign().run(checkpoint_dir=str(resumed_dir), abort_after_month=1)
         reset_telemetry()
         LongTermCampaign.resume(str(resumed_dir))
-        straight = {p.name: p.read_bytes() for p in sorted(straight_dir.glob("*.json"))}
-        resumed = {p.name: p.read_bytes() for p in sorted(resumed_dir.glob("*.json"))}
-        assert straight == resumed
+        assert tree_bytes(resumed_dir) == tree_bytes(straight_dir)
 
     def test_resume_falls_back_past_truncated_checkpoint(self, tmp_path):
         """A kill *during* the checkpoint write resumes one month back."""
@@ -152,7 +177,7 @@ class TestKillAndResume:
         checkpoint_dir = str(tmp_path / "ckpt")
         with pytest.raises(CampaignInterrupted):
             make_campaign().run(checkpoint_dir=checkpoint_dir, abort_after_month=2)
-        store = ArtifactStore(checkpoint_dir)
+        store = ArtifactStore(shard_root(checkpoint_dir, 0))
         torn = store.read_bytes("month-0002.json")[:128]
         with open(store.path("month-0002.json"), "wb") as handle:
             handle.write(torn)

@@ -110,15 +110,13 @@ class TestRollupResume:
             monitor=make_hub(str(tmp_path / "alerts.jsonl")),
             checkpoint_dir=checkpoint_dir,
         )
-        import glob
-        import json
+        from repro.store.shardstore import read_parent_log
 
-        files = sorted(glob.glob(f"{checkpoint_dir}/month-*.json"))
-        assert len(files) == CONFIG["months"] + 1
-        for path in files:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-            for deltas in doc.get("counter_deltas", []):
+        records = read_parent_log(checkpoint_dir)
+        assert len(records) == CONFIG["months"] + 1
+        assert all(record["counter_delta"] for record in records)
+        for record in records:
+            for deltas in (record["counter_delta"], record["pending_deltas"]):
                 for name in deltas:
                     assert not name.startswith("rollup."), name
                     assert not name.startswith("monitor."), name

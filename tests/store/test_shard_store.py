@@ -1,9 +1,9 @@
 """Sharded persistence: layout, merge-on-read and resume byte-identity.
 
-The tentpole contract of :mod:`repro.store.shardstore`: a campaign
-whose window workers persist per-shard streams and keyframe chains
-produces — after ``merge_sharded_campaign`` — exactly the bytes the
-single-writer monolithic path saves, and resumes from its shard
+The contract of :mod:`repro.store.shardstore`, the one checkpoint
+layout: a campaign whose window workers persist per-shard streams and
+keyframe chains produces — after ``merge_sharded_campaign`` — exactly
+the bytes the in-memory run saves, and resumes from its shard
 chains (including torn and compacted ones) byte-identically to an
 uninterrupted run.  The hypothesis suite at the bottom drives shard
 counts {1, 2, 3, 7} through kill-and-resume mid-keyframe-interval
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.campaign import LongTermCampaign
-from repro.errors import CampaignInterrupted, ConfigurationError, StorageError
+from repro.errors import CampaignInterrupted, StorageError
 from repro.exec.windows import clear_window_cache
 from repro.io.resultstore import load_campaign, save_campaign
 from repro.sram.profiles import ATMEGA32U4
@@ -52,10 +52,10 @@ SMALL = dict(device_count=4, months=3, measurements=80)
 SEED = 11
 
 
-def make_campaign(shard_store: bool = True, **overrides) -> LongTermCampaign:
+def make_campaign(**overrides) -> LongTermCampaign:
     params = dict(SMALL)
     params.update(overrides)
-    return LongTermCampaign(shard_store=shard_store, random_state=SEED, **params)
+    return LongTermCampaign(random_state=SEED, **params)
 
 
 def read_bytes(path: str) -> bytes:
@@ -83,32 +83,44 @@ class TestShardedLayout:
             header, references, rows = read_shard_stream(shard_dir)
             assert sorted(references) == list(manifest.shard_boards[index])
             assert sorted(rows) == list(range(SMALL["months"] + 1))
-        # the monolithic chain is absent: no month files at the root
+        # the parent writes no chain of its own: no month files at the root
         assert glob.glob(os.path.join(ckpt, "month-*.json")) == []
 
-    def test_shard_store_requires_checkpoint_dir(self):
-        with pytest.raises(ConfigurationError, match="checkpoint_dir"):
-            make_campaign().run()
+    def test_shard_store_flag_is_accepted_and_ignored(self, tmp_path):
+        """``shard_store=`` predates the one layout; it changes nothing."""
+        baseline = make_campaign().run()
+        reset_telemetry()
+        assert_campaigns_identical(
+            baseline, LongTermCampaign(shard_store=True, random_state=SEED, **SMALL).run()
+        )
+        for flag in (True, False):
+            reset_telemetry()
+            ckpt = str(tmp_path / f"ckpt-{flag}")
+            LongTermCampaign(shard_store=flag, random_state=SEED, **SMALL).run(
+                checkpoint_dir=ckpt
+            )
+            assert is_sharded_checkpoint(ckpt)
 
-    def test_fresh_sharded_run_clears_monolithic_residue(self, tmp_path):
-        ckpt = str(tmp_path / "ckpt")
-        make_campaign(shard_store=False).run(checkpoint_dir=ckpt)
+    def test_fresh_sharded_run_clears_monolithic_residue(self, tmp_path, legacy_dir):
+        """A fresh run in a legacy campaign-scoped directory replaces it."""
+        ckpt = str(legacy_dir())
         assert glob.glob(os.path.join(ckpt, "month-*.json"))
         make_campaign().run(checkpoint_dir=ckpt, executor=InlineWindowPool(2))
         assert glob.glob(os.path.join(ckpt, "month-*.json")) == []
         assert is_sharded_checkpoint(ckpt)
 
     def test_fresh_monolithic_run_clears_sharded_residue(self, tmp_path):
+        """A one-shard run (the monolithic case) leaves no stale shard."""
         ckpt = str(tmp_path / "ckpt")
         make_campaign().run(checkpoint_dir=ckpt, executor=InlineWindowPool(2))
-        make_campaign(shard_store=False).run(checkpoint_dir=ckpt)
-        assert not is_sharded_checkpoint(ckpt)
-        assert not os.path.isdir(os.path.join(ckpt, "shards"))
+        make_campaign().run(checkpoint_dir=ckpt)
+        assert load_shard_manifest(ckpt).shard_boards == ((0, 1, 2, 3),)
+        assert os.listdir(os.path.join(ckpt, "shards")) == ["shard-0000"]
 
 
 class TestMergeOnRead:
     def test_merge_matches_monolithic_artifact_bytes(self, tmp_path):
-        baseline = make_campaign(shard_store=False).run()
+        baseline = make_campaign().run()
         reset_telemetry()
         ckpt = str(tmp_path / "ckpt")
         sharded = make_campaign().run(
@@ -148,7 +160,7 @@ class TestMergeOnRead:
 
 class TestShardedResume:
     def test_kill_and_resume_matches_uninterrupted(self, tmp_path):
-        baseline = make_campaign(shard_store=False).run()
+        baseline = make_campaign().run()
         reset_telemetry()
         ckpt = str(tmp_path / "ckpt")
         with pytest.raises(CampaignInterrupted):
@@ -175,7 +187,7 @@ class TestShardedResume:
         """The chain scan honours compacted chains (keyframe + tail only)."""
         from repro.store.checkpoint import compact_checkpoints
 
-        baseline = make_campaign(shard_store=False, months=5).run()
+        baseline = make_campaign(months=5).run()
         reset_telemetry()
         ckpt = str(tmp_path / "ckpt")
         with pytest.raises(CampaignInterrupted):
@@ -299,7 +311,7 @@ class TestShardStoreProperties:
     def test_merge_and_torn_resume_byte_identity(self, cfg):
         """Sharded-run, merged and torn-resumed artifacts are one artifact.
 
-        Every drawn scenario runs the study three ways — monolithic
+        Every drawn scenario runs the study three ways — in-memory
         baseline, sharded straight through, sharded killed
         mid-keyframe-interval with one shard additionally torn and then
         resumed — and demands the exact same campaign result (and
@@ -320,7 +332,7 @@ class TestShardStoreProperties:
             straight_dir = os.path.join(workdir, "straight")
             reset_telemetry()
             straight = LongTermCampaign(
-                random_state=cfg["seed"], shard_store=True, **params
+                random_state=cfg["seed"], **params
             ).run(checkpoint_dir=straight_dir, executor=pool)
             assert_campaigns_identical(baseline, straight)
             assert_campaigns_identical(
@@ -331,7 +343,7 @@ class TestShardStoreProperties:
             reset_telemetry()
             with pytest.raises(CampaignInterrupted):
                 LongTermCampaign(
-                    random_state=cfg["seed"], shard_store=True, **params
+                    random_state=cfg["seed"], **params
                 ).run(
                     checkpoint_dir=resumed_dir,
                     executor=pool,

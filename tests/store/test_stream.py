@@ -1,9 +1,9 @@
 """Streaming campaign artifacts: byte identity and torn-stream safety.
 
 The format's contract: however a stream was produced — at once from a
-finished result, incrementally month by month, or replayed by a resumed
-run — the bytes on disk are identical, and a stream whose writing run
-died (no end trailer) refuses to load as a campaign result.
+finished result, merged back from a checkpoint directory, or saved by a
+resumed run — the bytes on disk are identical, and a stream whose
+writing run died (no end trailer) refuses to load as a campaign result.
 """
 
 from __future__ import annotations
@@ -16,6 +16,11 @@ from repro.analysis.campaign import LongTermCampaign
 from repro.errors import CampaignInterrupted, StorageError
 from repro.io.resultstore import load_campaign, save_campaign
 from repro.store import ArtifactStore
+from repro.store.shardstore import (
+    merge_sharded_campaign,
+    read_shard_stream,
+    shard_root,
+)
 from repro.store.stream import (
     CampaignStreamWriter,
     is_stream_header,
@@ -91,45 +96,50 @@ class TestStreamRoundtrip:
 
 
 class TestLiveStreaming:
+    """A checkpointed run's stream forms: saved, merged, resumed."""
+
     def test_campaign_run_streams_byte_identical_to_at_once(self, tmp_path):
-        live = tmp_path / "live.json"
-        writer = CampaignStreamWriter(str(live))
-        result = make_campaign().run(
-            checkpoint_dir=str(tmp_path / "ckpt"), stream=writer
-        )
+        ckpt = str(tmp_path / "ckpt")
+        result = make_campaign().run(checkpoint_dir=ckpt)
+        saved = tmp_path / "saved.json"
+        save_campaign(result, str(saved), stream=True)
+        merged = tmp_path / "merged.json"
+        write_campaign_stream(merge_sharded_campaign(ckpt), str(merged))
+        reset_telemetry()
         at_once = tmp_path / "at_once.json"
-        write_campaign_stream(result, str(at_once))
-        assert read_bytes(live) == read_bytes(at_once)
+        write_campaign_stream(make_campaign().run(), str(at_once))
+        assert read_bytes(saved) == read_bytes(at_once)
+        assert read_bytes(merged) == read_bytes(at_once)
 
     def test_aborted_run_leaves_a_torn_stream(self, tmp_path):
-        live = tmp_path / "live.json"
+        ckpt = str(tmp_path / "ckpt")
         with pytest.raises(CampaignInterrupted):
-            make_campaign().run(
-                checkpoint_dir=str(tmp_path / "ckpt"),
-                abort_after_month=2,
-                stream=CampaignStreamWriter(str(live)),
-            )
-        with pytest.raises(StorageError, match="torn stream"):
-            load_campaign(str(live))
+            make_campaign().run(checkpoint_dir=ckpt, abort_after_month=2)
+        # The shard stream stops at month 2: no artifact can be merged
+        # from it until the campaign is resumed.
+        _, _, rows = read_shard_stream(shard_root(ckpt, 0))
+        assert sorted(rows) == [0, 1, 2]
+        with pytest.raises(StorageError, match="resume the campaign"):
+            load_campaign(ckpt)
 
     def test_resumed_stream_bytes_match_straight_run(self, tmp_path):
         straight = tmp_path / "straight.json"
-        make_campaign().run(
-            checkpoint_dir=str(tmp_path / "ckpt-straight"),
-            stream=CampaignStreamWriter(str(straight)),
+        save_campaign(
+            make_campaign().run(checkpoint_dir=str(tmp_path / "ckpt-straight")),
+            str(straight),
+            stream=True,
         )
-        live = tmp_path / "live.json"
-        ckpt = tmp_path / "ckpt"
+        ckpt = str(tmp_path / "ckpt")
         reset_telemetry()
         with pytest.raises(CampaignInterrupted):
-            make_campaign().run(
-                checkpoint_dir=str(ckpt),
-                abort_after_month=2,
-                stream=CampaignStreamWriter(str(live)),
-            )
+            make_campaign().run(checkpoint_dir=ckpt, abort_after_month=2)
         reset_telemetry()
-        LongTermCampaign.resume(str(ckpt), stream=CampaignStreamWriter(str(live)))
-        assert read_bytes(live) == read_bytes(straight)
+        resumed = tmp_path / "resumed.json"
+        save_campaign(LongTermCampaign.resume(ckpt), str(resumed), stream=True)
+        merged = tmp_path / "merged.json"
+        write_campaign_stream(load_campaign(ckpt), str(merged))
+        assert read_bytes(resumed) == read_bytes(straight)
+        assert read_bytes(merged) == read_bytes(straight)
 
 
 class TestTornAndMalformedStreams:

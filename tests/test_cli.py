@@ -5,6 +5,10 @@ import pytest
 from repro.cli import build_parser, main
 
 
+#: The only shard of a one-worker checkpointed run.
+SHARD0 = "shards/shard-0000"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -262,7 +266,7 @@ class TestRunCommand:
         assert (tmp_path / "campaign.json").exists()
         assert (tmp_path / "campaign.manifest.json").exists()
         assert (tmp_path / "campaign.alerts.jsonl").exists()
-        assert (tmp_path / "ckpt" / "month-0002.json").exists()
+        assert (tmp_path / "ckpt" / SHARD0 / "month-0002.json").exists()
 
     def test_abort_exits_with_code_3(self, capsys, tmp_path):
         code, out = run_cli(
@@ -271,7 +275,8 @@ class TestRunCommand:
         assert code == 3
         assert "interrupted after month 0" in out
         assert not (tmp_path / "campaign.json").exists()
-        assert (tmp_path / "ckpt" / "month-0000.json").exists()
+        assert (tmp_path / "ckpt" / SHARD0 / "month-0000.json").exists()
+        assert not (tmp_path / "ckpt" / SHARD0 / "month-0001.json").exists()
 
     def test_abort_env_variable(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ABORT_AFTER_MONTH", "0")
@@ -500,8 +505,8 @@ class TestStreamArtifactCli:
             ),
         )
         assert code == 0
-        # Without a checkpoint dir the stream is encoded at once after
-        # the run; the artifact bytes must not depend on the path taken.
+        # The stream is encoded once after the run, with or without a
+        # checkpoint dir; the artifact bytes must not depend on it.
         code, _ = run_cli(capsys, *self._run_args(at_once, "--stream-artifact"))
         assert code == 0
         assert (incremental / "campaign.json").read_bytes() == (
@@ -555,7 +560,7 @@ class TestStreamArtifactCli:
         assert code == 0
         kinds = {}
         for month in range(3):
-            with open(tmp_path / "ckpt" / f"month-000{month}.json") as fh:
+            with open(tmp_path / "ckpt" / SHARD0 / f"month-000{month}.json") as fh:
                 kinds[month] = json.load(fh)["kind"]
         assert kinds == {0: "keyframe", 1: "delta", 2: "keyframe"}
 
@@ -577,13 +582,13 @@ class TestStoreDeepAndCompactCli:
             capsys, "store", "inspect", str(tmp_path / "ckpt"), "--deep"
         )
         assert code == 0
-        assert "checkpoint chain:" in out
+        assert f"checkpoint chain [{SHARD0}]:" in out
         assert "resume point: keyframe month 2" in out
         assert "integrity: ok" in out
 
     def test_inspect_deep_flags_broken_chain(self, capsys, tmp_path):
         self._checkpointed_run(capsys, tmp_path, "--keyframe-every", "2")
-        (tmp_path / "ckpt" / "month-0000.json").unlink()  # delta 1's base
+        (tmp_path / "ckpt" / SHARD0 / "month-0000.json").unlink()  # delta 1's base
         code, out = run_cli(
             capsys, "store", "inspect", str(tmp_path / "ckpt"), "--deep"
         )
@@ -600,7 +605,7 @@ class TestStoreDeepAndCompactCli:
         self._checkpointed_run(capsys, tmp_path, "--keyframe-every", "1")
         code, out = run_cli(capsys, "store", "compact", str(tmp_path / "ckpt"))
         assert code == 0
-        assert "removed month-0000.json" in out
+        assert f"removed {SHARD0}/month-0000.json" in out
         assert "2 checkpoint(s) removed" in out
         code, out = run_cli(
             capsys, "store", "inspect", str(tmp_path / "ckpt"), "--deep"
