@@ -30,7 +30,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.io.bitutil import ensure_bits, pack_bit_vector, unpack_bits
+from repro.io.bitutil import (
+    ensure_bit_matrix,
+    ensure_bits,
+    pack_bit_vector,
+    unpack_bits,
+)
 from repro.metrics.entropy import noise_min_entropy_from_counts, puf_min_entropy
 from repro.metrics.hamming import (
     between_class_hd,
@@ -234,13 +239,16 @@ def assemble_evaluation(
 
     ``boards`` must be in fleet order; the cross-board metrics (BCHD,
     PUF entropy) are computed here from the boards' first read-outs,
-    exactly as the serial protocol does.
+    exactly as the serial protocol does, stacked once into one
+    ``(boards, bits)`` matrix that both metrics read.
     """
     if not boards:
         raise ConfigurationError("assemble_evaluation needs at least one board")
-    first_readouts = [board.first_readout for board in boards]
     if len(boards) >= 2:
         with get_profiler().phase(PHASE_METRICS):
+            first_readouts = ensure_bit_matrix(
+                [board.first_readout for board in boards]
+            )
             bchd = between_class_hd(first_readouts)
             puf_h = puf_min_entropy(first_readouts)
     else:

@@ -73,7 +73,7 @@ from repro.store.shardstore import ShardStoreSpec, persist_shard_window
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiling import PHASE_AGING, PHASE_STORE_IO, PhaseProfiler
 from repro.telemetry.resources import ResourceSampler
-from repro.telemetry.rollup import ROLLUP_STATS, ShardRollupBuilder
+from repro.telemetry.rollup import ROLLUP_STATS, UNIT_BOUNDS, ShardRollupBuilder
 from repro.telemetry.runtime import get_profiler, install_profiler
 from repro.telemetry.tracing import NULL_SPAN, TraceContext, Tracer, span_record
 
@@ -197,11 +197,16 @@ class WindowResult:
     restored_months: Tuple[int, ...] = ()
 
     # The day-0 references are bit vectors: they pickle packed eight
-    # bits per byte, like the rows' read-outs.
+    # bits per byte, like the rows' read-outs.  A rollup document's
+    # ``bounds`` is nearly always the default UNIT_BOUNDS, 128 floats
+    # per document: it pickles as None and is restored on unpickling.
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         state["references"] = {
             board: pack_bit_vector(bits) for board, bits in self.references.items()
+        }
+        state["rollups"] = {
+            name: _drop_unit_bounds(doc) for name, doc in self.rollups.items()
         }
         return state
 
@@ -209,7 +214,30 @@ class WindowResult:
         state["references"] = {
             board: unpack_bits(*packed) for board, packed in state["references"].items()
         }
+        state["rollups"] = {
+            name: _restore_unit_bounds(doc) for name, doc in state["rollups"].items()
+        }
         self.__dict__.update(state)
+
+
+#: ``RollupSummary.to_doc()["bounds"]`` of a default-bounds summary.
+_UNIT_BOUNDS_DOC = list(UNIT_BOUNDS)
+
+
+def _drop_unit_bounds(doc: dict) -> dict:
+    """``doc`` with a default ``bounds`` list replaced by None."""
+    return {
+        key: None if key == "bounds" and value == _UNIT_BOUNDS_DOC else value
+        for key, value in doc.items()
+    }
+
+
+def _restore_unit_bounds(doc: dict) -> dict:
+    """Inverse of :func:`_drop_unit_bounds` (a fresh list per document)."""
+    return {
+        key: list(UNIT_BOUNDS) if key == "bounds" and value is None else value
+        for key, value in doc.items()
+    }
 
 
 def check_window_result(spec: WindowSpec, result: WindowResult) -> None:

@@ -29,6 +29,37 @@ def ensure_bits(bits: BitsLike, length: int = None) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ConfigurationError(f"bit vector must be 1-D, got shape {arr.shape}")
+    arr = _binary_uint8(arr)
+    if length is not None and arr.size != length:
+        raise ConfigurationError(f"expected {length} bits, got {arr.size}")
+    return arr
+
+
+def ensure_bit_matrix(rows) -> np.ndarray:
+    """Validate equal-length bit vectors as one ``(rows, bits)`` matrix.
+
+    ``rows`` is a 2-D array (one bit vector per row) or a sequence of
+    1-D vectors, which are stacked once.  Either way the values are
+    checked with whole-matrix reductions rather than per row, and the
+    result is a contiguous ``uint8`` matrix.  Raises
+    :class:`ConfigurationError` on a row that is not 1-D, rows of
+    different lengths, and the values :func:`ensure_bits` refuses.
+    """
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
+        vectors = [np.asarray(row) for row in rows]
+        for vec in vectors:
+            if vec.ndim != 1:
+                raise ConfigurationError(
+                    f"bit vector must be 1-D, got shape {vec.shape}"
+                )
+        if len({vec.size for vec in vectors}) > 1:
+            raise ConfigurationError("all read-outs must have equal length")
+        rows = np.stack(vectors) if vectors else np.zeros((0, 0), dtype=np.uint8)
+    return _binary_uint8(rows)
+
+
+def _binary_uint8(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as contiguous ``uint8`` after checking it holds only 0/1."""
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         if np.issubdtype(arr.dtype, np.bool_):
             arr = arr.astype(np.uint8)
@@ -36,8 +67,6 @@ def ensure_bits(bits: BitsLike, length: int = None) -> np.ndarray:
             raise ConfigurationError(f"bit vector must be integer-typed, got {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise ConfigurationError("bit vector may only contain 0 and 1")
-    if length is not None and arr.size != length:
-        raise ConfigurationError(f"expected {length} bits, got {arr.size}")
     return np.ascontiguousarray(arr, dtype=np.uint8)
 
 

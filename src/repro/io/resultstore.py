@@ -31,23 +31,44 @@ from repro.errors import StorageError
 from repro.io.bitutil import bits_from_hex, bits_to_hex
 from repro.store import migrate
 from repro.store.artifact import ArtifactStore
+from repro.store.codecs import JsonText, encode_json_object
 from repro.telemetry import RunManifest, manifest_path_for
 
 FORMAT_VERSION = 1
 
 
-def _snapshot_to_dict(snapshot) -> Dict[str, Any]:
+def _snapshot_fields(snapshot) -> Dict[str, Any]:
+    """A snapshot's document fields, in order, arrays still NumPy."""
     return {
         "month": snapshot.month,
         "measurements": snapshot.measurements,
         "board_ids": list(snapshot.board_ids),
-        "wchd": snapshot.wchd.tolist(),
-        "fhw": snapshot.fhw.tolist(),
-        "stable_ratio": snapshot.stable_ratio.tolist(),
-        "noise_entropy": snapshot.noise_entropy.tolist(),
-        "bchd_pairs": snapshot.bchd_pairs.tolist(),
+        "wchd": snapshot.wchd,
+        "fhw": snapshot.fhw,
+        "stable_ratio": snapshot.stable_ratio,
+        "noise_entropy": snapshot.noise_entropy,
+        "bchd_pairs": snapshot.bchd_pairs,
         "puf_entropy": None if np.isnan(snapshot.puf_entropy) else snapshot.puf_entropy,
     }
+
+
+def _snapshot_to_dict(snapshot) -> Dict[str, Any]:
+    return {
+        name: value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in _snapshot_fields(snapshot).items()
+    }
+
+
+def encode_snapshot(snapshot, sort_keys: bool = False) -> str:
+    """``json.dumps`` of a snapshot's document, byte for byte.
+
+    The float arrays go through
+    :func:`~repro.store.codecs.encode_json_array`, which encodes each
+    distinct value once instead of every element's ``repr``.  Both
+    artifact writers use it: the at-once document in field order, the
+    stream with ``sort_keys=True``.
+    """
+    return encode_json_object(_snapshot_fields(snapshot), sort_keys=sort_keys)
 
 
 def _snapshot_from_dict(doc: Dict[str, Any]):
@@ -67,8 +88,8 @@ def _snapshot_from_dict(doc: Dict[str, Any]):
     )
 
 
-def campaign_to_dict(result) -> Dict[str, Any]:
-    """Serialise a campaign result to a plain JSON-ready dict."""
+def _campaign_head(result) -> Dict[str, Any]:
+    """Every campaign document field except the snapshots."""
     return {
         "format_version": FORMAT_VERSION,
         "profile_name": result.profile_name,
@@ -81,8 +102,29 @@ def campaign_to_dict(result) -> Dict[str, Any]:
         "reference_bits": {
             str(board): int(bits.size) for board, bits in result.references.items()
         },
-        "snapshots": [_snapshot_to_dict(snap) for snap in result.snapshots],
     }
+
+
+def campaign_to_dict(result) -> Dict[str, Any]:
+    """Serialise a campaign result to a plain JSON-ready dict."""
+    doc = _campaign_head(result)
+    doc["snapshots"] = [_snapshot_to_dict(snap) for snap in result.snapshots]
+    return doc
+
+
+def encode_campaign(result) -> str:
+    """``json.dumps(campaign_to_dict(result))``, byte for byte.
+
+    The at-once artifact: the head fields through ``json.dumps`` and
+    each snapshot through :func:`encode_snapshot`, without building
+    the document's Python float lists.  Each level is joined once, so
+    encoding holds little more than the finished text.
+    """
+    doc = _campaign_head(result)
+    doc["snapshots"] = JsonText(
+        f"[{', '.join(encode_snapshot(snap) for snap in result.snapshots)}]"
+    )
+    return encode_json_object(doc)
 
 
 def campaign_from_dict(doc: Dict[str, Any]):
@@ -147,7 +189,7 @@ def save_campaign(
         write_campaign_stream(result, path)
     else:
         store, name = ArtifactStore.locate(path)
-        store.write_json(name, campaign_to_dict(result))
+        store.write_text(name, encode_campaign(result))
     if manifest is not None:
         from repro.io.jsonstore import save_manifest
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.io.bitutil import ensure_bits
+from repro.io.bitutil import ensure_bit_matrix
 
 
 def min_entropy_bits(probabilities: np.ndarray) -> np.ndarray:
@@ -53,17 +53,13 @@ def puf_min_entropy(readouts: Sequence) -> float:
     Per bit location, ``p1`` is estimated as the fraction of devices
     whose bit is 1; the result is the average min-entropy over
     locations (paper Section IV-B.4, with probabilities "computed over
-    all measured SRAMs").
+    all measured SRAMs").  A ``(devices, bits)`` array is taken as it
+    is (:func:`~repro.io.bitutil.ensure_bit_matrix`).
     """
-    vectors = [ensure_bits(r) for r in readouts]
-    if len(vectors) < 2:
+    bits = ensure_bit_matrix(readouts)
+    if len(bits) < 2:
         raise ConfigurationError("PUF entropy needs at least two devices")
-    length = vectors[0].size
-    for vec in vectors[1:]:
-        if vec.size != length:
-            raise ConfigurationError("all read-outs must have equal length")
-    ones_fraction = np.stack(vectors).mean(axis=0)
-    return average_min_entropy(ones_fraction)
+    return average_min_entropy(bits.mean(axis=0))
 
 
 def noise_min_entropy(measurements: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.io.bitutil import ensure_bits
+from repro.io.bitutil import ensure_bit_matrix, ensure_bits
 
 
 def hamming_distance(a, b) -> int:
@@ -118,23 +118,21 @@ def between_class_hd(readouts: Sequence) -> np.ndarray:
     FHD of every unordered device pair (``n*(n-1)/2`` values), the
     population summarised in Fig. 5 and tracked monthly in Table I.
     Pairs appear in ``itertools.combinations`` order: (0,1), (0,2),
-    ..., (n-2,n-1).
+    ..., (n-2,n-1).  A ``(devices, bits)`` array is taken as it is
+    (:func:`~repro.io.bitutil.ensure_bit_matrix`).
     """
-    vectors = [ensure_bits(r) for r in readouts]
-    if len(vectors) < 2:
+    bits = ensure_bit_matrix(readouts)
+    if len(bits) < 2:
         raise ConfigurationError("BCHD needs at least two devices")
-    length = vectors[0].size
-    for vec in vectors[1:]:
-        if vec.size != length:
-            raise ConfigurationError("all read-outs must have equal length")
+    length = bits.shape[1]
     # For 0/1 vectors HD(x, y) = |x| + |y| - 2 x.y, so one Gram matrix
     # replaces the n*(n-1)/2 per-pair comparisons.  float64 keeps the
     # BLAS path and stays exact: every partial sum is an integer far
     # below 2**53, and count/length is the same float64 division the
     # per-pair mean performed — results equal the loop bit for bit.
-    matrix = np.stack(vectors).astype(np.float64)
+    matrix = bits.astype(np.float64)
     gram = matrix @ matrix.T
     ones = np.diagonal(gram)
     distances = ones[:, np.newaxis] + ones[np.newaxis, :] - 2.0 * gram
-    upper_i, upper_j = np.triu_indices(len(vectors), k=1)
+    upper_i, upper_j = np.triu_indices(len(bits), k=1)
     return distances[upper_i, upper_j] / length

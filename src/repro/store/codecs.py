@@ -18,6 +18,11 @@ shapes, and each shape has exactly one canonical byte encoding:
 ``float64``
     Float arrays (per-cell skew state) as base64 of the little-endian
     IEEE-754 bytes: exact round-trip by construction, no repr games.
+JSON number arrays (:func:`encode_json_array`)
+    The per-board and per-pair metric arrays of campaign snapshots, as
+    the exact text ``json.dumps(values.tolist())`` gives, produced
+    through a table of the array's distinct values (a month's pairwise
+    FHDs take at most ``read_bits + 1`` of them).
 
 RNG state travels as the :attr:`numpy.random.BitGenerator.state` dict
 (:func:`rng_state_doc` / :func:`restore_rng_state`): plain ints and
@@ -34,11 +39,23 @@ from __future__ import annotations
 
 import base64
 import json
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from repro.errors import StorageError
+
+
+class JsonText(NamedTuple):
+    """Already-encoded compact JSON, embedded verbatim.
+
+    :func:`encode_json_object` inserts a ``JsonText`` value as it is
+    and :meth:`JsonLinesCodec.encode_line` takes one as a whole record,
+    so a document can be assembled from separately encoded parts
+    without encoding or copying them again.
+    """
+
+    text: str
 
 
 class JsonCodec:
@@ -85,11 +102,17 @@ class JsonLinesCodec:
         self._sort_keys = sort_keys
 
     def encode_line(self, document: Any) -> str:
-        """One record as a single line (no trailing newline)."""
-        try:
-            text = json.dumps(document, sort_keys=self._sort_keys)
-        except (TypeError, ValueError) as exc:
-            raise StorageError(f"record is not JSON-serialisable: {exc}") from exc
+        """One record as a single line (no trailing newline).
+
+        A :class:`JsonText` record is taken as already encoded.
+        """
+        if isinstance(document, JsonText):
+            text = document.text
+        else:
+            try:
+                text = json.dumps(document, sort_keys=self._sort_keys)
+            except (TypeError, ValueError) as exc:
+                raise StorageError(f"record is not JSON-serialisable: {exc}") from exc
         if "\n" in text:
             raise StorageError("a JSONL record cannot span lines")
         return text
@@ -114,6 +137,64 @@ class JsonLinesCodec:
                 raise StorageError(
                     f"{source}:{line_number}: invalid JSON: {exc}"
                 ) from exc
+
+
+# JSON number arrays and flat objects ---------------------------------------
+
+def encode_json_array(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist())`` of a 1-D numeric array, byte for byte.
+
+    Every distinct value is encoded once: the array's distinct bit
+    patterns (an unsigned-integer view, so ``-0.0`` and ``0.0`` and
+    NaN payloads stay apart) go through one ``json.dumps`` call, whose
+    ``", "``-separated items are then gathered by the inverse index
+    and joined.  A month's pairwise FHDs are ``k / read_bits`` for an
+    integer ``k``, so their 130,816 values at 512 boards need at most
+    513 float reprs instead of one per pair.
+    """
+    arr = np.ascontiguousarray(values)
+    if arr.ndim != 1:
+        raise StorageError(f"JSON number array must be 1-D, got shape {arr.shape}")
+    if arr.dtype.kind not in "biuf" or arr.dtype.itemsize > 8:
+        raise StorageError(f"cannot encode a {arr.dtype} array as JSON numbers")
+    if arr.size == 0:
+        return "[]"
+    patterns, inverse = np.unique(
+        arr.view(f"u{arr.dtype.itemsize}"), return_inverse=True
+    )
+    table = json.dumps(patterns.view(arr.dtype).tolist())
+    texts = np.array(table[1:-1].split(", "), dtype=object)
+    return "[" + ", ".join(texts[inverse].tolist()) + "]"
+
+
+def encode_json_object(fields: Mapping[str, Any], sort_keys: bool = False) -> str:
+    """``json.dumps(fields, sort_keys=sort_keys)`` of a string-keyed object.
+
+    NumPy array values are encoded by :func:`encode_json_array` (the
+    bytes ``json.dumps`` gives for their ``tolist()``), :class:`JsonText`
+    values are inserted as they are, and everything else goes through
+    ``json.dumps``; a value it cannot encode raises
+    :class:`~repro.errors.StorageError`.
+    """
+    pieces = ["{"]
+    for key in sorted(fields) if sort_keys else fields:
+        value = fields[key]
+        if isinstance(value, JsonText):
+            text = value.text
+        elif isinstance(value, np.ndarray):
+            text = encode_json_array(value)
+        else:
+            try:
+                text = json.dumps(value, sort_keys=sort_keys)
+            except (TypeError, ValueError) as exc:
+                raise StorageError(
+                    f"field {key!r} is not JSON-serialisable: {exc}"
+                ) from exc
+        if len(pieces) > 1:
+            pieces.append(", ")
+        pieces += (json.dumps(key), ": ", text)
+    pieces.append("}")
+    return "".join(pieces)
 
 
 # Bit-vector codec -----------------------------------------------------------

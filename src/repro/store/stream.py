@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.store.artifact import ArtifactStore
+from repro.store.codecs import JsonText, encode_json_object
 from repro.store.schema import current_version, migrate
 
 logger = logging.getLogger(__name__)
@@ -110,16 +111,18 @@ class CampaignStreamWriter:
 
     def append_snapshot(self, snapshot: Any) -> None:
         """Append one completed month's evaluation snapshot."""
-        from repro.io.resultstore import _snapshot_to_dict
+        from repro.io.resultstore import encode_snapshot
 
         if not self._begun:
             raise StorageError("stream writer used before begin()")
         if self._finalized:
             raise StorageError("stream writer used after finalize()")
+        record = {
+            "kind": "snapshot",
+            "snapshot": JsonText(encode_snapshot(snapshot, sort_keys=True)),
+        }
         self._store.append_jsonl(
-            self._name,
-            {"kind": "snapshot", "snapshot": _snapshot_to_dict(snapshot)},
-            sort_keys=True,
+            self._name, JsonText(encode_json_object(record, sort_keys=True))
         )
         self._snapshots += 1
 

@@ -81,12 +81,18 @@ def deterministic_run_id(flat_config: Dict[str, Any]) -> str:
     """Content-derived run id: sha256 of the canonical config, 16 hex chars.
 
     The id is a pure function of the flattened configuration
-    (sorted-key JSON), so the same study produces the same id whether
-    it runs straight through, resumed from a checkpoint, serial or
-    parallel — which is what lets alert logs and heartbeats carry the
-    id while staying byte-identical across those equivalence gates.
+    (sorted-key JSON) with the worker count normalised to 1, so the
+    same study produces the same id whether it runs straight through,
+    resumed from a checkpoint, serial or parallel — which is what lets
+    alert logs and heartbeats carry the id while staying byte-identical
+    across those equivalence gates.
     """
-    canonical = json.dumps(flat_config, sort_keys=True).encode("utf-8")
+    flat = dict(flat_config)
+    if "max_workers" in flat:
+        # The worker count changes how a run executes, never its bytes;
+        # 1 is its default, so serial ids are what they always were.
+        flat["max_workers"] = 1
+    canonical = json.dumps(flat, sort_keys=True).encode("utf-8")
     return hashlib.sha256(canonical).hexdigest()[:16]
 
 

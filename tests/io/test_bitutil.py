@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError
 from repro.io.bitutil import (
     bits_from_hex,
     bits_to_hex,
+    ensure_bit_matrix,
     ensure_bits,
     hamming_weight,
     pack_bits,
@@ -48,6 +49,30 @@ class TestEnsureBits:
 
     def test_empty_allowed(self):
         assert ensure_bits([]).size == 0
+
+
+class TestEnsureBitMatrix:
+    def test_rows_stack_into_uint8_matrix(self):
+        matrix = ensure_bit_matrix([[0, 1, 1], np.array([True, False, True])])
+        assert matrix.dtype == np.uint8 and matrix.flags.c_contiguous
+        np.testing.assert_array_equal(matrix, [[0, 1, 1], [1, 0, 1]])
+
+    def test_matrix_is_checked_whole(self):
+        matrix = np.array([[0, 1], [1, 1]], dtype=np.int64)
+        np.testing.assert_array_equal(ensure_bit_matrix(matrix), matrix)
+        with pytest.raises(ConfigurationError, match="0 and 1"):
+            ensure_bit_matrix(np.array([[0, 1], [1, 3]]))
+
+    def test_empty_sequence_is_an_empty_matrix(self):
+        assert ensure_bit_matrix([]).shape == (0, 0)
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ConfigurationError, match="equal length"):
+            ensure_bit_matrix([[0, 1], [0, 1, 1]])
+
+    def test_non_vector_row_rejected(self):
+        with pytest.raises(ConfigurationError, match="1-D"):
+            ensure_bit_matrix([np.zeros((2, 2), dtype=np.uint8)])
 
 
 class TestPackUnpack:

@@ -1,5 +1,8 @@
 """Tests for campaign result persistence."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,9 @@ from repro.io.resultstore import (
     load_campaign,
     save_campaign,
 )
+from repro.sram.profiles import ATMEGA32U4
+from repro.store.codecs import JsonLinesCodec
+from repro.store.schema import current_version
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +89,78 @@ class TestErrorHandling:
         del doc["references"]
         with pytest.raises(StorageError):
             campaign_from_dict(doc)
+
+
+def fleet_result():
+    """A 64-board result on small boards: 2,016 pairs per snapshot."""
+    profile = dataclasses.replace(
+        ATMEGA32U4, name="ATmega32u4-small", sram_bytes=128, read_bytes=64
+    )
+    return LongTermCampaign(
+        device_count=64, months=2, measurements=40, profile=profile, random_state=3
+    ).run()
+
+
+def nan_entropy_result(result):
+    """``result`` with a NaN PUF entropy, signed zeros and a NaN array value."""
+    first = result.snapshots[0]
+    wchd = first.wchd.copy()
+    wchd[:3] = (-0.0, 0.0, np.nan)
+    snapshots = [dataclasses.replace(first, wchd=wchd, puf_entropy=float("nan"))]
+    return dataclasses.replace(result, snapshots=snapshots + result.snapshots[1:])
+
+
+def expected_stream(result) -> bytes:
+    """The stream artifact, record by record, from ``campaign_to_dict``."""
+    doc = campaign_to_dict(result)
+    records = [
+        {
+            "kind": "header",
+            "stream_version": current_version("campaign-stream"),
+            "profile_name": doc["profile_name"],
+            "months": doc["months"],
+            "measurements": doc["measurements"],
+            "board_ids": doc["board_ids"],
+        },
+        {
+            "kind": "references",
+            "references": doc["references"],
+            "reference_bits": doc["reference_bits"],
+        },
+    ]
+    records += [{"kind": "snapshot", "snapshot": snap} for snap in doc["snapshots"]]
+    records.append({"kind": "end", "snapshots": len(doc["snapshots"])})
+    return JsonLinesCodec(sort_keys=True).encode(records)
+
+
+class TestArtifactBytes:
+    """Both artifact writers equal ``json.dumps`` of the public document."""
+
+    @pytest.fixture(scope="class", params=["fleet-64", "nan-entropy"])
+    def encoded(self, request):
+        base = fleet_result()
+        return base if request.param == "fleet-64" else nan_entropy_result(base)
+
+    def test_at_once_artifact_equals_json_dumps(self, encoded, tmp_path):
+        path = tmp_path / "campaign.json"
+        save_campaign(encoded, str(path))
+        assert path.read_bytes() == json.dumps(campaign_to_dict(encoded)).encode()
+
+    def test_stream_artifact_equals_record_encoding(self, encoded, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        save_campaign(encoded, str(path), stream=True)
+        assert path.read_bytes() == expected_stream(encoded)
+
+    def test_nan_entropy_is_null(self, tmp_path):
+        result = nan_entropy_result(fleet_result())
+        path = tmp_path / "campaign.json"
+        save_campaign(result, str(path))
+        doc = json.loads(path.read_bytes())
+        assert doc["snapshots"][0]["puf_entropy"] is None
+        assert str(doc["snapshots"][0]["wchd"][:2]) == "[-0.0, 0.0]"
+
+    def test_unserialisable_value_raises_storage_error(self, result, tmp_path):
+        broken = dataclasses.replace(result, profile_name=object())
+        with pytest.raises(StorageError, match="serialisable"):
+            save_campaign(broken, str(tmp_path / "campaign.json"))
+        assert not list(tmp_path.iterdir())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.metrics.entropy import puf_min_entropy
 from repro.metrics.hamming import (
     between_class_hd,
     fractional_hamming_distance,
@@ -157,3 +158,39 @@ class TestBetweenClassHDVectorization:
         np.testing.assert_array_equal(
             between_class_hd(list(matrix)), self.loop_reference(matrix)
         )
+
+
+CROSS_BOARD_METRICS = [between_class_hd, puf_min_entropy]
+
+#: Read-out sets both cross-board metrics refuse, as lists and arrays.
+MALFORMED_READOUTS = {
+    "non-binary": [np.array([0, 1, 2, 1]), np.array([0, 1, 1, 1])],
+    "non-binary-matrix": np.array([[0, 1, 2, 1], [0, 1, 1, 1]]),
+    "negative": np.array([[0, -1], [1, 0]]),
+    "non-integer": [np.array([0.0, 1.0]), np.array([1.0, 0.0])],
+    "non-integer-matrix": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "2-D row": [np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8)],
+    "3-D array": np.zeros((2, 2, 2), dtype=np.uint8),
+    "ragged": [np.zeros(8, dtype=np.uint8), np.zeros(4, dtype=np.uint8)],
+    "one device": [np.zeros(8, dtype=np.uint8)],
+    "one-row matrix": np.zeros((1, 8), dtype=np.uint8),
+    "no devices": [],
+}
+
+
+class TestCrossBoardInputs:
+    """BCHD and PUF entropy take a list of read-outs or one matrix."""
+
+    @pytest.mark.parametrize("metric", CROSS_BOARD_METRICS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("readouts", MALFORMED_READOUTS.values(), ids=MALFORMED_READOUTS)
+    def test_malformed_readouts_rejected(self, metric, readouts):
+        with pytest.raises(ConfigurationError):
+            metric(readouts)
+
+    @pytest.mark.parametrize("metric", CROSS_BOARD_METRICS, ids=lambda f: f.__name__)
+    def test_matrix_equals_list_of_rows(self, metric):
+        rng = np.random.default_rng(11)
+        matrix = (rng.random((40, 256)) < 0.627).astype(np.uint8)
+        from_list = metric([row.astype(np.int64) for row in matrix])
+        np.testing.assert_array_equal(metric(matrix), from_list)
+        np.testing.assert_array_equal(metric(matrix.astype(bool)), from_list)

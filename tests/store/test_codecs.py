@@ -4,14 +4,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import StorageError
 from repro.io.bitutil import bits_to_hex, random_bits
 from repro.store.codecs import (
     JsonCodec,
     JsonLinesCodec,
+    JsonText,
     decode_float64_array,
     encode_float64_array,
+    encode_json_array,
+    encode_json_object,
     pack_bits_hex,
     restore_rng_state,
     rng_state_doc,
@@ -122,6 +128,109 @@ class TestFloat64Codec:
         payload = base64.b64encode(b"1234567").decode()  # 7 bytes, not /8
         with pytest.raises(StorageError, match="multiple of 8"):
             decode_float64_array(payload)
+
+
+#: Values whose reprs are easy to get wrong: signed zeros, NaNs with
+#: different payloads and signs, infinities, subnormals, extremes.
+SPECIAL_FLOATS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+     1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e-7, 123456789.0]
+    + [np.nan]
+    + list(np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64)
+           .view(np.float64))
+)
+
+#: Arrays with many repeats, as a month's pairwise FHDs (k / read_bits).
+repeated_floats = hnp.arrays(
+    np.float64,
+    st.integers(0, 300),
+    elements=st.sampled_from(list(SPECIAL_FLOATS) + [k / 512 for k in range(0, 513, 7)]),
+)
+any_floats = hnp.arrays(
+    np.float64,
+    st.integers(0, 100),
+    elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+float32s = hnp.arrays(
+    np.float32,
+    st.integers(0, 100),
+    elements=st.floats(width=32, allow_nan=True, allow_infinity=True),
+)
+
+
+def dumps_oracle(values) -> str:
+    return json.dumps(np.asarray(values).tolist())
+
+
+class TestJsonArray:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(repeated_floats, any_floats, float32s))
+    def test_equals_json_dumps_of_tolist(self, values):
+        assert encode_json_array(values) == dumps_oracle(values)
+
+    @settings(max_examples=50, deadline=None)
+    @given(repeated_floats, st.integers(2, 4))
+    def test_non_contiguous_views(self, values, step):
+        for view in (values[::step], values[::-1], np.stack([values, values], 1)[:, 1]):
+            assert not view.flags.c_contiguous or view.size <= 1
+            assert encode_json_array(view) == dumps_oracle(view)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([], dtype=float),
+            np.array([0.25]),
+            np.arange(50) / 7.0,  # all unique
+            np.full(40, 0.4921875),  # all equal
+            SPECIAL_FLOATS,
+            np.array([-0.0, 0.0, -0.0, 0.0]),
+            np.array([np.nan, np.inf, -np.inf, np.nan]),
+            np.array([1e-310, 4e-320, 1e-310]),  # subnormals
+            np.array([0.1, 1 / 3], dtype=np.float32),
+            np.array([3, -1, 3, 0], dtype=np.int64),
+            np.array([True, False, True]),
+        ],
+        ids=["empty", "single", "unique", "equal", "special", "zeros", "nonfinite",
+             "subnormal", "float32", "int", "bool"],
+    )
+    def test_edge_cases(self, values):
+        assert encode_json_array(values) == dumps_oracle(values)
+
+    def test_signed_zeros_keep_their_sign(self):
+        assert encode_json_array(np.array([0.0, -0.0, 0.0])) == "[0.0, -0.0, 0.0]"
+
+    def test_rejects_2d_and_non_numeric(self):
+        with pytest.raises(StorageError, match="1-D"):
+            encode_json_array(np.zeros((2, 2)))
+        with pytest.raises(StorageError, match="cannot encode"):
+            encode_json_array(np.array(["a", "b"]))
+
+
+class TestJsonObject:
+    DOC = {"z": 1, "a": np.array([0.5, -0.0, 0.5]), "m": None, "n": {"y": 2, "b": [1.5]}}
+
+    @pytest.mark.parametrize("sort_keys", [False, True])
+    def test_equals_json_dumps(self, sort_keys):
+        plain = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                 for key, value in self.DOC.items()}
+        expected = json.dumps(plain, sort_keys=sort_keys)
+        assert encode_json_object(self.DOC, sort_keys=sort_keys) == expected
+
+    def test_json_text_is_embedded_verbatim(self):
+        inner = JsonText(encode_json_object({"b": 2, "a": 1}, sort_keys=True))
+        outer = encode_json_object({"kind": "x", "doc": inner})
+        assert outer == '{"kind": "x", "doc": {"a": 1, "b": 2}}'
+
+    def test_empty_object(self):
+        assert encode_json_object({}) == "{}"
+
+    def test_unserialisable_raises_storage_error(self):
+        with pytest.raises(StorageError, match="'bad'.*serialisable"):
+            encode_json_object({"ok": 1, "bad": object()})
+
+    def test_jsonl_codec_takes_json_text_as_the_line(self):
+        line = JsonText(encode_json_object({"b": 1, "a": np.array([2.0])}, sort_keys=True))
+        assert JsonLinesCodec(sort_keys=True).encode_line(line) == '{"a": [2.0], "b": 1}'
 
 
 class TestRngStateCodec:

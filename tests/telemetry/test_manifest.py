@@ -6,7 +6,7 @@ import repro
 from repro.core.config import StudyConfig
 from repro.errors import StorageError
 from repro.io.jsonstore import load_manifest, save_manifest
-from repro.telemetry import RunManifest, manifest_path_for
+from repro.telemetry import RunManifest, manifest_path_for, run_id_for_config
 
 
 class TestRunManifest:
@@ -26,6 +26,16 @@ class TestRunManifest:
         # The profile dataclass flattens to its name.
         assert manifest.config["profile"] == "ATmega32u4"
         assert manifest.command == "test"
+
+    def test_run_id_is_the_same_serial_or_parallel(self):
+        serial = StudyConfig(device_count=8, months=3, seed=2)
+        parallel = StudyConfig(device_count=8, months=3, seed=2, max_workers=2)
+        assert run_id_for_config(parallel) == run_id_for_config(serial)
+        manifest = RunManifest.for_config(parallel)
+        assert manifest.run_id == run_id_for_config(serial)
+        # The recorded config still says how the run executed.
+        assert manifest.config["max_workers"] == 2
+        assert run_id_for_config(StudyConfig(seed=3)) != run_id_for_config(serial)
 
     def test_record_phase(self):
         manifest = RunManifest()

@@ -301,6 +301,21 @@ class TestRunCommand:
         for name in ("campaign.json", "campaign.alerts.jsonl"):
             assert (straight / name).read_bytes() == (broken / name).read_bytes()
 
+    def test_alert_log_identical_across_worker_counts(self, capsys, tmp_path):
+        logs = []
+        for workers in ("1", "2"):
+            directory = tmp_path / f"w{workers}"
+            directory.mkdir()
+            code, _ = run_cli(
+                capsys, "run", "--devices", "8", "--months", "3",
+                "--measurements", "150", "--workers", workers,
+                "--save", str(directory / "campaign.json"),
+            )
+            assert code == 0
+            logs.append((directory / "campaign.alerts.jsonl").read_bytes())
+        assert logs[0], "the run raised no alert to compare"
+        assert logs[1] == logs[0]
+
     def test_resume_requires_checkpoint_dir(self, capsys, tmp_path):
         code = main(
             ["run", *SMALL, "--save", str(tmp_path / "c.json"), "--resume"]
