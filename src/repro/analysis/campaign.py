@@ -34,6 +34,7 @@ from repro.rng import RandomState, SeedHierarchy
 from repro.sram.chip import SRAMChip
 from repro.sram.population import PopulationSpec
 from repro.sram.profiles import ATMEGA32U4, DeviceProfile
+from repro.store.checkpoint import DEFAULT_KEYFRAME_EVERY, check_keyframe_every
 from repro.telemetry import (
     PHASE_MONITOR,
     PHASE_STORE_IO,
@@ -134,9 +135,10 @@ class LongTermCampaign:
         ``tests/exec`` equivalence suite enforces this).
     keyframe_every:
         Full-state keyframe cadence of checkpointed runs: one keyframe
-        every this many months, results-only deltas in between (see
-        :mod:`repro.store.checkpoint` and ``docs/storage.md``).  Only
-        consulted when ``checkpoint_dir`` is used.
+        every this many months (a positive ``int``), payload-free delta
+        markers in between (see :mod:`repro.store.checkpoint` and
+        ``docs/storage.md``).  Only consulted when ``checkpoint_dir``
+        is used, but validated at construction.
     rollup_shards:
         Logical rollup-shard count for hierarchical observability
         (``None`` auto-sizes to ``min(8, device_count)``).  The shard
@@ -171,7 +173,7 @@ class LongTermCampaign:
         aging_steps_per_month: int = 2,
         aging_acceleration: float = 1.0,
         max_workers: int = 1,
-        keyframe_every: int = 6,
+        keyframe_every: int = DEFAULT_KEYFRAME_EVERY,
         rollup_shards: Optional[int] = None,
         fail_board: Optional[int] = None,
         shard_store: bool = False,
@@ -198,10 +200,7 @@ class LongTermCampaign:
             )
         if max_workers < 1:
             raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
-        if keyframe_every < 1:
-            raise ConfigurationError(
-                f"keyframe_every must be >= 1, got {keyframe_every}"
-            )
+        check_keyframe_every(keyframe_every)
         if rollup_shards is not None and rollup_shards < 1:
             raise ConfigurationError(
                 f"rollup_shards must be >= 1, got {rollup_shards}"
@@ -432,15 +431,15 @@ class LongTermCampaign:
         remaining months without writing to the directory.
         """
         from repro.exec.executor import executor_for
-        from repro.store.checkpoint import load_latest_checkpoint
-        from repro.store.shardstore import (
-            is_sharded_checkpoint,
-            load_sharded_checkpoint,
-        )
+        from repro.store.shardstore import is_sharded_checkpoint
 
         if is_sharded_checkpoint(checkpoint_dir):
+            from repro.store.shardstore import load_sharded_checkpoint
+
             state = load_sharded_checkpoint(checkpoint_dir)
         else:
+            from repro.store.legacy import load_latest_checkpoint
+
             state = load_latest_checkpoint(checkpoint_dir)
             logger.info(
                 "%s is a legacy campaign-scoped checkpoint directory: "
@@ -467,7 +466,9 @@ class LongTermCampaign:
                 aging_steps_per_month=int(config["aging_steps_per_month"]),
                 aging_acceleration=float(config["aging_acceleration"]),
                 max_workers=max_workers,
-                keyframe_every=int(config.get("keyframe_every", 6)),
+                keyframe_every=int(
+                    config.get("keyframe_every", DEFAULT_KEYFRAME_EVERY)
+                ),
                 rollup_shards=config.get("rollup_shards"),
                 random_state=int(config["root_seed"]),
             )
@@ -725,7 +726,6 @@ class LongTermCampaign:
         )
         from repro.store.codecs import restore_rng_state, rng_state_doc
         from repro.store.shardstore import (
-            ShardedCheckpointState,
             ShardStoreSpec,
             prepare_shard_resume,
             shard_root,
@@ -740,10 +740,9 @@ class LongTermCampaign:
         metrics.counter("campaign.aging_steps")
         metrics.gauge("campaign.devices").set(self._device_count)
 
-        # A legacy campaign-scoped directory is read, never extended.
-        legacy = resume_state is not None and not isinstance(
-            resume_state, ShardedCheckpointState
-        )
+        # A legacy campaign-scoped directory is read, never extended;
+        # only its resume state carries the fleet's device state.
+        legacy = resume_state is not None and resume_state.boards is not None
         persist = checkpoint_dir is not None and not legacy
         # An injected fleet starts from the chips' exported states, under
         # their own ids and profiles; otherwise month 0 manufactures it.
@@ -770,7 +769,7 @@ class LongTermCampaign:
         # any max_workers (the executor just runs more specs than
         # workers, or vice versa), so each shard keeps appending to
         # its own directory.
-        if isinstance(resume_state, ShardedCheckpointState):
+        if resume_state is not None and not legacy:
             shard_boards = [list(boards) for boards in resume_state.shard_boards]
         else:
             shard_boards = partition_boards(board_ids, executor.max_workers)
@@ -811,10 +810,10 @@ class LongTermCampaign:
                 )
             else:
                 state = resume_state
-                if set(state.boards) != set(board_ids):
+                if set(state.references) != set(board_ids):
                     raise StorageError(
                         f"checkpoint {state.source} covers boards "
-                        f"{sorted(state.boards)}, campaign expects {board_ids}"
+                        f"{sorted(state.references)}, campaign expects {board_ids}"
                     )
                 if state.completed_month > self._months:
                     raise StorageError(
@@ -883,7 +882,9 @@ class LongTermCampaign:
                     # names them (docs/parallel.md, resident slots).
                     restoring = resume_state is not None and month == start_month
                     if restoring:
-                        inbound_states = resume_state.boards if legacy else None
+                        # A legacy keyframe's states; None when each
+                        # shard restores from its own chain.
+                        inbound_states = resume_state.boards
                     else:
                         inbound_states = day0_states if month == 0 else None
                     with tracer.span("campaign.month", month=month) as month_span:
@@ -925,9 +926,14 @@ class LongTermCampaign:
                                         shard_index=index,
                                         keyframe_every=self._keyframe_every,
                                         months=self._months,
-                                        # Only a restoring worker replays.
+                                        # Only a restoring worker replays,
+                                        # at the nominal temperature
+                                        # (None) unless the walk is on.
                                         temperatures=(
-                                            tuple(resume_state.temperatures)
+                                            tuple(
+                                                t if walk else None
+                                                for t in resume_state.temperatures
+                                            )
                                             if restoring
                                             else ()
                                         ),

@@ -49,6 +49,7 @@ from typing import List, Optional
 from repro.core.assessment import LongTermAssessment
 from repro.core.config import StudyConfig
 from repro.errors import ConfigurationError
+from repro.store.checkpoint import DEFAULT_KEYFRAME_EVERY
 from repro.telemetry import (
     get_metrics,
     get_profiler,
@@ -123,7 +124,7 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
         measurements=args.measurements,
         seed=args.seed,
         max_workers=getattr(args, "workers", 1),
-        keyframe_every=getattr(args, "keyframe_every", 6),
+        keyframe_every=getattr(args, "keyframe_every", DEFAULT_KEYFRAME_EVERY),
         rollup_shards=getattr(args, "rollup_shards", None),
         fail_board=getattr(args, "fail_board", None),
         **_study_fleet_kwargs(args),
@@ -407,12 +408,16 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
     checked link by link (see
     :func:`repro.store.checkpoint.checkpoint_chain_report`).  On a
     sharded checkpoint directory (``docs/storage.md``) every shard's
-    chain is validated the same way; ``--clean`` always sweeps stray
-    temp files recursively, shard subdirectories included.
+    chain is validated the same way, and the resume point is the
+    fleet-wide month the resume scan picks
+    (:func:`repro.store.shardstore.sharded_resume_month`): each shard
+    must restore it.  ``--clean`` always sweeps stray temp files
+    recursively, shard subdirectories included.
     """
     from repro.errors import StorageError
     from repro.store.artifact import ArtifactStore
     from repro.store.checkpoint import checkpoint_chain_report, list_checkpoints
+    from repro.store.shardstore import is_sharded_checkpoint, sharded_resume_month
 
     try:
         store = ArtifactStore(args.path, create=False)
@@ -453,19 +458,31 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
         ]
         if not chain_dirs:
             print("checkpoint chain: (no checkpoints to validate)")
+        fleet_month = None
+        if is_sharded_checkpoint(args.path):
+            try:
+                fleet_month = sharded_resume_month(args.path)
+            except StorageError as exc:
+                print(f"checkpoint layout: {exc}")
+                fleet_month = -1
         for relative, chain_dir in chain_dirs:
-            chain = checkpoint_chain_report(chain_dir)
+            chain = checkpoint_chain_report(
+                chain_dir, restore_month=fleet_month if relative else None
+            )
             label = f" [{relative}]" if relative else ""
             print(f"checkpoint chain{label}:")
             for entry in chain["entries"]:
                 kind = entry["kind"] or "?"
                 detail = f"  {entry['detail']}" if entry.get("detail") else ""
                 print(f"  {entry['name']:<32} {kind:<9} {entry['status']}{detail}")
-            if chain["resume_month"] is not None:
-                print(f"  resume point: keyframe month {chain['resume_month']}")
-            else:
-                print("  resume point: NONE (no parseable keyframe)")
+            keyframe = chain["resume_month"]
+            point = "NONE" if keyframe is None else f"keyframe month {keyframe}"
+            print(f"  resume point: {point}")
             ok = ok and chain["ok"]
+        if fleet_month is not None:
+            month = f"month {fleet_month}" if fleet_month >= 0 else "NONE"
+            print(f"resume point: {month} (fleet-wide)")
+            ok = ok and fleet_month >= 0
     print(f"integrity: {'ok' if ok else 'PROBLEMS FOUND'}")
     return 0 if ok else 1
 
@@ -474,30 +491,24 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
     """Prune checkpoint months no longer needed for resume.
 
     A sharded checkpoint directory has one keyframe/delta chain per
-    shard under ``shards/shard-*``; each is compacted independently
-    with the same keep policy.
+    shard under ``shards/shard-*``; each keeps the keyframe its shard
+    restores the fleet-wide resume month from
+    (:func:`repro.store.shardstore.compact_sharded_checkpoint`).  A
+    legacy directory's top-level chain is compacted by itself.
     """
     from repro.errors import StorageError
-    from repro.store.checkpoint import compact_checkpoints, list_checkpoints
+    from repro.store.checkpoint import compact_checkpoints
+    from repro.store.shardstore import compact_sharded_checkpoint, is_sharded_checkpoint
 
-    removed: List[str] = []
     try:
-        targets = []
-        if list_checkpoints(args.path):
-            targets.append(("", args.path))
-        targets += [
-            (relative, os.path.join(args.path, relative))
-            for relative in _shard_chain_dirs(args.path)
-        ]
-        if not targets:
-            # Chainless directory: let the compactor raise its usual
-            # "no checkpoints found" instead of reporting a clean no-op.
-            targets.append(("", args.path))
-        for relative, chain_dir in targets:
-            for name in compact_checkpoints(
-                chain_dir, keep_keyframes=args.keep_keyframes
-            ):
-                removed.append(os.path.join(relative, name) if relative else name)
+        if is_sharded_checkpoint(args.path):
+            removed = compact_sharded_checkpoint(
+                args.path, keep_keyframes=args.keep_keyframes
+            )
+        else:
+            removed = compact_checkpoints(
+                args.path, keep_keyframes=args.keep_keyframes
+            )
     except StorageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -798,10 +809,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--keyframe-every",
         type=int,
-        default=6,
+        default=DEFAULT_KEYFRAME_EVERY,
         metavar="K",
         help="full-state checkpoint keyframe cadence; months in between "
-        "store results-only deltas (default: 6)",
+        "store payload-free delta markers (default: %(default)s)",
     )
     run.add_argument(
         "--rollup-shards",

@@ -15,6 +15,7 @@ from typing import Optional
 from repro.errors import ConfigurationError
 from repro.sram.population import PopulationSpec
 from repro.sram.profiles import ATMEGA32U4, DeviceProfile
+from repro.store.checkpoint import DEFAULT_KEYFRAME_EVERY, check_keyframe_every
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,11 @@ class StudyConfig:
         pure wall-clock knob and equal configs still produce equal
         results.
     keyframe_every:
-        Full-state keyframe cadence of checkpointed runs (one keyframe
-        every this many months, results-only deltas in between — see
-        ``docs/storage.md``).  Like ``max_workers``, a pure
-        storage-size knob: results are byte-identical at every
-        cadence.
+        Full-state keyframe cadence of checkpointed runs (a positive
+        ``int``: one keyframe every this many months, payload-free
+        delta markers in between — see ``docs/storage.md``).  Like
+        ``max_workers``, a pure storage-size knob: results are
+        byte-identical at every cadence.
     rollup_shards:
         Logical shard count of the hierarchical rollup layer (see
         ``docs/monitoring.md``); ``None`` lets the campaign pick
@@ -96,7 +97,7 @@ class StudyConfig:
     aging_acceleration: float = 1.0
     initial_measurements: int = 1000
     max_workers: int = 1
-    keyframe_every: int = 6
+    keyframe_every: int = DEFAULT_KEYFRAME_EVERY
     rollup_shards: Optional[int] = None
     fail_board: Optional[int] = None
 
@@ -131,10 +132,7 @@ class StudyConfig:
             raise ConfigurationError(
                 f"max_workers must be >= 1, got {self.max_workers}"
             )
-        if self.keyframe_every < 1:
-            raise ConfigurationError(
-                f"keyframe_every must be >= 1, got {self.keyframe_every}"
-            )
+        check_keyframe_every(self.keyframe_every)
         if self.rollup_shards is not None and self.rollup_shards < 1:
             raise ConfigurationError(
                 f"rollup_shards must be >= 1, got {self.rollup_shards}"

@@ -15,191 +15,128 @@ package:
 * :mod:`repro.store.artifact` — :class:`ArtifactStore`, the directory
   owner every writer goes through.
 * :mod:`repro.store.checkpoint` — checkpoint chain documents
-  (keyframes + per-month deltas), the parent-side checkpointer, the
-  legacy campaign-scoped chain reader, compaction and chain
-  validation.
-* :mod:`repro.store.stream` — the incremental (JSON Lines) campaign
-  artifact format and its writer/loader.
+  (keyframes + per-month deltas), the one chain scan behind cold
+  restore, resume, compaction and chain validation, and the
+  parent-side checkpointer.
 * :mod:`repro.store.shardstore` — the checkpoint layout: one
   store per worker shard (keyframed v4 chain + results stream), a
-  small parent manifest/month log, the per-shard resume scan and the
-  merge-on-read reassembly behind ``store merge``.
+  small parent manifest/month log, the one shard-tree reader behind
+  the resume scan and the merge-on-read reassembly of ``store merge``.
+* :mod:`repro.store.legacy` — read-only parsers of legacy
+  campaign-scoped checkpoint directories (schema v1–v3), imported only
+  when such a directory is read.
+* :mod:`repro.store.stream` — the incremental (JSON Lines) campaign
+  artifact format and its writer/loader.
 * :mod:`repro.store.bench` — the append-only perf-regression ledger
   behind ``repro bench`` (record / compare / list).
+
+Names are exported lazily (:mod:`repro._lazy`): a name's module is
+imported on first access, so a window worker that persists through
+the checkpoint modules never loads the bench ledger, the stream
+format or the legacy readers.
 
 Layering: this package sits *below* ``repro.io``, ``repro.monitor``,
 ``repro.telemetry`` and ``repro.exec`` (they persist through it) and
 must not import them at module scope.  See ``docs/storage.md``.
 """
 
-from repro.store.artifact import ArtifactStore
-from repro.store.bench import (
-    BENCH_LEDGER_NAME,
-    BENCH_VERSION,
-    BenchLedger,
-    git_revision,
-    higher_is_better,
-    host_fingerprint,
-    render_comparison,
-)
-from repro.store.atomic import (
-    TMP_SUFFIX,
-    append_line,
-    append_lines,
-    atomic_write_bytes,
-    atomic_write_text,
-    find_stray_tmp_files,
-    truncate_file,
-)
-from repro.store.checkpoint import (
-    DEFAULT_KEYFRAME_EVERY,
-    CampaignCheckpointer,
-    CheckpointState,
-    CounterDeltaRecorder,
-    DeltaRecord,
-    ShardCheckpointState,
-    board_state_doc,
-    build_shard_delta_doc,
-    build_shard_keyframe_doc,
-    checkpoint_chain_report,
-    checkpoint_kind,
-    checkpoint_name,
-    checkpoint_scope,
-    compact_checkpoints,
-    fold_counter_deltas,
-    keyframe_due,
-    list_checkpoints,
-    load_latest_checkpoint,
-    load_latest_shard_keyframe,
-    parse_checkpoint_doc,
-    parse_delta_doc,
-    parse_shard_checkpoint_doc,
-    parse_shard_delta_doc,
-    restore_chip,
-)
-from repro.store.shardstore import (
-    PARENT_LOG_NAME,
-    SHARD_MANIFEST_NAME,
-    SHARD_STREAM_NAME,
-    SHARDS_DIR,
-    ShardedCheckpointState,
-    ShardManifest,
-    ShardStoreSpec,
-    append_parent_month_record,
-    build_parent_month_record,
-    is_sharded_checkpoint,
-    load_shard_manifest,
-    load_sharded_checkpoint,
-    merge_sharded_campaign,
-    persist_shard_window,
-    prepare_shard_resume,
-    read_parent_log,
-    read_shard_stream,
-    reset_sharded_layout,
-    shard_root,
-    write_shard_manifest,
-)
-from repro.store.codecs import (
-    JsonCodec,
-    JsonLinesCodec,
-    decode_float64_array,
-    encode_float64_array,
-    pack_bits_hex,
-    restore_rng_state,
-    rng_state_doc,
-    unpack_bits_hex,
-)
-from repro.store.schema import (
-    SCHEMAS,
-    current_version,
-    document_version,
-    migrate,
-    register_migration,
-    schema_field,
-)
-from repro.store.stream import (
-    CampaignStreamWriter,
-    is_stream_header,
-    load_campaign_stream_doc,
-    write_campaign_stream,
-)
+from repro import _lazy
 
-__all__ = [
-    "ArtifactStore",
-    "BENCH_LEDGER_NAME",
-    "BENCH_VERSION",
-    "BenchLedger",
-    "CampaignCheckpointer",
-    "CampaignStreamWriter",
-    "CheckpointState",
-    "CounterDeltaRecorder",
-    "DEFAULT_KEYFRAME_EVERY",
-    "DeltaRecord",
-    "JsonCodec",
-    "JsonLinesCodec",
-    "PARENT_LOG_NAME",
-    "SCHEMAS",
-    "SHARDS_DIR",
-    "SHARD_MANIFEST_NAME",
-    "SHARD_STREAM_NAME",
-    "ShardCheckpointState",
-    "ShardManifest",
-    "ShardStoreSpec",
-    "ShardedCheckpointState",
-    "TMP_SUFFIX",
-    "append_parent_month_record",
-    "append_line",
-    "append_lines",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "board_state_doc",
-    "build_parent_month_record",
-    "build_shard_delta_doc",
-    "build_shard_keyframe_doc",
-    "checkpoint_chain_report",
-    "checkpoint_kind",
-    "checkpoint_name",
-    "checkpoint_scope",
-    "compact_checkpoints",
-    "current_version",
-    "decode_float64_array",
-    "document_version",
-    "encode_float64_array",
-    "find_stray_tmp_files",
-    "fold_counter_deltas",
-    "keyframe_due",
-    "git_revision",
-    "higher_is_better",
-    "host_fingerprint",
-    "is_sharded_checkpoint",
-    "is_stream_header",
-    "list_checkpoints",
-    "load_campaign_stream_doc",
-    "load_latest_checkpoint",
-    "load_latest_shard_keyframe",
-    "load_shard_manifest",
-    "load_sharded_checkpoint",
-    "merge_sharded_campaign",
-    "migrate",
-    "pack_bits_hex",
-    "parse_checkpoint_doc",
-    "parse_delta_doc",
-    "parse_shard_checkpoint_doc",
-    "parse_shard_delta_doc",
-    "persist_shard_window",
-    "prepare_shard_resume",
-    "read_parent_log",
-    "read_shard_stream",
-    "register_migration",
-    "render_comparison",
-    "reset_sharded_layout",
-    "restore_chip",
-    "shard_root",
-    "write_campaign_stream",
-    "write_shard_manifest",
-    "restore_rng_state",
-    "rng_state_doc",
-    "schema_field",
-    "truncate_file",
-    "unpack_bits_hex",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "repro.store.artifact": ("ArtifactStore",),
+        "repro.store.atomic": (
+            "TMP_SUFFIX",
+            "append_line",
+            "append_lines",
+            "atomic_write_bytes",
+            "atomic_write_text",
+            "find_stray_tmp_files",
+            "truncate_file",
+        ),
+        "repro.store.bench": (
+            "BENCH_LEDGER_NAME",
+            "BENCH_VERSION",
+            "BenchLedger",
+            "git_revision",
+            "higher_is_better",
+            "host_fingerprint",
+            "render_comparison",
+        ),
+        "repro.store.checkpoint": (
+            "DEFAULT_KEYFRAME_EVERY",
+            "CampaignCheckpointer",
+            "CheckpointState",
+            "CounterDeltaRecorder",
+            "ShardCheckpointState",
+            "ShardedCheckpointState",
+            "board_state_doc",
+            "build_shard_delta_doc",
+            "build_shard_keyframe_doc",
+            "checkpoint_chain_report",
+            "checkpoint_kind",
+            "checkpoint_name",
+            "checkpoint_scope",
+            "compact_checkpoints",
+            "fold_counter_deltas",
+            "keyframe_due",
+            "list_checkpoints",
+            "load_latest_shard_keyframe",
+            "parse_shard_checkpoint_doc",
+            "parse_shard_delta_doc",
+            "restore_chip",
+        ),
+        "repro.store.codecs": (
+            "JsonCodec",
+            "JsonLinesCodec",
+            "decode_float64_array",
+            "encode_float64_array",
+            "pack_bits_hex",
+            "restore_rng_state",
+            "rng_state_doc",
+            "unpack_bits_hex",
+        ),
+        "repro.store.legacy": (
+            "DeltaRecord",
+            "load_latest_checkpoint",
+            "parse_checkpoint_doc",
+            "parse_delta_doc",
+        ),
+        "repro.store.schema": (
+            "SCHEMAS",
+            "current_version",
+            "document_version",
+            "migrate",
+            "register_migration",
+            "schema_field",
+        ),
+        "repro.store.shardstore": (
+            "PARENT_LOG_NAME",
+            "SHARDS_DIR",
+            "SHARD_MANIFEST_NAME",
+            "SHARD_STREAM_NAME",
+            "ShardManifest",
+            "ShardStoreSpec",
+            "append_parent_month_record",
+            "build_parent_month_record",
+            "is_sharded_checkpoint",
+            "load_shard_manifest",
+            "load_sharded_checkpoint",
+            "merge_sharded_campaign",
+            "persist_shard_window",
+            "prepare_shard_resume",
+            "read_parent_log",
+            "read_shard_stream",
+            "reset_sharded_layout",
+            "shard_root",
+            "write_shard_manifest",
+        ),
+        "repro.store.stream": (
+            "CampaignStreamWriter",
+            "is_stream_header",
+            "load_campaign_stream_doc",
+            "write_campaign_stream",
+        ),
+    },
+)

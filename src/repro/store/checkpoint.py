@@ -1,4 +1,4 @@
-"""Campaign checkpoint documents, the parent checkpointer and the readers.
+"""Checkpoint chain documents, the chain scan and the parent checkpointer.
 
 A checkpointed campaign writes one layout (``docs/storage.md``): the
 parent keeps a campaign manifest and an O(counters) month log, and
@@ -20,19 +20,17 @@ chain documents and their rules:
     instead restores the newest keyframe and deterministically
     re-executes the (at most ``keyframe_every - 1``) months after it.
 
+:func:`scan_chain` is the one reader of a chain directory: the worker's
+cold restore, the resume scan, :func:`compact_checkpoints` and
+:func:`checkpoint_chain_report` all classify month files through it.
 :class:`CampaignCheckpointer` is the parent side of the layout: it
 clears the directory and writes the manifest at the start of a fresh
 run, then appends one month record per completed month.
 
 *Legacy directories.*  Before the sharded layout became the only
-writer, the parent wrote one campaign-scoped file per month — full
-keyframes (config, references, every snapshot, counter polls, device
-state) with results-only deltas in between, schema v1–v3.  Those
-directories are read, never extended: :func:`load_latest_checkpoint`
-parses the newest keyframe (through the v1→v4 migration chain) and
-resume finishes the campaign without writing back;
-:func:`checkpoint_chain_report` (``store inspect --deep``) and
-:func:`compact_checkpoints` still read and prune them.
+writer, the parent wrote one campaign-scoped file per month, schema
+v1–v3.  Their parsers and ``load_latest_checkpoint`` live in
+:mod:`repro.store.legacy`, imported only when a legacy file is met.
 
 Monitor counters (``monitor.*``) and rollup counters (``rollup.*``)
 are deliberately excluded from the stored counter polls: the resume
@@ -45,17 +43,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import ConfigurationError, StorageError
 from repro.store.artifact import CHECKPOINT_FILE_RE, ArtifactStore
-from repro.store.codecs import (
-    decode_float64_array,
-    encode_float64_array,
-    unpack_bits_hex,
-)
+from repro.store.codecs import decode_float64_array, encode_float64_array
 from repro.store.schema import current_version, migrate
 
 logger = logging.getLogger(__name__)
@@ -148,36 +142,35 @@ def restore_chip(board_id: int, profile, doc: Dict[str, Any]):
     return chip
 
 
-# Checkpoint document ---------------------------------------------------------
+# Resume state ---------------------------------------------------------------
 
 @dataclass
 class CheckpointState:
-    """A parsed, validated checkpoint — the month loop's resume input."""
+    """A parsed, validated resume point — the month loop's resume input.
+
+    One type for both layouts.  A legacy campaign-scoped keyframe
+    (:mod:`repro.store.legacy`) carries the fleet's board states in
+    ``boards``; a sharded resume leaves ``boards`` ``None`` (each
+    worker restores its own shard) and carries the manifest's shard map
+    and the parent log's month temperatures instead.
+    """
 
     completed_month: int
     config: Dict[str, Any]
     temperature: float
     temp_rng_state: Optional[Dict[str, Any]]
     references: Dict[int, np.ndarray] = field(repr=False)
-    boards: Dict[int, Dict[str, Any]] = field(repr=False)
     snapshots: List[Any] = field(repr=False)
     counter_deltas: List[Dict[str, int]] = field(repr=False)
     pending_deltas: Dict[str, int] = field(repr=False)
     source: str = ""
+    boards: Optional[Dict[int, Dict[str, Any]]] = field(default=None, repr=False)
+    shard_boards: Tuple[Tuple[int, ...], ...] = ()
+    temperatures: Tuple[float, ...] = ()
 
 
-@dataclass
-class DeltaRecord:
-    """A parsed per-month delta checkpoint (results only, no state)."""
-
-    completed_month: int
-    base_month: int
-    temperature: float
-    temp_rng_state: Optional[Dict[str, Any]]
-    snapshot: Any = field(repr=False)
-    counter_delta: Dict[str, int] = field(repr=False)
-    pending_deltas: Dict[str, int] = field(repr=False)
-    source: str = ""
+#: The sharded layout's name for :class:`CheckpointState`.
+ShardedCheckpointState = CheckpointState
 
 
 def checkpoint_kind(doc: Dict[str, Any]) -> str:
@@ -202,126 +195,19 @@ def checkpoint_scope(doc: Dict[str, Any]) -> str:
     return scope
 
 
-def parse_delta_doc(doc: Dict[str, Any], source: str = "<delta>") -> DeltaRecord:
-    """Validate and decode a per-month delta document."""
-    from repro.io.resultstore import _snapshot_from_dict
-
-    doc = migrate("checkpoint", doc)
-    if doc.get("scope", "campaign") != "campaign":
-        raise StorageError(
-            f"{source}: shard-scoped delta; shard chains are read via "
-            "repro.store.shardstore (docs/storage.md)"
-        )
-    if doc.get("kind") != "delta":
-        raise StorageError(f"{source}: not a delta checkpoint")
-    try:
-        completed_month = int(doc["completed_month"])
-        base_month = int(doc["base_month"])
-        temperature = float(doc["temperature"])
-        temp_rng_state = doc["temp_rng_state"]
-        snapshot = _snapshot_from_dict(doc["snapshot"])
-        counter_delta = {str(k): int(v) for k, v in doc["counter_delta"].items()}
-        pending_deltas = {str(k): int(v) for k, v in doc["pending_deltas"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise StorageError(f"{source}: malformed delta checkpoint: {exc}") from exc
-    if completed_month < 1:
-        raise StorageError(f"{source}: delta for month {completed_month} is impossible")
-    if base_month != completed_month - 1:
-        raise StorageError(
-            f"{source}: delta for month {completed_month} bases on month "
-            f"{base_month}, expected {completed_month - 1}"
-        )
-    if snapshot.month != completed_month:
-        raise StorageError(
-            f"{source}: delta for month {completed_month} carries the month-"
-            f"{snapshot.month} snapshot"
-        )
-    return DeltaRecord(
-        completed_month=completed_month,
-        base_month=base_month,
-        temperature=temperature,
-        temp_rng_state=temp_rng_state,
-        snapshot=snapshot,
-        counter_delta=counter_delta,
-        pending_deltas=pending_deltas,
-        source=source,
-    )
-
-
-def parse_checkpoint_doc(doc: Dict[str, Any], source: str = "<checkpoint>") -> CheckpointState:
-    """Validate and decode a full-state (keyframe) checkpoint document.
-
-    Raises :class:`~repro.errors.StorageError` on any structural
-    problem — a truncated or half-migrated checkpoint must never be
-    silently resumed from.  Delta documents are rejected here: they
-    carry no device state, so resume must go through
-    :func:`load_latest_checkpoint`, which resolves the newest keyframe.
-    """
-    from repro.io.resultstore import _snapshot_from_dict
-
-    doc = migrate("checkpoint", doc)
-    if doc.get("scope", "campaign") != "campaign":
-        raise StorageError(
-            f"{source}: shard-scoped checkpoint cannot restore a campaign by "
-            "itself; shard chains are read via repro.store.shardstore "
-            "(docs/storage.md)"
-        )
-    if doc.get("kind") == "delta":
-        raise StorageError(
-            f"{source}: delta checkpoint cannot restore a campaign by itself; "
-            "resume resolves the latest keyframe (docs/storage.md)"
-        )
-    if doc.get("kind") != "keyframe":
-        raise StorageError(
-            f"{source}: checkpoint document has unknown kind {doc.get('kind')!r}"
-        )
-    try:
-        completed_month = int(doc["completed_month"])
-        config = dict(doc["config"])
-        temperature = float(doc["temperature"])
-        temp_rng_state = doc["temp_rng_state"]
-        reference_docs = doc["references"]
-        board_docs = doc["boards"]
-        snapshot_docs = doc["snapshots"]
-        counter_deltas = doc["counter_deltas"]
-        pending_deltas = dict(doc["pending_deltas"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StorageError(f"{source}: malformed checkpoint: {exc}") from exc
-    if completed_month < 0:
-        raise StorageError(f"{source}: negative completed_month")
-    if len(snapshot_docs) != completed_month + 1:
-        raise StorageError(
-            f"{source}: checkpoint for month {completed_month} has "
-            f"{len(snapshot_docs)} snapshots, expected {completed_month + 1}"
-        )
-    if len(counter_deltas) != completed_month + 1:
-        raise StorageError(
-            f"{source}: checkpoint for month {completed_month} has "
-            f"{len(counter_deltas)} counter-delta polls, expected {completed_month + 1}"
-        )
-    if set(reference_docs) != set(board_docs):
-        raise StorageError(f"{source}: reference and board-state keys disagree")
-    try:
-        references = {
-            int(board): unpack_bits_hex(entry["hex"], int(entry["bits"]))
-            for board, entry in reference_docs.items()
-        }
-        boards = {int(board): dict(state) for board, state in board_docs.items()}
-        snapshots = [_snapshot_from_dict(snapshot) for snapshot in snapshot_docs]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StorageError(f"{source}: malformed checkpoint payload: {exc}") from exc
-    return CheckpointState(
-        completed_month=completed_month,
-        config=config,
-        temperature=temperature,
-        temp_rng_state=temp_rng_state,
-        references=references,
-        boards=boards,
-        snapshots=snapshots,
-        counter_deltas=[dict(poll) for poll in counter_deltas],
-        pending_deltas=pending_deltas,
-        source=source,
-    )
+def check_board_state_docs(boards: Dict[int, Dict[str, Any]], source: str) -> None:
+    """Reject keyframe board states that :func:`restore_chip` cannot restore."""
+    for board, state in boards.items():
+        rng_state = state.get("rng_state")
+        if not (
+            "skew_b64" in state
+            and isinstance(rng_state, dict)
+            and {"bit_generator", "state"} <= set(rng_state)
+        ):
+            raise StorageError(
+                f"{source}: board {board} state (rng_state, skew_b64) is not "
+                "a board_state_doc document"
+            )
 
 
 # Shard-scoped chain documents (v4) ------------------------------------------
@@ -408,11 +294,7 @@ def parse_shard_checkpoint_doc(
         raise StorageError(f"{source}: negative completed_month")
     if set(board_ids) != set(boards):
         raise StorageError(f"{source}: board_ids and board-state keys disagree")
-    for board, state in boards.items():
-        if "rng_state" not in state or "skew_b64" not in state:
-            raise StorageError(
-                f"{source}: board {board} state is not a board_state_doc document"
-            )
+    check_board_state_docs(boards, source)
     return ShardCheckpointState(
         completed_month=completed_month,
         shard_index=shard_index,
@@ -445,36 +327,113 @@ def parse_shard_delta_doc(
     return doc
 
 
+# The chain scan -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChainFile:
+    """One month file of a chain directory, read and classified once.
+
+    ``error`` is empty when the file is usable; ``parsed`` then holds
+    its parsed document (keyframe state or delta).
+    """
+
+    month: int
+    name: str
+    kind: Optional[str] = None
+    parsed: Any = field(default=None, repr=False)
+    error: str = ""
+
+    @property
+    def usable_keyframe(self) -> bool:
+        return self.kind == "keyframe" and not self.error
+
+
+def scan_chain(
+    chain_dir: str,
+    scope: Optional[str] = None,
+    newest_first: bool = False,
+    max_month: Optional[int] = None,
+) -> Iterator[ChainFile]:
+    """Read and classify the month files of a chain directory.
+
+    The one reader of ``month-NNNN.json`` files: each one at or below
+    ``max_month`` is read once, migrated once and parsed by its scope's
+    parser (legacy campaign-scoped files by :mod:`repro.store.legacy`).
+    A file that does not parse, is not of ``scope`` (when given) or
+    whose ``completed_month`` disagrees with its name is unusable.
+    Lazy, so a ``newest_first`` caller stops reading where it likes.
+    """
+    store = ArtifactStore(chain_dir, create=False)
+    listing = list_checkpoints(chain_dir)
+    for month, name in reversed(listing) if newest_first else listing:
+        if max_month is not None and month > max_month:
+            continue
+        kind = None
+        try:
+            doc = store.read_json(name)
+            if not isinstance(doc, dict):
+                raise StorageError("checkpoint file does not hold a JSON object")
+            doc = migrate("checkpoint", doc)
+            kind = doc.get("kind")
+            if kind not in CHECKPOINT_KINDS:
+                raise StorageError(f"checkpoint document has unknown kind {kind!r}")
+            doc_scope = doc.get("scope", "campaign")
+            if doc_scope not in CHECKPOINT_SCOPES:
+                raise StorageError(f"unknown checkpoint scope {doc_scope!r}")
+            if scope is not None and doc_scope != scope:
+                raise StorageError(f"{doc_scope}-scoped file in a {scope} chain")
+            if doc_scope == "shard":
+                parsers = (parse_shard_checkpoint_doc, parse_shard_delta_doc)
+            else:
+                from repro.store import legacy
+
+                parsers = (legacy.parse_checkpoint_doc, legacy.parse_delta_doc)
+            parsed = parsers[kind == "delta"](doc, source=name)
+            if int(doc["completed_month"]) != month:
+                raise StorageError(
+                    f"claims month {doc['completed_month']}, filename says {month}"
+                )
+        except StorageError as exc:
+            yield ChainFile(month, name, kind, error=str(exc))
+        else:
+            yield ChainFile(month, name, kind, parsed)
+
+
+def restore_points(entries: Iterable[ChainFile]) -> Dict[int, int]:
+    """Each restorable month of a chain → the keyframe it restores from.
+
+    Month ``M`` is restorable when a usable keyframe ``K <= M`` has
+    usable deltas at every month ``K+1..M``; it restores from the newest
+    such ``K``.  ``entries`` are month-ascending, as :func:`scan_chain`
+    yields them by default.
+    """
+    points: Dict[int, int] = {}
+    for entry in entries:
+        if entry.usable_keyframe:
+            points[entry.month] = entry.month
+        elif not entry.error and entry.month - 1 in points:
+            points[entry.month] = points[entry.month - 1]
+    return points
+
+
 def load_latest_shard_keyframe(
     shard_dir: str, max_month: Optional[int] = None
 ) -> ShardCheckpointState:
     """Parse the newest usable shard keyframe at or below ``max_month``.
 
-    The shard-chain counterpart of :func:`load_latest_checkpoint`:
-    deltas and corrupt files are skipped newest-first; the caller
-    (a window worker cold-restoring its shard, or the sharded resume
-    scan) then deterministically replays the skipped months.
-    ``max_month`` caps the search so a resume rolled back below a
-    shard's newest files never restores state from the future.
+    The worker's cold restore: it then deterministically replays the
+    months after the keyframe.  ``max_month`` caps the search so a
+    resume rolled back below a shard's newest files never restores
+    state from the future.
     """
-    store = ArtifactStore(shard_dir, create=False)
-    candidates = sorted(list_checkpoints(shard_dir), reverse=True)
     failures: List[str] = []
-    for month, name in candidates:
-        if max_month is not None and month > max_month:
-            continue
-        try:
-            doc = store.read_json(name)
-            if checkpoint_kind(doc) == "delta":
-                continue
-            state = parse_shard_checkpoint_doc(doc, source=name)
-        except StorageError as exc:
-            failures.append(f"{name}: {exc}")
-            continue
-        if state.completed_month != month:
-            failures.append(f"{name}: filename/month mismatch")
-            continue
-        return state
+    for entry in scan_chain(
+        shard_dir, scope="shard", newest_first=True, max_month=max_month
+    ):
+        if entry.usable_keyframe:
+            return entry.parsed
+        if entry.error:
+            failures.append(f"{entry.name}: {entry.error}")
     raise StorageError(
         f"no usable shard keyframe in {shard_dir}"
         + (f" at or below month {max_month}" if max_month is not None else "")
@@ -482,7 +441,20 @@ def load_latest_shard_keyframe(
     )
 
 
-# Checkpointer / legacy loader -----------------------------------------------
+# Checkpointer ---------------------------------------------------------------
+
+def check_keyframe_every(keyframe_every: Any) -> int:
+    """The keyframe-cadence rule: a positive ``int`` (``bool`` is not one)."""
+    if (
+        not isinstance(keyframe_every, int)
+        or isinstance(keyframe_every, bool)
+        or keyframe_every < 1
+    ):
+        raise ConfigurationError(
+            f"keyframe_every must be a positive integer, got {keyframe_every!r}"
+        )
+    return keyframe_every
+
 
 def keyframe_due(store: ArtifactStore, month: int, keyframe_every: int) -> bool:
     """Whether month ``month``'s chain file in ``store`` is a full keyframe.
@@ -506,7 +478,8 @@ class CampaignCheckpointer:
     writes only the campaign manifest — :meth:`reset`, once per fresh
     run — and one O(counters) month record per completed month
     (:meth:`save`).  ``shard_boards`` is the shard map the manifest
-    records; resume follows it whatever the worker count.
+    records; resume follows it whatever the worker count.  The
+    campaign validated ``config["keyframe_every"]``.
     """
 
     def __init__(
@@ -516,12 +489,7 @@ class CampaignCheckpointer:
         profile_name: str,
         shard_boards,
     ):
-        keyframe_every = config.get("keyframe_every", DEFAULT_KEYFRAME_EVERY)
-        if not isinstance(keyframe_every, int) or isinstance(keyframe_every, bool) or keyframe_every < 1:
-            raise StorageError(
-                f"keyframe_every must be a positive integer, got {keyframe_every!r}"
-            )
-        self.keyframe_every = keyframe_every
+        self.keyframe_every = config.get("keyframe_every", DEFAULT_KEYFRAME_EVERY)
         self._dir = checkpoint_dir
         self._config = dict(config)
         self._profile_name = profile_name
@@ -576,6 +544,8 @@ class CampaignCheckpointer:
         logger.debug("checkpoint saved: month %d", completed_month)
 
 
+# Chain maintenance ----------------------------------------------------------
+
 def list_checkpoints(checkpoint_dir: str) -> List[Tuple[int, str]]:
     """``(month, filename)`` of every checkpoint present, month-ascending."""
     store = ArtifactStore(checkpoint_dir, create=False)
@@ -587,101 +557,42 @@ def list_checkpoints(checkpoint_dir: str) -> List[Tuple[int, str]]:
     return sorted(found)
 
 
-def load_latest_checkpoint(checkpoint_dir: str) -> CheckpointState:
-    """Parse the newest resumable keyframe of a legacy campaign-scoped chain.
-
-    Only keyframes carry the device state resume needs, so the search
-    walks newest-first past any delta files to the newest keyframe; the
-    campaign driver then deterministically re-executes the skipped
-    months in memory (a legacy directory is never written to).  A
-    corrupt or truncated newest file (the classic kill-during-write
-    residue) is logged and skipped in favour of the previous month;
-    only when no keyframe parses does this raise
-    :class:`~repro.errors.StorageError`.
-    """
-    store = ArtifactStore(checkpoint_dir, create=False)
-    candidates = sorted(list_checkpoints(checkpoint_dir), reverse=True)
-    if not candidates:
-        raise StorageError(f"no checkpoints found in {checkpoint_dir}")
-    failures: List[str] = []
-    skipped_deltas = 0
-    for month, name in candidates:
-        try:
-            doc = store.read_json(name)
-            if checkpoint_kind(doc) == "delta":
-                skipped_deltas += 1
-                logger.debug(
-                    "checkpoint %s is a delta; continuing to the newest keyframe",
-                    name,
-                )
-                continue
-            state = parse_checkpoint_doc(doc, source=name)
-        except StorageError as exc:
-            logger.warning(
-                "checkpoint %s is unusable (%s); falling back to the previous month",
-                name,
-                exc,
-            )
-            failures.append(f"{name}: {exc}")
-            continue
-        if state.completed_month != month:
-            logger.warning(
-                "checkpoint %s claims month %d; skipping", name, state.completed_month
-            )
-            failures.append(f"{name}: filename/month mismatch")
-            continue
-        if skipped_deltas:
-            logger.info(
-                "resuming from keyframe %s; %d newer delta month(s) will be "
-                "re-executed deterministically",
-                name,
-                skipped_deltas,
-            )
-        return state
-    if skipped_deltas and not failures:
-        failures.append(
-            f"{skipped_deltas} delta checkpoint(s) but no keyframe to base them on"
-        )
-    raise StorageError(
-        f"no usable checkpoint in {checkpoint_dir}: " + "; ".join(failures)
-    )
-
-
-def compact_checkpoints(checkpoint_dir: str, keep_keyframes: int = 1) -> List[str]:
+def compact_checkpoints(
+    checkpoint_dir: str,
+    keep_keyframes: int = 1,
+    restore_month: Optional[int] = None,
+) -> List[str]:
     """Prune checkpoint months no longer needed for resume.
 
-    Keeps the newest ``keep_keyframes`` *parseable* keyframes and every
-    file from the oldest kept keyframe onward (those deltas are what
-    resume re-executes); everything older is removed.  Returns the
-    removed filenames, month-ascending.  Refuses to touch a directory
-    with no parseable keyframe — compaction must never destroy the last
-    resumable state.
+    Keeps the newest ``keep_keyframes`` usable keyframes, the keyframe
+    ``restore_month`` (a sharded resume's month) restores from, and
+    every file from the oldest kept keyframe on; removes the rest and
+    returns their names, month-ascending.  Refuses a chain with no
+    usable keyframe or one that cannot restore ``restore_month`` —
+    compaction must never destroy the last resumable state.
     """
     if keep_keyframes < 1:
         raise StorageError(f"keep_keyframes must be >= 1, got {keep_keyframes}")
-    store = ArtifactStore(checkpoint_dir, create=False)
-    entries = list_checkpoints(checkpoint_dir)
+    entries = list(scan_chain(checkpoint_dir))
     if not entries:
         raise StorageError(f"no checkpoints found in {checkpoint_dir}")
-    keyframe_months: List[int] = []
-    for month, name in entries:
-        try:
-            doc = store.read_json(name)
-            if checkpoint_kind(doc) == "keyframe":
-                if checkpoint_scope(doc) == "shard":
-                    parse_shard_checkpoint_doc(doc, source=name)
-                else:
-                    parse_checkpoint_doc(doc, source=name)
-                keyframe_months.append(month)
-        except StorageError:
-            continue
-    if not keyframe_months:
+    keyframes = [entry.month for entry in entries if entry.usable_keyframe]
+    if not keyframes:
         raise StorageError(
             f"cannot compact {checkpoint_dir}: no parseable keyframe — "
             "compaction would leave nothing to resume from"
         )
-    cutoff = sorted(keyframe_months)[-keep_keyframes:][0]
-    removed = [name for month, name in entries if month < cutoff]
+    cutoff = keyframes[-keep_keyframes:][0]
+    if restore_month is not None:
+        anchor = restore_points(entries).get(restore_month)
+        if anchor is None:
+            raise StorageError(
+                f"cannot compact {checkpoint_dir}: it cannot restore month "
+                f"{restore_month}, where resume restarts"
+            )
+        cutoff = min(cutoff, anchor)
+    store = ArtifactStore(checkpoint_dir, create=False)
+    removed = [entry.name for entry in entries if entry.month < cutoff]
     for name in removed:
         store.remove(name)
     logger.info(
@@ -693,111 +604,51 @@ def compact_checkpoints(checkpoint_dir: str, keep_keyframes: int = 1) -> List[st
     return removed
 
 
-def checkpoint_chain_report(checkpoint_dir: str) -> Dict[str, Any]:
+def checkpoint_chain_report(
+    checkpoint_dir: str, restore_month: Optional[int] = None
+) -> Dict[str, Any]:
     """Deep validation of a checkpoint directory's keyframe/delta chain.
 
-    Backs the CLI's ``store inspect --deep``.  Every month file is
-    parsed at full strictness (snapshot counts, counter-poll counts,
-    reference/board agreement); keyframes additionally get their
-    per-board RNG state shape checked, deltas their base-file chain
-    link.  Returns::
+    Backs the CLI's ``store inspect --deep``: every month file as
+    :func:`scan_chain` parses it, plus each delta's base-file link.
+    Returns::
 
         {"ok": bool, "resume_month": int | None, "entries": [
             {"name", "month", "kind", "status", "detail"}, ...]}
 
-    where ``resume_month`` is the newest parseable keyframe's month —
-    what :func:`load_latest_checkpoint` would resume from.
+    where ``resume_month`` is the keyframe that ``restore_month`` —
+    by default the chain's newest restorable month — restores from
+    (``None``, and not ``ok``, when it cannot be restored).
     """
-    store = ArtifactStore(checkpoint_dir, create=False)
+    entries = list(scan_chain(checkpoint_dir))
+    present = {entry.month for entry in entries}
     entries_out: List[Dict[str, Any]] = []
-    months_present = {month for month, _ in list_checkpoints(checkpoint_dir)}
-    resume_month: Optional[int] = None
-    ok = True
-    for month, name in list_checkpoints(checkpoint_dir):
-        entry: Dict[str, Any] = {"name": name, "month": month, "kind": None}
-        try:
-            doc = store.read_json(name)
-            kind = checkpoint_kind(doc)
-            entry["kind"] = kind
-            sharded = checkpoint_scope(doc) == "shard"
-            if kind == "keyframe" and sharded:
-                shard_state = parse_shard_checkpoint_doc(doc, source=name)
-                if shard_state.completed_month != month:
-                    raise StorageError(
-                        f"claims month {shard_state.completed_month}, "
-                        f"filename says {month}"
-                    )
-                for board, board_doc in shard_state.boards.items():
-                    rng_state = board_doc.get("rng_state")
-                    if (
-                        not isinstance(rng_state, dict)
-                        or "bit_generator" not in rng_state
-                        or "state" not in rng_state
-                    ):
-                        raise StorageError(
-                            f"board {board} rng_state is not a bit-generator "
-                            "state document"
-                        )
-                entry["detail"] = (
-                    f"shard {shard_state.shard_index}: "
-                    f"{len(shard_state.boards)} boards"
-                )
-                resume_month = month if resume_month is None else max(resume_month, month)
-            elif kind == "keyframe":
-                state = parse_checkpoint_doc(doc, source=name)
-                if state.completed_month != month:
-                    raise StorageError(
-                        f"claims month {state.completed_month}, filename says {month}"
-                    )
-                for board, board_doc in state.boards.items():
-                    rng_state = board_doc.get("rng_state")
-                    if (
-                        not isinstance(rng_state, dict)
-                        or "bit_generator" not in rng_state
-                        or "state" not in rng_state
-                    ):
-                        raise StorageError(
-                            f"board {board} rng_state is not a bit-generator "
-                            "state document"
-                        )
-                entry["detail"] = (
-                    f"{len(state.boards)} boards, {len(state.snapshots)} snapshots"
-                )
-                resume_month = month if resume_month is None else max(resume_month, month)
-            elif sharded:
-                delta = parse_shard_delta_doc(doc, source=name)
-                if delta["completed_month"] != month:
-                    raise StorageError(
-                        f"claims month {delta['completed_month']}, "
-                        f"filename says {month}"
-                    )
-                if delta["base_month"] not in months_present:
-                    raise StorageError(
-                        f"base month {delta['base_month']} is missing from the "
-                        "directory (broken chain)"
-                    )
-                entry["detail"] = f"shard delta on month {delta['base_month']}"
-            else:
-                record = parse_delta_doc(doc, source=name)
-                if record.completed_month != month:
-                    raise StorageError(
-                        f"claims month {record.completed_month}, filename says {month}"
-                    )
-                if record.base_month not in months_present:
-                    raise StorageError(
-                        f"base month {record.base_month} is missing from the "
-                        "directory (broken chain)"
-                    )
-                entry["detail"] = f"delta on month {record.base_month}"
-        except StorageError as exc:
-            entry["status"] = "error"
-            entry["detail"] = str(exc)
-            ok = False
+    for entry in entries:
+        error = entry.error
+        if not error and entry.kind == "delta" and entry.month - 1 not in present:
+            error = f"base month {entry.month - 1} is missing (broken chain)"
+        if error:
+            detail = error
+        elif entry.kind == "keyframe":
+            detail = f"{len(entry.parsed.boards)} boards"
         else:
-            entry["status"] = "ok"
-        entries_out.append(entry)
-    if resume_month is None:
-        ok = False
+            detail = f"delta on month {entry.month - 1}"
+        entries_out.append(
+            {
+                "name": entry.name,
+                "month": entry.month,
+                "kind": entry.kind,
+                "status": "error" if error else "ok",
+                "detail": detail,
+            }
+        )
+    points = restore_points(entries)
+    if restore_month is None:
+        restore_month = max(points, default=None)
+    resume_month = points.get(restore_month)
+    ok = resume_month is not None and all(
+        entry["status"] == "ok" for entry in entries_out
+    )
     return {"ok": ok, "resume_month": resume_month, "entries": entries_out}
 
 
@@ -847,3 +698,13 @@ def fold_counter_deltas(registry, deltas: Dict[str, int]) -> None:
     """Add recorded deltas into a registry's counters (sorted order)."""
     for name in sorted(deltas):
         registry.counter(name).inc(deltas[name])
+
+
+def __getattr__(name: str) -> Any:
+    # The legacy loader lives in repro.store.legacy; the benchmark's
+    # layer tracer (perfbench/layers.py) looks it up on this module.
+    if name == "load_latest_checkpoint":
+        from repro.store.legacy import load_latest_checkpoint
+
+        return load_latest_checkpoint
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

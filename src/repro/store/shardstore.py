@@ -27,16 +27,20 @@ folds the shard streams back together in fleet order and recomputes
 the cross-board statistics (BCHD, PUF entropy) from the stored
 first read-outs — pure deterministic functions — so the merged bytes
 are identical to the artifact saved from the live result
-(``store merge`` / ``load_campaign`` both route through it).
+(``store merge`` / ``load_campaign`` both route through it).  Merge
+and resume share one gather step, :func:`read_shard_tree` (strict for
+merge, tolerant for resume).
 
 Resume is per-shard: each worker cold-restores from its *own* newest
 keyframe and silently replays the at most ``keyframe_every - 1``
 months in between (no counters touched — those months were already
 counted).  :func:`load_sharded_checkpoint` picks the resume month
 ``R`` as the newest month that **every** shard and the parent log have
-fully persisted, so a torn shard (kill mid-write) independently lowers
-``R`` while intact shards just re-execute a few months, overwriting
-their stale files byte-identically.
+fully persisted and every shard chain can restore, so a torn shard
+(kill mid-write) independently lowers ``R`` while intact shards just
+re-execute a few months, overwriting their stale files
+byte-identically.  ``store compact`` (:func:`compact_sharded_checkpoint`)
+and ``store inspect --deep`` start from the same ``R``.
 """
 
 from __future__ import annotations
@@ -53,18 +57,15 @@ import numpy as np
 from repro.errors import StorageError
 from repro.store.artifact import CHECKPOINT_FILE_RE, ArtifactStore
 from repro.store.checkpoint import (
-    ShardCheckpointState,
+    DEFAULT_KEYFRAME_EVERY,
+    CheckpointState,
     build_shard_delta_doc,
     build_shard_keyframe_doc,
-    checkpoint_kind,
     checkpoint_name,
-    checkpoint_scope,
-    CheckpointState,
+    compact_checkpoints,
     keyframe_due,
-    list_checkpoints,
-    load_latest_shard_keyframe,
-    parse_shard_checkpoint_doc,
-    parse_shard_delta_doc,
+    restore_points,
+    scan_chain,
 )
 from repro.store.codecs import pack_bits_hex, unpack_bits_hex
 from repro.store.schema import current_version, migrate
@@ -116,7 +117,7 @@ class ShardManifest:
 
     config: Dict[str, Any] = field(repr=False)
     profile_name: str = ""
-    keyframe_every: int = 6
+    keyframe_every: int = DEFAULT_KEYFRAME_EVERY
     shard_boards: Tuple[Tuple[int, ...], ...] = ()
 
     @property
@@ -382,51 +383,23 @@ def read_shard_stream(
         raise StorageError(f"{source}: references do not cover the shard's boards")
     rows_by_month: Dict[int, Dict[int, Dict[str, Any]]] = {}
     for index, record in enumerate(records[2:]):
-        ok = record.get("kind") == "rows" and record.get("month") == index
-        if ok:
-            try:
-                month_rows = {
-                    int(doc["board"]): doc for doc in record["rows"]
-                }
-            except (KeyError, TypeError) as exc:
-                if strict:
-                    raise StorageError(
-                        f"{source}: malformed rows record for month {index}: {exc}"
-                    ) from exc
-                break
+        try:
+            if record.get("kind") != "rows" or record.get("month") != index:
+                raise StorageError(
+                    f"unexpected record at position {index + 2} (kind "
+                    f"{record.get('kind')!r}, month {record.get('month')!r})"
+                )
+            month_rows = {int(doc["board"]): doc for doc in record["rows"]}
             if board_set and set(month_rows) != board_set:
-                if strict:
-                    raise StorageError(
-                        f"{source}: month {index} rows do not cover the shard"
-                    )
-                break
-            rows_by_month[index] = month_rows
-        elif strict:
-            raise StorageError(
-                f"{source}: unexpected record at position {index + 2} "
-                f"(kind {record.get('kind')!r}, month {record.get('month')!r})"
-            )
-        else:
+                raise StorageError(f"month {index} rows do not cover the shard")
+        except (KeyError, TypeError, ValueError, StorageError) as exc:
+            if strict:
+                raise StorageError(
+                    f"{source}: bad month-{index} record: {exc}"
+                ) from exc
             break
+        rows_by_month[index] = month_rows
     return header, references, rows_by_month
-
-
-def truncate_shard_stream(shard_dir: str, through_month: int) -> None:
-    """Rewrite a shard stream keeping only months ``0..through_month``.
-
-    Records are re-encoded through the canonical writer path, so the
-    kept prefix is byte-identical to what the original run wrote.
-    """
-    store = ArtifactStore(shard_dir, create=False)
-    records = _read_jsonl_tolerant(store, SHARD_STREAM_NAME)
-    kept: List[Dict[str, Any]] = []
-    for record in records:
-        if record.get("kind") == "rows" and int(record.get("month", -1)) > through_month:
-            break
-        kept.append(record)
-    store.truncate(SHARD_STREAM_NAME)
-    if kept:
-        store.append_jsonl_batch(SHARD_STREAM_NAME, kept, sort_keys=True)
 
 
 # Parent month log ------------------------------------------------------------
@@ -477,181 +450,195 @@ def read_parent_log(checkpoint_dir: str) -> List[Dict[str, Any]]:
     return months
 
 
-def truncate_parent_log(checkpoint_dir: str, through_month: int) -> None:
-    """Rewrite the parent log keeping only months ``0..through_month``."""
-    store = ArtifactStore(checkpoint_dir, create=False)
-    kept = read_parent_log(checkpoint_dir)[: through_month + 1]
-    store.truncate(PARENT_LOG_NAME)
+def _truncate_month_records(directory: str, name: str, through_month: int) -> None:
+    """Rewrite a JSONL file keeping its records up to ``through_month``.
+
+    Records without a month (a stream's header and references) are
+    kept.  The kept prefix is re-encoded through the canonical writer
+    path, so it is byte-identical to what the original run wrote.
+    """
+    store = ArtifactStore(directory, create=False)
+    kept: List[Dict[str, Any]] = []
+    for record in _read_jsonl_tolerant(store, name):
+        month = record.get("month", -1)
+        if not isinstance(month, int) or month > through_month:
+            break
+        kept.append(record)
+    store.truncate(name)
     if kept:
-        store.append_jsonl_batch(PARENT_LOG_NAME, kept, sort_keys=True)
+        store.append_jsonl_batch(name, kept, sort_keys=True)
 
 
-# Resume scan -----------------------------------------------------------------
+# Reading the shard tree ------------------------------------------------------
 
 @dataclass
-class ShardedCheckpointState(CheckpointState):
-    """Resume input of a sharded campaign.
+class ShardTree:
+    """A sharded directory's manifest and shard streams, read once.
 
-    A :class:`~repro.store.checkpoint.CheckpointState` whose ``boards``
-    values are all ``None`` — device state stays in the shard
-    keyframes, each worker restores its own — plus the manifest's
-    shard map and the temperature history the workers need for
-    cold-restore replay.
+    ``rows_by_month[m][board]`` is a board's raw row document of month
+    ``m``; ``stream_ends[i]`` is the newest month shard ``i``'s stream
+    holds contiguously from month 0 (-1: none).
     """
 
-    shard_boards: Tuple[Tuple[int, ...], ...] = ()
-    temperatures: Tuple[Optional[float], ...] = ()
+    checkpoint_dir: str
+    manifest: ShardManifest
+    months: int
+    measurements: int
+    references: Dict[int, np.ndarray] = field(repr=False)
+    rows_by_month: Dict[int, Dict[int, Dict[str, Any]]] = field(repr=False)
+    stream_ends: List[int]
 
+    def snapshots(self, through_month: int) -> List[Any]:
+        """The evaluations of months ``0..through_month``, in fleet order."""
+        from repro.analysis.monthly import assemble_evaluation
 
-def _shard_chain_end(shard_dir: str) -> int:
-    """Newest month restorable from the shard's keyframe/delta chain.
-
-    Mirrors the legacy resume rule: month ``M`` is restorable when
-    a parseable keyframe exists at some ``K <= M`` with parseable
-    deltas at every month ``K+1..M``.  A compacted chain — months
-    before the kept keyframe pruned by ``store compact`` — therefore
-    still resumes from that keyframe forward.  Returns ``-1`` when no
-    month is restorable.
-    """
-    store = ArtifactStore(shard_dir, create=False)
-    present = dict(list_checkpoints(shard_dir))
-    kinds: Dict[int, Optional[str]] = {}
-    for month, name in present.items():
-        try:
-            doc = store.read_json(name)
-            if checkpoint_scope(doc) != "shard":
-                raise StorageError("campaign-scoped file in a shard chain")
-            kind = checkpoint_kind(doc)
-            if kind == "keyframe":
-                state = parse_shard_checkpoint_doc(doc, source=name)
-                if state.completed_month != month:
-                    raise StorageError("filename/month mismatch")
-            else:
-                delta = parse_shard_delta_doc(doc, source=name)
-                if delta["completed_month"] != month:
-                    raise StorageError("filename/month mismatch")
-            kinds[month] = kind
-        except StorageError as exc:
-            logger.warning(
-                "shard chain %s: unusable month %d (%s)", shard_dir, month, exc
+        board_ids = self.manifest.board_ids
+        snapshots = []
+        for month in range(through_month + 1):
+            month_rows = self.rows_by_month.get(month, {})
+            if set(month_rows) != set(board_ids):
+                raise StorageError(
+                    f"{self.checkpoint_dir}: month {month} rows do not cover the fleet"
+                )
+            snapshots.append(
+                assemble_evaluation(
+                    month,
+                    self.measurements,
+                    [board_row_from_doc(month_rows[board]) for board in board_ids],
+                )
             )
-            kinds[month] = None
-    for month in sorted(present, reverse=True):
-        cursor = month
-        while kinds.get(cursor) == "delta":
-            cursor -= 1
-        if kinds.get(cursor) == "keyframe":
-            return month
-    return -1
+        return snapshots
 
 
-def load_sharded_checkpoint(checkpoint_dir: str) -> ShardedCheckpointState:
-    """Scan a sharded directory and build its resume state.
+def read_shard_tree(checkpoint_dir: str, strict: bool = True) -> ShardTree:
+    """Read the manifest and every shard stream of a sharded directory.
 
-    The resume month ``R`` is the newest month that the parent log
-    *and every shard* (chain file + stream rows) have fully,
-    parseably persisted — a torn shard independently lowers ``R``;
-    the others simply re-execute the difference, overwriting their
-    stale files with byte-identical content.  Snapshots ``0..R`` are
-    reassembled from the shard streams in fleet order (the cross-board
-    statistics are recomputed deterministically), so the monitor
-    replay — and with it the alert log — matches the uninterrupted
-    run's.
+    The one gather step of merge (``strict``: a missing, torn or short
+    stream raises) and of the resume scan (tolerant: such a shard just
+    contributes less).
     """
-    from repro.analysis.monthly import assemble_evaluation
-
     manifest = load_shard_manifest(checkpoint_dir)
-    config = manifest.config
-    board_ids = manifest.board_ids
     try:
-        months = int(config["months"])
-        measurements = int(config["measurements"])
-        walk = float(config["temperature_walk_k"]) > 0.0
+        months = int(manifest.config["months"])
+        measurements = int(manifest.config["measurements"])
     except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(
             f"{checkpoint_dir}: shard manifest has an unusable config: {exc}"
         ) from exc
-    expected = set(range(len(board_ids)))
-    if set(board_ids) != expected:
-        raise StorageError(
-            f"{checkpoint_dir}: shard map covers boards {board_ids}, "
-            f"expected {sorted(expected)}"
-        )
-
-    parent_records = read_parent_log(checkpoint_dir)
-    resume_month = len(parent_records) - 1
-
     references: Dict[int, np.ndarray] = {}
     rows_by_month: Dict[int, Dict[int, Dict[str, Any]]] = {}
+    stream_ends: List[int] = []
     for index, shard_ids in enumerate(manifest.shard_boards):
         shard_dir = shard_root(checkpoint_dir, index)
         try:
-            chain_end = _shard_chain_end(shard_dir)
-            _header, shard_refs, shard_rows = read_shard_stream(
-                shard_dir, strict=False
-            )
+            _header, shard_refs, shard_rows = read_shard_stream(shard_dir, strict)
+            if set(shard_refs) != set(shard_ids):
+                raise StorageError(
+                    f"{shard_dir}: stream covers boards {sorted(shard_refs)}, "
+                    f"manifest assigns {sorted(shard_ids)}"
+                )
         except StorageError as exc:
-            # A shard directory that never materialized (or whose
-            # stream opens with garbage) is just a shard with nothing
-            # persisted — it lowers the resume month, nothing more.
+            if strict:
+                raise
+            # A shard that never materialized, or whose stream opens
+            # with garbage, lowers the resume month, nothing more.
             logger.warning("shard %d unreadable (%s)", index, exc)
-            chain_end, shard_refs, shard_rows = -1, {}, {}
-        if set(shard_refs) != set(shard_ids):
-            chain_end = -1
-        stream_end = -1
-        while stream_end + 1 in shard_rows:
-            stream_end += 1
-        shard_end = min(chain_end, stream_end)
-        if shard_end < resume_month:
-            logger.info(
-                "shard %d usable through month %d; lowering resume month",
-                index,
-                shard_end,
+            shard_refs, shard_rows = {}, {}
+        end = len(shard_rows) - 1  # stream months are contiguous from 0
+        if strict and end < months:
+            raise StorageError(
+                f"{shard_dir}: incomplete shard stream (months "
+                f"{list(range(end + 1, months + 1))} missing) — resume the "
+                "campaign before merging"
             )
-            resume_month = shard_end
+        stream_ends.append(end)
         references.update(shard_refs)
         for month, month_rows in shard_rows.items():
             rows_by_month.setdefault(month, {}).update(month_rows)
+    return ShardTree(
+        checkpoint_dir=checkpoint_dir,
+        manifest=manifest,
+        months=months,
+        measurements=measurements,
+        references=references,
+        rows_by_month=rows_by_month,
+        stream_ends=stream_ends,
+    )
 
+
+# Resume scan -----------------------------------------------------------------
+
+def _resume_scan(checkpoint_dir: str) -> Tuple[ShardTree, List[Dict[str, Any]], int]:
+    """The shard tree, the parent log and the fleet-wide resume month.
+
+    The resume month ``R`` is the newest month that the parent log and
+    every shard stream hold and that every shard chain can restore
+    (:func:`~repro.store.checkpoint.restore_points`) — -1 when there is
+    none.  A torn shard (kill mid-write) independently lowers ``R``; a
+    compacted chain restores only from its kept keyframe forward.
+    """
+    tree = read_shard_tree(checkpoint_dir, strict=False)
+    parent_records = read_parent_log(checkpoint_dir)
+    candidates = set(range(min([len(parent_records) - 1, *tree.stream_ends]) + 1))
+    for index in range(len(tree.stream_ends)):
+        shard_dir = shard_root(checkpoint_dir, index)
+        try:
+            entries = list(scan_chain(shard_dir, scope="shard"))
+        except StorageError as exc:
+            logger.warning("shard %d chain unreadable (%s)", index, exc)
+            entries = []
+        for entry in entries:
+            if entry.error:
+                logger.warning(
+                    "shard chain %s: unusable month %d (%s)",
+                    shard_dir,
+                    entry.month,
+                    entry.error,
+                )
+        restorable = candidates & set(restore_points(entries))
+        if max(restorable, default=-1) < max(candidates, default=-1):
+            logger.info(
+                "shard %d usable through month %d; lowering resume month",
+                index,
+                max(restorable, default=-1),
+            )
+        candidates = restorable
+    return tree, parent_records, max(candidates, default=-1)
+
+
+def sharded_resume_month(checkpoint_dir: str) -> int:
+    """The month a resume restarts after (-1: none) — the resume scan's."""
+    return _resume_scan(checkpoint_dir)[2]
+
+
+def load_sharded_checkpoint(checkpoint_dir: str) -> CheckpointState:
+    """Scan a sharded directory and build its resume state.
+
+    The resume month ``R`` is the newest month that the parent log
+    *and every shard* (chain file + stream rows) have fully,
+    parseably persisted and that every shard chain can restore — a
+    torn shard independently lowers ``R``; the others simply re-execute
+    the difference, overwriting their stale files with byte-identical
+    content.  Snapshots ``0..R`` are reassembled from the shard streams
+    in fleet order (the cross-board statistics are recomputed
+    deterministically), so the monitor replay — and with it the alert
+    log — matches the uninterrupted run's.
+    """
+    tree, parent_records, resume_month = _resume_scan(checkpoint_dir)
     if resume_month < 0:
         raise StorageError(
             f"no resumable sharded state in {checkpoint_dir}: the parent log "
-            "or a shard has no complete month 0"
+            "and every shard share no complete, restorable month"
         )
-    if resume_month > months:
-        raise StorageError(
-            f"{checkpoint_dir}: sharded state claims month {resume_month} of a "
-            f"{months}-month campaign"
-        )
-
-    snapshots = []
-    for month in range(resume_month + 1):
-        month_rows = rows_by_month.get(month, {})
-        if set(month_rows) != set(board_ids):
-            raise StorageError(
-                f"{checkpoint_dir}: month {month} rows do not cover the fleet"
-            )
-        snapshots.append(
-            assemble_evaluation(
-                month,
-                measurements,
-                [board_row_from_doc(month_rows[board]) for board in board_ids],
-            )
-        )
-
+    board_ids = tree.manifest.board_ids
     record = parent_records[resume_month]
-    temperatures = tuple(
-        (float(parent_records[m]["temperature"]) if walk else None)
-        for m in range(resume_month + 1)
-    )
-    return ShardedCheckpointState(
+    return CheckpointState(
         completed_month=resume_month,
-        config=config,
+        config=tree.manifest.config,
         temperature=float(record["temperature"]),
         temp_rng_state=record["temp_rng_state"],
-        references={board: references[board] for board in board_ids},
-        boards={board: None for board in board_ids},
-        snapshots=snapshots,
+        references={board: tree.references[board] for board in board_ids},
+        snapshots=tree.snapshots(resume_month),
         counter_deltas=[
             {str(k): int(v) for k, v in parent_records[m]["counter_delta"].items()}
             for m in range(resume_month + 1)
@@ -660,12 +647,14 @@ def load_sharded_checkpoint(checkpoint_dir: str) -> ShardedCheckpointState:
             str(k): int(v) for k, v in record["pending_deltas"].items()
         },
         source=os.path.join(checkpoint_dir, SHARD_MANIFEST_NAME),
-        shard_boards=manifest.shard_boards,
-        temperatures=temperatures,
+        shard_boards=tree.manifest.shard_boards,
+        temperatures=tuple(
+            float(parent_records[m]["temperature"]) for m in range(resume_month + 1)
+        ),
     )
 
 
-def prepare_shard_resume(checkpoint_dir: str, state: ShardedCheckpointState) -> None:
+def prepare_shard_resume(checkpoint_dir: str, state: CheckpointState) -> None:
     """Roll the on-disk sharded layout back to the resume month.
 
     Truncates the parent log and every shard stream to ``R`` so the
@@ -673,11 +662,38 @@ def prepare_shard_resume(checkpoint_dir: str, state: ShardedCheckpointState) -> 
     have — stale chain files beyond ``R`` are left in place and simply
     overwritten (byte-identically) as those months re-run.
     """
-    truncate_parent_log(checkpoint_dir, state.completed_month)
+    month = state.completed_month
+    _truncate_month_records(checkpoint_dir, PARENT_LOG_NAME, month)
     for index in range(len(state.shard_boards)):
-        truncate_shard_stream(
-            shard_root(checkpoint_dir, index), state.completed_month
-        )
+        shard_dir = shard_root(checkpoint_dir, index)
+        _truncate_month_records(shard_dir, SHARD_STREAM_NAME, month)
+
+
+def compact_sharded_checkpoint(
+    checkpoint_dir: str, keep_keyframes: int = 1
+) -> List[str]:
+    """Compact every shard chain of a sharded directory (``store compact``).
+
+    Each chain also keeps the keyframe it restores the fleet-wide resume
+    month from, which lies below the shard's newest files whenever the
+    parent log lags the shards — the normal crash window.  Returns the
+    removed files relative to ``checkpoint_dir``.
+    """
+    resume_month = sharded_resume_month(checkpoint_dir)
+    if resume_month < 0:
+        raise StorageError(f"cannot compact {checkpoint_dir}: it has no resume month")
+    removed: List[str] = []
+    for index in range(len(load_shard_manifest(checkpoint_dir).shard_boards)):
+        relative = os.path.join(SHARDS_DIR, shard_dir_name(index))
+        removed += [
+            os.path.join(relative, name)
+            for name in compact_checkpoints(
+                os.path.join(checkpoint_dir, relative),
+                keep_keyframes=keep_keyframes,
+                restore_month=resume_month,
+            )
+        ]
+    return removed
 
 
 # Merge-on-read ---------------------------------------------------------------
@@ -695,59 +711,22 @@ def merge_sharded_campaign(checkpoint_dir: str):
     property suite and the CI ``shard-store-smoke`` job pin.
     """
     from repro.analysis.campaign import CampaignResult
-    from repro.analysis.monthly import assemble_evaluation
 
-    manifest = load_shard_manifest(checkpoint_dir)
-    config = manifest.config
-    board_ids = manifest.board_ids
-    try:
-        months = int(config["months"])
-        measurements = int(config["measurements"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StorageError(
-            f"{checkpoint_dir}: shard manifest has an unusable config: {exc}"
-        ) from exc
-
-    references: Dict[int, np.ndarray] = {}
-    rows_by_month: Dict[int, Dict[int, Dict[str, Any]]] = {}
-    for index, shard_ids in enumerate(manifest.shard_boards):
-        shard_dir = shard_root(checkpoint_dir, index)
-        _header, shard_refs, shard_rows = read_shard_stream(shard_dir, strict=True)
-        if set(shard_refs) != set(shard_ids):
-            raise StorageError(
-                f"{shard_dir}: stream covers boards {sorted(shard_refs)}, "
-                f"manifest assigns {sorted(shard_ids)}"
-            )
-        missing = [m for m in range(months + 1) if m not in shard_rows]
-        if missing:
-            raise StorageError(
-                f"{shard_dir}: incomplete shard stream (months {missing} "
-                "missing) — resume the campaign before merging"
-            )
-        references.update(shard_refs)
-        for month, month_rows in shard_rows.items():
-            rows_by_month.setdefault(month, {}).update(month_rows)
-
-    snapshots = [
-        assemble_evaluation(
-            month,
-            measurements,
-            [board_row_from_doc(rows_by_month[month][board]) for board in board_ids],
-        )
-        for month in range(months + 1)
-    ]
+    tree = read_shard_tree(checkpoint_dir, strict=True)
+    board_ids = tree.manifest.board_ids
+    snapshots = tree.snapshots(tree.months)
     logger.info(
         "merged %d shards, %d boards, %d snapshots from %s",
-        len(manifest.shard_boards),
+        len(tree.manifest.shard_boards),
         len(board_ids),
         len(snapshots),
         checkpoint_dir,
     )
     return CampaignResult(
-        profile_name=manifest.profile_name,
-        months=months,
-        measurements=measurements,
+        profile_name=tree.manifest.profile_name,
+        months=tree.months,
+        measurements=tree.measurements,
         board_ids=list(board_ids),
-        references={board: references[board] for board in board_ids},
+        references={board: tree.references[board] for board in board_ids},
         snapshots=snapshots,
     )

@@ -23,6 +23,8 @@ HEAVY_MODULES = (
     "repro.analysis.trends",
     "repro.keygen",
     "repro.trng",
+    "repro.store.bench",
+    "repro.store.legacy",
 )
 
 

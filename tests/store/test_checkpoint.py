@@ -20,9 +20,9 @@ from repro.store.checkpoint import (
     checkpoint_name,
     fold_counter_deltas,
     list_checkpoints,
-    load_latest_checkpoint,
     restore_chip,
 )
+from repro.store.legacy import load_latest_checkpoint
 from repro.store.shardstore import (
     is_sharded_checkpoint,
     load_shard_manifest,
@@ -185,7 +185,7 @@ class TestTruncatedCheckpointFallback:
 
         import logging
 
-        with caplog.at_level(logging.WARNING, logger="repro.store.checkpoint"):
+        with caplog.at_level(logging.WARNING, logger="repro.store.legacy"):
             state = load_latest_checkpoint(str(checkpoint_dir))
         # Month 5 is a delta, so the previous keyframe is month 4.
         assert state.completed_month == 4

@@ -26,22 +26,21 @@ import os
 import pytest
 
 from repro.analysis.campaign import LongTermCampaign
+from repro.cli import main
+from repro.core.config import StudyConfig
 from repro.errors import CampaignInterrupted, ConfigurationError, StorageError
 from repro.io.resultstore import save_campaign
 from repro.store.artifact import ArtifactStore
 from repro.store.checkpoint import (
-    CampaignCheckpointer,
     DEFAULT_KEYFRAME_EVERY,
     checkpoint_chain_report,
     checkpoint_name,
     compact_checkpoints,
     keyframe_due,
     list_checkpoints,
-    load_latest_checkpoint,
-    parse_checkpoint_doc,
-    parse_delta_doc,
 )
-from repro.store.shardstore import shard_root
+from repro.store.legacy import load_latest_checkpoint, parse_checkpoint_doc, parse_delta_doc
+from repro.store.shardstore import PARENT_LOG_NAME, shard_root
 from repro.telemetry import reset_telemetry
 
 from tests.exec.conftest import assert_campaigns_identical, worker_counts
@@ -144,15 +143,14 @@ class TestKeyframeCadence:
         # The same month in an empty directory flips to a keyframe.
         assert keyframe_due(ArtifactStore(str(tmp_path / "empty")), 1, 5)
 
-    def test_invalid_keyframe_every_rejected(self, tmp_path):
-        for keyframe_every in (0, "6"):
-            with pytest.raises(StorageError, match="keyframe_every"):
-                CampaignCheckpointer(
-                    str(tmp_path), {"keyframe_every": keyframe_every},
-                    "ATmega32u4", [(0, 1)],
-                )
-        with pytest.raises(ConfigurationError, match="keyframe_every"):
-            make_campaign(keyframe_every=0)
+    def test_invalid_keyframe_every_rejected(self):
+        # One rule, applied where a campaign or study is configured: a
+        # cadence that is not a positive int never reaches persistence.
+        for keyframe_every in (0, -1, "6", 2.5, True):
+            with pytest.raises(ConfigurationError, match="keyframe_every"):
+                make_campaign(keyframe_every=keyframe_every)
+            with pytest.raises(ConfigurationError, match="keyframe_every"):
+                StudyConfig(keyframe_every=keyframe_every)
 
 
 class TestDeltaDocuments:
@@ -292,6 +290,64 @@ class TestCompaction:
         assert artifact_sha(resumed, tmp_path / "a.json") == LEGACY_ARTIFACT_SHA
 
 
+def drop_last_parent_record(checkpoint_dir) -> None:
+    """Undo the parent's newest month record, keeping the shards' files."""
+    path = os.path.join(str(checkpoint_dir), PARENT_LOG_NAME)
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    with open(path, "wb") as handle:
+        handle.writelines(lines[:-1])
+
+
+class TestLaggingParentLog:
+    """A kill between a shard's chain write and the parent's month record.
+
+    The shards then hold a month (here keyframe 3) that the parent log
+    does not, so resume restarts after month 2 — restored from the
+    month-0 keyframe.
+    """
+
+    def _lagging_directory(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(CampaignInterrupted):
+            make_campaign().run(checkpoint_dir=str(ckpt), abort_after_month=3)
+        drop_last_parent_record(ckpt)
+        return ckpt
+
+    def test_compaction_keeps_the_keyframe_resume_restores_from(
+        self, tmp_path, capsys
+    ):
+        baseline = make_campaign().run()
+        reset_telemetry()
+        ckpt = self._lagging_directory(tmp_path)
+        assert main(["store", "compact", str(ckpt)]) == 0
+        assert [m for m, _ in list_checkpoints(chain(ckpt))] == [0, 1, 2, 3]
+        reset_telemetry()
+        resumed = LongTermCampaign.resume(str(ckpt))
+        assert_campaigns_identical(baseline, resumed)
+
+    def test_inspect_deep_reports_the_fleet_resume_month(self, tmp_path, capsys):
+        ckpt = self._lagging_directory(tmp_path)
+        assert main(["store", "inspect", str(ckpt), "--deep"]) == 0
+        out = capsys.readouterr().out
+        assert "resume point: keyframe month 0" in out
+        assert "resume point: month 2 (fleet-wide)" in out
+
+    def test_inspect_deep_flags_a_shard_that_cannot_restore(
+        self, tmp_path, capsys
+    ):
+        ckpt = self._lagging_directory(tmp_path)
+        for month in range(3):
+            os.remove(os.path.join(chain(ckpt), checkpoint_name(month)))
+        assert main(["store", "inspect", str(ckpt), "--deep"]) == 1
+        out = capsys.readouterr().out
+        assert "resume point: NONE\n" in out
+        assert "resume point: NONE (fleet-wide)" in out
+        assert "PROBLEMS FOUND" in out
+        with pytest.raises(StorageError, match="no resumable sharded state"):
+            LongTermCampaign.resume(str(ckpt))
+
+
 class TestChainReport:
     def test_healthy_directory_reports_ok(self, tmp_path):
         ckpt = tmp_path / "ckpt"
@@ -332,6 +388,18 @@ class TestChainReport:
         assert report["ok"] is False
         entry = {e["month"]: e for e in report["entries"]}[0]
         assert "rng_state" in entry["detail"]
+
+
+    def test_non_object_file_is_flagged(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        make_campaign(months=2).run(checkpoint_dir=str(ckpt))
+        with open(os.path.join(chain(ckpt), checkpoint_name(2)), "w") as handle:
+            handle.write("[]")
+        report = checkpoint_chain_report(chain(ckpt))
+        assert report["ok"] is False
+        assert report["resume_month"] == 0
+        entry = {e["month"]: e for e in report["entries"]}[2]
+        assert "JSON object" in entry["detail"]
 
 
 class TestV1Migration:

@@ -1,12 +1,14 @@
 """Architectural gates: write funnelling and import layering.
 
-Two invariants the refactor promised:
+Three invariants the refactor promised:
 
 * no module outside ``repro.store`` opens an artifact path for
   writing — every persisted byte goes through the store's atomic
   protocol;
 * ``repro.store`` sits below the rest of the library: importing it
-  must not drag ``repro.io``/``analysis``/``monitor``/``telemetry`` in.
+  must not drag ``repro.io``/``analysis``/``monitor``/``telemetry`` in;
+* no module imports the legacy checkpoint readers
+  (``repro.store.legacy``) at module scope.
 """
 
 import ast
@@ -79,3 +81,27 @@ def test_store_has_no_module_level_upper_layer_imports():
         "repro.store must sit below the rest of the library; "
         "lazy-import inside functions instead:\n" + "\n".join(offenders)
     )
+
+
+def test_no_module_imports_the_legacy_readers_at_module_scope():
+    """Legacy campaign-scoped readers load only when a legacy file is read."""
+    offenders = []
+    for dirpath, _dirs, files in os.walk(SRC_ROOT):
+        for filename in files:
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            for node in tree.body:
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if "repro.store.legacy" in names:
+                    offenders.append(os.path.relpath(path, SRC_ROOT))
+    assert not offenders, f"module-scope imports of repro.store.legacy: {offenders}"

@@ -30,9 +30,9 @@ from repro.store.artifact import ArtifactStore
 from repro.store.checkpoint import (
     build_shard_keyframe_doc,
     load_latest_shard_keyframe,
-    parse_checkpoint_doc,
     parse_shard_checkpoint_doc,
 )
+from repro.store.legacy import parse_checkpoint_doc
 from repro.store.shardstore import (
     PARENT_LOG_NAME,
     SHARD_MANIFEST_NAME,

@@ -1,10 +1,11 @@
 """The lazily exported package namespaces keep their public surface.
 
-``repro``, ``repro.analysis``, ``repro.sram`` and ``repro.metrics``
-resolve their public names on first access (PEP 562, through
-:mod:`repro._lazy`) instead of importing every submodule up front.
-These tests pin what that must not change: the names, the objects
-they resolve to, ``dir()``, and the error for a name that is not there.
+``repro``, ``repro.analysis``, ``repro.sram``, ``repro.metrics`` and
+``repro.store`` resolve their public names on first access (PEP 562,
+through :mod:`repro._lazy`) instead of importing every submodule up
+front.  These tests pin what that must not change: the names, the
+objects they resolve to, ``dir()``, and the error for a name that is
+not there.
 """
 
 import importlib
@@ -56,6 +57,32 @@ PUBLIC = {
         "stable_cell_ratio_from_counts", "uniformity", "within_class_hd",
         "within_class_hd_from_counts",
     ],
+    "repro.store": [
+        "ArtifactStore", "BENCH_LEDGER_NAME", "BENCH_VERSION", "BenchLedger",
+        "CampaignCheckpointer", "CampaignStreamWriter", "CheckpointState",
+        "CounterDeltaRecorder", "DEFAULT_KEYFRAME_EVERY", "DeltaRecord", "JsonCodec",
+        "JsonLinesCodec", "PARENT_LOG_NAME", "SCHEMAS", "SHARDS_DIR",
+        "SHARD_MANIFEST_NAME", "SHARD_STREAM_NAME", "ShardCheckpointState",
+        "ShardManifest", "ShardStoreSpec", "ShardedCheckpointState", "TMP_SUFFIX",
+        "append_line", "append_lines", "append_parent_month_record",
+        "atomic_write_bytes", "atomic_write_text", "board_state_doc",
+        "build_parent_month_record", "build_shard_delta_doc",
+        "build_shard_keyframe_doc", "checkpoint_chain_report", "checkpoint_kind",
+        "checkpoint_name", "checkpoint_scope", "compact_checkpoints",
+        "current_version", "decode_float64_array", "document_version",
+        "encode_float64_array", "find_stray_tmp_files", "fold_counter_deltas",
+        "git_revision", "higher_is_better", "host_fingerprint",
+        "is_sharded_checkpoint", "is_stream_header", "keyframe_due",
+        "list_checkpoints", "load_campaign_stream_doc", "load_latest_checkpoint",
+        "load_latest_shard_keyframe", "load_shard_manifest", "load_sharded_checkpoint",
+        "merge_sharded_campaign", "migrate", "pack_bits_hex", "parse_checkpoint_doc",
+        "parse_delta_doc", "parse_shard_checkpoint_doc", "parse_shard_delta_doc",
+        "persist_shard_window", "prepare_shard_resume", "read_parent_log",
+        "read_shard_stream", "register_migration", "render_comparison",
+        "reset_sharded_layout", "restore_chip", "restore_rng_state", "rng_state_doc",
+        "schema_field", "shard_root", "truncate_file", "unpack_bits_hex",
+        "write_campaign_stream", "write_shard_manifest",
+    ],
 }
 
 #: Where the exported values that carry no ``__module__`` are defined.
@@ -68,6 +95,15 @@ VALUE_HOMES = {
     "TESTCHIP_65NM": "repro.sram.profiles",
     "NOISE_SIGMA_V": "repro.sram.profiles",
     "REGISTRY": "repro.sram.profiles",
+    "BENCH_LEDGER_NAME": "repro.store.bench",
+    "BENCH_VERSION": "repro.store.bench",
+    "DEFAULT_KEYFRAME_EVERY": "repro.store.checkpoint",
+    "PARENT_LOG_NAME": "repro.store.shardstore",
+    "SCHEMAS": "repro.store.schema",
+    "SHARDS_DIR": "repro.store.shardstore",
+    "SHARD_MANIFEST_NAME": "repro.store.shardstore",
+    "SHARD_STREAM_NAME": "repro.store.shardstore",
+    "TMP_SUFFIX": "repro.store.atomic",
 }
 
 PACKAGES = sorted(PUBLIC)
