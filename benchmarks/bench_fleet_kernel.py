@@ -42,7 +42,7 @@ import time
 import numpy as np
 
 from repro.analysis.campaign import LongTermCampaign
-from repro.analysis.monthly import assemble_evaluation, evaluate_board
+from repro.analysis.monthly import FleetMonthMetrics, assemble_evaluation, evaluate_board
 from repro.sram.aging import AgingSimulator
 from repro.sram.profiles import ATMEGA32U4
 from repro.telemetry import reset_telemetry
@@ -79,13 +79,12 @@ def assert_matches_oracle(campaign: LongTermCampaign, result) -> None:
     for chip, reference in zip(chips, references):
         np.testing.assert_array_equal(result.references[chip.chip_id], reference)
     for month, snapshot in enumerate(result.snapshots):
+        boards = [
+            evaluate_board(chip, reference, measurements=MEASUREMENTS)
+            for chip, reference in zip(chips, references)
+        ]
         expected = assemble_evaluation(
-            month,
-            MEASUREMENTS,
-            [
-                evaluate_board(chip, reference, measurements=MEASUREMENTS)
-                for chip, reference in zip(chips, references)
-            ],
+            month, MEASUREMENTS, [FleetMonthMetrics.from_boards(boards)]
         )
         for name in ("wchd", "fhw", "stable_ratio", "noise_entropy", "bchd_pairs"):
             np.testing.assert_array_equal(

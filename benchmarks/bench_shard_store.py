@@ -42,7 +42,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.analysis.monthly import BoardMonthMetrics
+from repro.analysis.monthly import FleetMonthMetrics
 from repro.store.checkpoint import DEFAULT_KEYFRAME_EVERY
 from repro.store.codecs import encode_float64_array
 from repro.store.shardstore import (
@@ -73,9 +73,8 @@ OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_shard_store.json")
 
 
 def _fleet_fixture(boards: int, rng: np.random.Generator):
-    """Synthetic per-board state docs, metric rows and references."""
+    """Synthetic per-board state docs, the month's metric record and references."""
     states: Dict[int, dict] = {}
-    rows: Dict[int, BoardMonthMetrics] = {}
     references: Dict[int, np.ndarray] = {}
     for board in range(boards):
         states[board] = {
@@ -92,15 +91,15 @@ def _fleet_fixture(boards: int, rng: np.random.Generator):
             "age_seconds": float(board),
             "power_up_count": 1000 + board,
         }
-        rows[board] = BoardMonthMetrics(
-            board_id=board,
-            wchd=float(rng.random()) * 0.05,
-            fhw=float(rng.random()),
-            stable_ratio=float(rng.random()),
-            noise_entropy=float(rng.random()),
-            first_readout=rng.integers(0, 2, size=READ_BITS, dtype=np.uint8),
-        )
         references[board] = rng.integers(0, 2, size=READ_BITS, dtype=np.uint8)
+    rows = FleetMonthMetrics(
+        board_ids=tuple(range(boards)),
+        wchd=rng.random(boards) * 0.05,
+        fhw=rng.random(boards),
+        stable_ratio=rng.random(boards),
+        noise_entropy=rng.random(boards),
+        first_readouts=rng.integers(0, 2, size=(boards, READ_BITS), dtype=np.uint8),
+    )
     return states, rows, references
 
 
@@ -130,7 +129,7 @@ def _time_writes(workdir: str, shards: int, states, rows, references):
             persist_shard_window(
                 spec,
                 month,
-                {b: rows[b] for b in members},
+                rows.take(members),
                 {b: states[b] for b in members},
                 {b: references[b] for b in members},
             )

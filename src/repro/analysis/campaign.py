@@ -864,7 +864,13 @@ class LongTermCampaign:
                 self._profile_spec_fields([profile_of[board] for board in boards])
                 for boards in shard_boards
             ]
-            # Shards are contiguous runs of the fleet order.
+            # Shards are contiguous runs of the fleet order, so the
+            # windows' records concatenate into the fleet's month.
+            if [board for boards in shard_boards for board in boards] != board_ids:
+                raise StorageError(
+                    "the shard map does not split the fleet into contiguous "
+                    "runs in fleet order"
+                )
             shard_offsets = list(
                 accumulate((len(boards) for boards in shard_boards[:-1]), initial=0)
             )
@@ -955,12 +961,10 @@ class LongTermCampaign:
                             check_window_result(spec, result)
                         self._graft_worker_spans(month_span, results)
                         self._merge_worker_phases(results)
-                        rows: Dict[int, "BoardMonthMetrics"] = {}
                         eval_deltas: Dict[str, int] = {}
                         aging_deltas: Dict[str, int] = {}
                         window_rollups: List[Dict[str, dict]] = []
                         for result in results:
-                            rows.update(result.rows)
                             references.update(result.references)
                             for name, delta in result.eval_deltas.items():
                                 eval_deltas[name] = eval_deltas.get(name, 0) + delta
@@ -973,7 +977,7 @@ class LongTermCampaign:
                             assemble_evaluation(
                                 month,
                                 self._measurements,
-                                [rows[board] for board in board_ids],
+                                [result.rows for result in results],
                             )
                         )
                         self._count_labeled_powerups(metrics, month)

@@ -269,8 +269,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     of recent events; a crashed campaign (including one injected with
     ``--fail-board`` / ``$REPRO_FAIL_BOARD``) dumps the recorder to
     ``<save>.flight.json`` and exits with code 4.
+
+    A checkpoint directory the campaign cannot use — ``--resume`` of a
+    directory with nothing to resume (missing, empty, or no month every
+    shard can restore), or an unreadable or foreign checkpoint — prints
+    ``error: <message>`` on stderr and exits with code 6.
     """
-    from repro.errors import CampaignExecutionError, CampaignInterrupted
+    from repro.errors import (
+        CampaignExecutionError,
+        CampaignInterrupted,
+        StorageError,
+    )
     from repro.io.resultstore import save_campaign
     from repro.monitor.alerts import alert_log_path_for
     from repro.monitor.defaults import (
@@ -344,6 +353,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"campaign crashed: {exc}", file=sys.stderr)
         print(f"flight record written to {flight_path}", file=sys.stderr)
         return 4
+    except StorageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 6
     save_campaign(
         result.campaign,
         args.save,

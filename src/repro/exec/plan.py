@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 
@@ -115,3 +117,29 @@ def rollup_shard_of(position: int, board_count: int, shard_count: int) -> int:
     if position < pivot:
         return position // (base + 1)
     return extra + (position - pivot) // base
+
+
+def rollup_shards_of(positions, board_count: int, shard_count: int) -> np.ndarray:
+    """:func:`rollup_shard_of` of every fleet position in ``positions``.
+
+    >>> rollup_shards_of(range(7), 7, 3).tolist()
+    [0, 0, 0, 1, 1, 2, 2]
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    if positions.size and not (
+        0 <= int(positions.min()) and int(positions.max()) < board_count
+    ):
+        raise ConfigurationError(
+            f"board positions {int(positions.min())}..{int(positions.max())} "
+            f"outside fleet of {board_count}"
+        )
+    count = min(shard_count, board_count)
+    if count < 1:
+        raise ConfigurationError(f"shard_count must be >= 1, got {shard_count}")
+    base, extra = divmod(board_count, count)
+    pivot = extra * (base + 1)
+    return np.where(
+        positions < pivot,
+        positions // (base + 1),
+        extra + (positions - pivot) // base,
+    )

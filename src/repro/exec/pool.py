@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, List, Sequence
 
 from repro.errors import CampaignExecutionError, ConfigurationError
@@ -152,10 +152,20 @@ class WindowPool:
         return results
 
     def close(self) -> None:
-        """Shut every lane down (idempotent); a later dispatch respawns."""
+        """Shut every lane down (idempotent); a later dispatch respawns.
+
+        The lanes shut down concurrently, one thread each, and the call
+        returns once every lane's worker process has exited (a failed
+        shutdown raises here).
+        """
         if self._lanes:
-            for lane in self._lanes:
-                lane.shutdown(wait=True, cancel_futures=True)
+            with ThreadPoolExecutor(len(self._lanes)) as closers:
+                shutdowns = [
+                    closers.submit(lane.shutdown, wait=True, cancel_futures=True)
+                    for lane in self._lanes
+                ]
+                for shutdown in shutdowns:
+                    shutdown.result()
             self._lanes = []
             logger.info("window pool closed")
 

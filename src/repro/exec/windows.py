@@ -56,10 +56,10 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.monthly import BoardMonthMetrics, evaluate_fleet
+from repro.analysis.monthly import FleetMonthMetrics, evaluate_fleet, reference_matrix
 from repro.errors import CampaignExecutionError
-from repro.exec.plan import normalize_profile_fields, rollup_shard_of
-from repro.io.bitutil import pack_bit_vector, unpack_bits
+from repro.exec.plan import normalize_profile_fields, rollup_shard_of, rollup_shards_of
+from repro.io.bitutil import ensure_bit_matrix, pack_bit_vector, unpack_bits
 from repro.sram.fleetkernel import build_fleet_kernel
 from repro.sram.profiles import DeviceProfile
 from repro.store.artifact import ArtifactStore
@@ -81,12 +81,16 @@ logger = logging.getLogger(__name__)
 
 
 class _Slot(NamedTuple):
-    """One shard's resident boards, after month ``month``."""
+    """One shard's resident boards, after month ``month``.
+
+    ``references`` is the boards' day-0 :func:`reference_matrix`, in
+    kernel order, validated once when the slot was built.
+    """
 
     token: str
     month: int
     kernel: Any
-    references: Dict[int, np.ndarray]
+    references: np.ndarray
 
 
 #: This process's resident slots, one per shard index.
@@ -173,7 +177,8 @@ class WindowResult:
 
     shard_index: int
     month: int
-    rows: Dict[int, BoardMonthMetrics] = field(repr=False)
+    #: The window's boards' month, one column record in board order.
+    rows: FleetMonthMetrics = field(repr=False)
     #: Day-0 references, populated only by month-0 windows.
     references: Dict[int, np.ndarray] = field(repr=False)
     #: Counters advanced by manufacture/reference/measurement work.
@@ -197,7 +202,7 @@ class WindowResult:
     restored_months: Tuple[int, ...] = ()
 
     # The day-0 references are bit vectors: they pickle packed eight
-    # bits per byte, like the rows' read-outs.  A rollup document's
+    # bits per byte, like the rows' read-out matrix.  A rollup document's
     # ``bounds`` is nearly always the default UNIT_BOUNDS, 128 floats
     # per document: it pickles as None and is restored on unpickling.
     def __getstate__(self) -> Dict[str, Any]:
@@ -244,10 +249,10 @@ def check_window_result(spec: WindowSpec, result: WindowResult) -> None:
     """Refuse a result that does not cover its window exactly.
 
     The result must be the spec's shard and month, with one row for
-    every planned board and none other: a missing, foreign or
-    unplanned board must never reach the assembled snapshot.  Raises
-    :class:`~repro.errors.CampaignExecutionError` naming the shard (and
-    the first offending board).
+    every planned board, in plan order, and none other: a missing,
+    foreign or unplanned board must never reach the assembled snapshot.
+    Raises :class:`~repro.errors.CampaignExecutionError` naming the
+    shard (and the first offending board).
     """
     shard = spec.shard_index
     if (result.shard_index, result.month) != (shard, spec.month):
@@ -256,9 +261,11 @@ def check_window_result(spec: WindowSpec, result: WindowResult) -> None:
             f"of shard {result.shard_index}, month {result.month}",
             shard_index=shard,
         )
-    if tuple(result.rows) == spec.board_ids:
+    returned = result.rows.board_ids
+    if returned == spec.board_ids:
         return
-    missing = [board for board in spec.board_ids if board not in result.rows]
+    present = set(returned)
+    missing = [board for board in spec.board_ids if board not in present]
     if missing:
         raise CampaignExecutionError(
             f"shard {shard} returned no month-{spec.month} rows for boards "
@@ -266,7 +273,7 @@ def check_window_result(spec: WindowSpec, result: WindowResult) -> None:
             board_id=missing[0],
             shard_index=shard,
         )
-    unplanned = sorted(set(result.rows) - set(spec.board_ids))
+    unplanned = sorted(present - set(spec.board_ids))
     if unplanned:
         raise CampaignExecutionError(
             f"shard {shard} returned month-{spec.month} rows for unplanned "
@@ -274,6 +281,11 @@ def check_window_result(spec: WindowSpec, result: WindowResult) -> None:
             board_id=unplanned[0],
             shard_index=shard,
         )
+    raise CampaignExecutionError(
+        f"shard {shard} returned month-{spec.month} rows for boards "
+        f"{list(returned)}, planned {list(spec.board_ids)}",
+        shard_index=shard,
+    )
 
 
 def board_span_records(
@@ -316,7 +328,7 @@ def _registry_deltas(registry: MetricsRegistry) -> Dict[str, int]:
     }
 
 
-def _restore_kernel(spec: WindowSpec) -> Tuple[Any, Tuple[int, ...]]:
+def _restore_kernel(spec: WindowSpec) -> Tuple[Any, np.ndarray, Tuple[int, ...]]:
     """Rebuild a shard's kernel at the start of ``spec.month`` after a resume.
 
     Resuming a legacy campaign-scoped directory, ``spec.states`` is the
@@ -327,7 +339,8 @@ def _restore_kernel(spec: WindowSpec) -> Tuple[Any, Tuple[int, ...]]:
     every board's RNG stream lands on exactly the draw position of the
     uninterrupted run.  Replay touches no telemetry registries and no
     rollup builders: those months were already counted and persisted.
-    Returns the kernel and the restored months.
+    Returns the kernel, the shard's day-0 :func:`reference_matrix`
+    (from ``spec.references``) and the restored months.
     """
     shard_store = spec.shard_store
     if shard_store is None:
@@ -359,6 +372,9 @@ def _restore_kernel(spec: WindowSpec) -> Tuple[Any, Tuple[int, ...]]:
         spec.board_profiles,
         states={board: board_state_from_doc(states[board]) for board in spec.board_ids},
     )
+    references = reference_matrix(
+        spec.references, spec.board_ids, spec.board_profiles[0].read_bits
+    )
     gap = range(keyframe_month + 1, spec.month)
     logger.info(
         "shard %d restored from keyframe month %d (replaying %d month(s))",
@@ -369,16 +385,16 @@ def _restore_kernel(spec: WindowSpec) -> Tuple[Any, Tuple[int, ...]]:
     for month in gap:
         evaluate_fleet(
             kernel,
-            spec.references,
+            references,
             measurements=spec.measurements,
             statistical=spec.statistical,
             temperature_k=shard_store.temperatures[month],
         )
         kernel.age_months(spec.aging_acceleration, steps=spec.aging_steps_per_month)
-    return kernel, (keyframe_month, *gap)
+    return kernel, references, (keyframe_month, *gap)
 
 
-def _resident_kernel(spec: WindowSpec) -> Tuple[Any, Dict[int, np.ndarray]]:
+def _resident_kernel(spec: WindowSpec) -> Tuple[Any, np.ndarray]:
     """The shard's slot kernel and references; the slot is taken out.
 
     A failing window therefore never leaves half-advanced state behind:
@@ -412,7 +428,7 @@ def _run_window_fleet(
     """One month of the window's boards, together on one FleetKernel.
 
     Returns ``(rows, states, new_references, restored_months, slot)``:
-    the boards' monthly rows, their outbound state documents (empty
+    the boards' monthly record, their outbound state documents (empty
     unless :func:`_wants_states`), the day-0 references of a month-0
     window, the months restored before the window ran and the shard's
     slot after this month.
@@ -433,29 +449,30 @@ def _run_window_fleet(
                     else {b: board_state_from_doc(spec.states[b]) for b in board_ids}
                 ),
             )
-            new_references = dict(zip(kernel.board_ids, kernel.read_startup()))
+            references = ensure_bit_matrix(kernel.read_startup())
+            new_references = dict(zip(kernel.board_ids, references))
             powerups.inc(boards)  # the day-0 reference read-outs
-            references = new_references
         elif spec.references is not None:
-            kernel, restored = _restore_kernel(spec)
-            references = spec.references
+            kernel, references, restored = _restore_kernel(spec)
         else:
             kernel, references = _resident_kernel(spec)
         with tracer.span("board.measure") if tracer is not None else NULL_SPAN:
-            fleet_rows = evaluate_fleet(
+            rows = evaluate_fleet(
                 kernel,
                 references,
                 measurements=spec.measurements,
                 statistical=spec.statistical,
                 temperature_k=spec.temperature,
             )
-        rows = {row.board_id: row for row in fleet_rows}
         if builder is not None:
-            for row in fleet_rows:
-                builder.observe_board(
-                    row.board_id,
-                    {stat: getattr(row, stat) for stat in ROLLUP_STATS},
-                )
+            builder.observe_fleet(
+                rollup_shards_of(
+                    range(spec.fleet_offset, spec.fleet_offset + boards),
+                    spec.fleet_size,
+                    spec.rollup_shards,
+                ),
+                {stat: getattr(rows, stat) for stat in ROLLUP_STATS},
+            )
         powerups.inc(spec.measurements * boards)
         if spec.apply_aging:
             with tracer.span("board.age") if tracer is not None else NULL_SPAN:
@@ -494,9 +511,12 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
     aging_steps = aging_registry.counter("campaign.aging_steps")
     builder: Optional[ShardRollupBuilder] = None
     if spec.rollup_shards > 0:
-        position = {b: spec.fleet_offset + i for i, b in enumerate(spec.board_ids)}
         builder = ShardRollupBuilder(
-            lambda b: rollup_shard_of(position[b], spec.fleet_size, spec.rollup_shards)
+            lambda b: rollup_shard_of(
+                spec.fleet_offset + spec.board_ids.index(b),
+                spec.fleet_size,
+                spec.rollup_shards,
+            )
         )
 
     trace = spec.trace
@@ -520,6 +540,8 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
             rows, states, references, restored, slot = _run_window_fleet(
                 spec, powerups, aging_steps, builder, tracer
             )
+            # The builder folds the month's recorded columns here.
+            rollups = builder.take() if builder is not None else {}
         except CampaignExecutionError:
             raise
         except Exception as exc:
@@ -534,7 +556,7 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
             # second.
             with get_profiler().phase(PHASE_STORE_IO):
                 persist_shard_window(
-                    spec.shard_store, spec.month, rows, states, slot.references
+                    spec.shard_store, spec.month, rows, states, references
                 )
         if spec.apply_aging:
             # Only a month that aged has a next month to serve.
@@ -555,7 +577,7 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
         references=references,
         eval_deltas=_registry_deltas(eval_registry),
         aging_deltas=_registry_deltas(aging_registry),
-        rollups=builder.take() if builder is not None else {},
+        rollups=rollups,
         resources=sampler.sample(),
         spans=board_span_records(tracer, spec.board_ids),
         phase_deltas=phase_deltas,

@@ -111,6 +111,12 @@ def within_class_hd_from_counts(
     return float(disagreements.mean() / measurements)
 
 
+#: Read-outs shorter than this many bits get a float32 Gram in
+#: :func:`between_class_hd`: float32 represents every integer up to
+#: 2**24 exactly.
+FLOAT32_EXACT_BITS = 2**24
+
+
 def between_class_hd(readouts: Sequence) -> np.ndarray:
     """Pairwise FHDs between device read-outs.
 
@@ -124,15 +130,29 @@ def between_class_hd(readouts: Sequence) -> np.ndarray:
     bits = ensure_bit_matrix(readouts)
     if len(bits) < 2:
         raise ConfigurationError("BCHD needs at least two devices")
-    length = bits.shape[1]
+    devices, length = bits.shape
     # For 0/1 vectors HD(x, y) = |x| + |y| - 2 x.y, so one Gram matrix
-    # replaces the n*(n-1)/2 per-pair comparisons.  float64 keeps the
-    # BLAS path and stays exact: every partial sum is an integer far
-    # below 2**53, and count/length is the same float64 division the
-    # per-pair mean performed — results equal the loop bit for bit.
-    matrix = bits.astype(np.float64)
-    gram = matrix @ matrix.T
-    ones = np.diagonal(gram)
-    distances = ones[:, np.newaxis] + ones[np.newaxis, :] - 2.0 * gram
-    upper_i, upper_j = np.triu_indices(len(bits), k=1)
-    return distances[upper_i, upper_j] / length
+    # replaces the n*(n-1)/2 per-pair comparisons.  Every entry and
+    # every partial sum of the Gram is an integer no larger than
+    # ``length``; doubling is exact, and both steps of
+    # (-2 x.y + |x|) + |y| land on integers of magnitude <= ``length``.
+    # Below FLOAT32_EXACT_BITS float32 holds all of them exactly
+    # (float64 above), so the distances are exact integers and
+    # count/length is the same float64 division the per-pair mean
+    # performed — results equal the loop bit for bit (docs/kernel.md).
+    exact32 = length < FLOAT32_EXACT_BITS
+    matrix = bits.astype(np.float32 if exact32 else np.float64)
+    distances = matrix @ matrix.T
+    ones = np.diagonal(distances).copy()
+    distances *= -2.0
+    distances += ones[:, np.newaxis]
+    distances += ones
+    # The upper triangle, row by row, is itertools.combinations order.
+    pairs = np.empty(devices * (devices - 1) // 2)
+    start = 0
+    for row in range(devices - 1):
+        stop = start + devices - 1 - row
+        pairs[start:stop] = distances[row, row + 1 :]
+        start = stop
+    pairs /= length
+    return pairs

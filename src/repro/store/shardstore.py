@@ -218,37 +218,81 @@ def reset_sharded_layout(checkpoint_dir: str) -> None:
 
 # Shard streams ---------------------------------------------------------------
 
-def board_row_doc(row) -> Dict[str, Any]:
-    """One board's monthly metric row as a JSON-native document.
+def rows_record_doc(month: int, rows) -> Dict[str, Any]:
+    """One shard-month's metric rows record, one document per board.
 
-    Floats round-trip exactly through JSON (shortest-repr encoding);
-    the block's first read-out travels as hex + bit count like the
-    reference read-outs, so the merged artifact's cross-board
-    statistics are recomputed from bit-exact inputs.
+    ``rows`` is the shard's :class:`~repro.analysis.monthly.FleetMonthMetrics`
+    in board order.  Floats round-trip exactly through JSON
+    (shortest-repr encoding); each board's first read-out travels as
+    hex + bit count like the reference read-outs, so the merged
+    artifact's cross-board statistics are recomputed from bit-exact
+    inputs.  The matrix is checked and packed once for all boards.
     """
+    first = np.ascontiguousarray(rows.first_readouts, dtype=np.uint8)
+    bits = first.shape[1]
+    if bits % 8 != 0:
+        raise StorageError(f"bit count must be a multiple of 8, got {bits}")
+    if first.size and first.max() > 1:
+        raise StorageError("bit vector may only contain 0 and 1")
+    text = np.packbits(first, axis=1).tobytes().hex()
+    width = bits // 4
     return {
-        "board": int(row.board_id),
-        "wchd": float(row.wchd),
-        "fhw": float(row.fhw),
-        "stable_ratio": float(row.stable_ratio),
-        "noise_entropy": float(row.noise_entropy),
-        "first_hex": pack_bits_hex(row.first_readout),
-        "first_bits": int(np.asarray(row.first_readout).size),
+        "kind": "rows",
+        "month": int(month),
+        "rows": [
+            {
+                "board": int(board),
+                "wchd": wchd,
+                "fhw": fhw,
+                "stable_ratio": stable_ratio,
+                "noise_entropy": noise_entropy,
+                "first_hex": text[index * width : (index + 1) * width],
+                "first_bits": bits,
+            }
+            for index, (board, wchd, fhw, stable_ratio, noise_entropy) in enumerate(
+                zip(
+                    rows.board_ids,
+                    rows.wchd.tolist(),
+                    rows.fhw.tolist(),
+                    rows.stable_ratio.tolist(),
+                    rows.noise_entropy.tolist(),
+                )
+            )
+        ],
     }
 
 
-def board_row_from_doc(doc: Dict[str, Any]):
-    """Inverse of :func:`board_row_doc` — document → BoardMonthMetrics."""
-    from repro.analysis.monthly import BoardMonthMetrics
+def rows_from_docs(docs: List[Dict[str, Any]]):
+    """Inverse of :func:`rows_record_doc`'s ``rows`` — one record for all boards.
+
+    Raises :class:`~repro.errors.StorageError` on a malformed document
+    or read-outs of different lengths.
+    """
+    from repro.analysis.monthly import FleetMonthMetrics
 
     try:
-        return BoardMonthMetrics(
-            board_id=int(doc["board"]),
-            wchd=float(doc["wchd"]),
-            fhw=float(doc["fhw"]),
-            stable_ratio=float(doc["stable_ratio"]),
-            noise_entropy=float(doc["noise_entropy"]),
-            first_readout=unpack_bits_hex(doc["first_hex"], int(doc["first_bits"])),
+        bits = {int(doc["first_bits"]) for doc in docs}
+        if len(bits) > 1:
+            raise ValueError(f"read-outs of different lengths {sorted(bits)}")
+        bit_count = bits.pop() if bits else 0
+        width = -(-bit_count // 8)
+        hexes = [doc["first_hex"] for doc in docs]
+        if any(len(payload) != 2 * width for payload in hexes):
+            raise ValueError(f"a read-out payload is not {width} bytes of hex")
+        packed = np.frombuffer(bytes.fromhex("".join(hexes)), dtype=np.uint8)
+        return FleetMonthMetrics(
+            board_ids=tuple(int(doc["board"]) for doc in docs),
+            wchd=np.array([doc["wchd"] for doc in docs], dtype=np.float64),
+            fhw=np.array([doc["fhw"] for doc in docs], dtype=np.float64),
+            stable_ratio=np.array(
+                [doc["stable_ratio"] for doc in docs], dtype=np.float64
+            ),
+            noise_entropy=np.array(
+                [doc["noise_entropy"] for doc in docs], dtype=np.float64
+            ),
+            first_readouts=np.unpackbits(
+                packed.reshape(len(docs), width), axis=1, count=bit_count
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(f"malformed board row document: {exc}") from exc
@@ -257,22 +301,27 @@ def board_row_from_doc(doc: Dict[str, Any]):
 def persist_shard_window(
     spec: ShardStoreSpec,
     month: int,
-    rows: Dict[int, Any],
+    rows,
     states: Dict[int, Dict[str, Any]],
     references: Dict[int, np.ndarray],
 ) -> None:
     """Persist one completed month of one shard, worker-side.
 
-    Month 0 (re)starts the shard stream with its header and reference
-    records.  Every month appends the metric rows record first and
-    writes the chain file second — the chain file is the commit mark,
-    so a crash between the two leaves a month the resume scan ignores.
-    The chain file is a full keyframe iff
+    ``rows`` is the shard's month as one
+    :class:`~repro.analysis.monthly.FleetMonthMetrics`; the stream
+    keeps its boards in ascending id order.  Month 0 (re)starts the
+    shard stream with its header and reference records
+    (``references`` is only read then).  Every month appends the metric
+    rows record first and writes the chain file second — the chain
+    file is the commit mark, so a crash between the two leaves a month
+    the resume scan ignores.  The chain file is a full keyframe iff
     :func:`~repro.store.checkpoint.keyframe_due`; ``states`` needs to
     cover the shard's boards only in those months.
     """
     store = ArtifactStore(spec.root)
-    board_ids = sorted(rows)
+    board_ids = sorted(rows.board_ids)
+    if list(rows.board_ids) != board_ids:
+        rows = rows.take(np.argsort(rows.board_ids, kind="stable"))
     if month == 0:
         store.truncate(SHARD_STREAM_NAME)
         header = {
@@ -293,15 +342,7 @@ def persist_shard_window(
             },
         }
         store.append_jsonl_batch(SHARD_STREAM_NAME, [header, refs], sort_keys=True)
-    store.append_jsonl(
-        SHARD_STREAM_NAME,
-        {
-            "kind": "rows",
-            "month": int(month),
-            "rows": [board_row_doc(rows[board]) for board in board_ids],
-        },
-        sort_keys=True,
-    )
+    store.append_jsonl(SHARD_STREAM_NAME, rows_record_doc(month, rows), sort_keys=True)
     if keyframe_due(store, month, spec.keyframe_every):
         doc = build_shard_keyframe_doc(spec.shard_index, month, states)
     else:
@@ -340,9 +381,10 @@ def read_shard_stream(
 ) -> Tuple[Dict[str, Any], Dict[int, np.ndarray], Dict[int, Dict[int, Dict[str, Any]]]]:
     """Read one shard stream: ``(header, references, rows_by_month)``.
 
-    ``rows_by_month[m][board]`` is the board's raw row document of
-    month ``m``; months are contiguous from 0 (an out-of-order record
-    ends the readable prefix).  ``strict`` raises on any torn or
+    ``rows_by_month[m]`` is the shard's month ``m`` as one
+    :class:`~repro.analysis.monthly.FleetMonthMetrics`, decoded straight
+    into arrays (:func:`rows_from_docs`); months are contiguous from 0
+    (an out-of-order record ends the readable prefix).  ``strict`` raises on any torn or
     malformed tail; tolerant mode (the resume scan) keeps the intact
     prefix.
     """
@@ -381,7 +423,7 @@ def read_shard_stream(
     board_set = {int(board) for board in header.get("board_ids", [])}
     if board_set and set(references) != board_set:
         raise StorageError(f"{source}: references do not cover the shard's boards")
-    rows_by_month: Dict[int, Dict[int, Dict[str, Any]]] = {}
+    rows_by_month: Dict[int, Any] = {}
     for index, record in enumerate(records[2:]):
         try:
             if record.get("kind") != "rows" or record.get("month") != index:
@@ -389,8 +431,8 @@ def read_shard_stream(
                     f"unexpected record at position {index + 2} (kind "
                     f"{record.get('kind')!r}, month {record.get('month')!r})"
                 )
-            month_rows = {int(doc["board"]): doc for doc in record["rows"]}
-            if board_set and set(month_rows) != board_set:
+            month_rows = rows_from_docs(record["rows"])
+            if board_set and set(month_rows.board_ids) != board_set:
                 raise StorageError(f"month {index} rows do not cover the shard")
         except (KeyError, TypeError, ValueError, StorageError) as exc:
             if strict:
@@ -475,9 +517,11 @@ def _truncate_month_records(directory: str, name: str, through_month: int) -> No
 class ShardTree:
     """A sharded directory's manifest and shard streams, read once.
 
-    ``rows_by_month[m][board]`` is a board's raw row document of month
-    ``m``; ``stream_ends[i]`` is the newest month shard ``i``'s stream
-    holds contiguously from month 0 (-1: none).
+    ``rows_by_month[m]`` lists the month-``m`` records
+    (:class:`~repro.analysis.monthly.FleetMonthMetrics`) of the shards
+    that hold it, in shard order; ``stream_ends[i]`` is the newest
+    month shard ``i``'s stream holds contiguously from month 0 (-1:
+    none).
     """
 
     checkpoint_dir: str
@@ -485,28 +529,30 @@ class ShardTree:
     months: int
     measurements: int
     references: Dict[int, np.ndarray] = field(repr=False)
-    rows_by_month: Dict[int, Dict[int, Dict[str, Any]]] = field(repr=False)
+    rows_by_month: Dict[int, List[Any]] = field(repr=False)
     stream_ends: List[int]
 
     def snapshots(self, through_month: int) -> List[Any]:
-        """The evaluations of months ``0..through_month``, in fleet order."""
-        from repro.analysis.monthly import assemble_evaluation
+        """The evaluations of months ``0..through_month``, in fleet order.
+
+        The shards' records are concatenated as they are when that is
+        already ascending board order (shards are contiguous runs of
+        the fleet), and reordered once otherwise.
+        """
+        from repro.analysis.monthly import FleetMonthMetrics, assemble_evaluation
 
         board_ids = self.manifest.board_ids
         snapshots = []
         for month in range(through_month + 1):
-            month_rows = self.rows_by_month.get(month, {})
-            if set(month_rows) != set(board_ids):
-                raise StorageError(
-                    f"{self.checkpoint_dir}: month {month} rows do not cover the fleet"
-                )
-            snapshots.append(
-                assemble_evaluation(
-                    month,
-                    self.measurements,
-                    [board_row_from_doc(month_rows[board]) for board in board_ids],
-                )
-            )
+            parts = self.rows_by_month.get(month, [])
+            ids = [board for part in parts for board in part.board_ids]
+            if ids != board_ids:
+                if sorted(ids) != board_ids:
+                    raise StorageError(
+                        f"{self.checkpoint_dir}: month {month} rows do not cover the fleet"
+                    )
+                parts = [FleetMonthMetrics.concat(parts).take(np.argsort(ids))]
+            snapshots.append(assemble_evaluation(month, self.measurements, parts))
         return snapshots
 
 
@@ -526,7 +572,7 @@ def read_shard_tree(checkpoint_dir: str, strict: bool = True) -> ShardTree:
             f"{checkpoint_dir}: shard manifest has an unusable config: {exc}"
         ) from exc
     references: Dict[int, np.ndarray] = {}
-    rows_by_month: Dict[int, Dict[int, Dict[str, Any]]] = {}
+    rows_by_month: Dict[int, List[Any]] = {}
     stream_ends: List[int] = []
     for index, shard_ids in enumerate(manifest.shard_boards):
         shard_dir = shard_root(checkpoint_dir, index)
@@ -554,7 +600,7 @@ def read_shard_tree(checkpoint_dir: str, strict: bool = True) -> ShardTree:
         stream_ends.append(end)
         references.update(shard_refs)
         for month, month_rows in shard_rows.items():
-            rows_by_month.setdefault(month, {}).update(month_rows)
+            rows_by_month.setdefault(month, []).append(month_rows)
     return ShardTree(
         checkpoint_dir=checkpoint_dir,
         manifest=manifest,

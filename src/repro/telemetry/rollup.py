@@ -20,6 +20,11 @@ associative, so :class:`RollupSummary` keeps its accumulators exact:
 * quantiles — a deterministic fixed-bin sketch: integer counts over a
   pinned, monotonically increasing bound tuple.
 
+A whole column of observations folds in one batched step
+(:meth:`RollupSummary.observe_many`): the exact sums come from the
+values' integer mantissas, the bins from one sorted search, and the
+documents are the ones observing each value in turn would give.
+
 Derived statistics (mean, variance via M2, p50/p99) are *finalized*
 from the exact accumulators, so every merge grouping yields the same
 float down to the last bit.  Population variance matches
@@ -48,6 +53,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.telemetry.labels import Labels, labeled_name, parse_labeled_name
 
@@ -59,8 +66,9 @@ UNIT_BOUNDS: Tuple[float, ...] = tuple(i / 128 for i in range(1, 129))
 #: log-spaced bounds from 1e-3 to 1e7 at 8 bins per decade.
 WIDE_BOUNDS: Tuple[float, ...] = tuple(10 ** (k / 8) for k in range(-24, 57))
 
-#: Per-board scalar statistics rolled up each month, in the order they
-#: appear on :class:`repro.analysis.monthly.BoardMonthMetrics`.
+#: Per-board scalar statistics rolled up each month: the metric columns
+#: of :class:`repro.analysis.monthly.FleetMonthMetrics`, in document
+#: order.
 ROLLUP_STATS: Tuple[str, ...] = ("wchd", "fhw", "stable_ratio", "noise_entropy")
 
 
@@ -115,6 +123,42 @@ def _shift_add(n_a: int, s_a: int, n_b: int, s_b: int) -> Tuple[int, int]:
     if s_a >= s_b:
         return n_a + (n_b << (s_a - s_b)), s_a
     return (n_a << (s_b - s_a)) + n_b, s_b
+
+
+def _dyadic(n: int, s: int) -> Tuple[int, int]:
+    """``n * 2**-s`` as a dyadic pair with a non-negative exponent."""
+    return (n, s) if s >= 0 else (n << -s, 0)
+
+
+def _exact_sums(values: np.ndarray) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The exact sum and sum of squares of finite float64 ``values``.
+
+    Each value is ``M * 2**(e - 53)`` with ``M`` the integer mantissa
+    :func:`numpy.frexp` gives (``|M| < 2**53``).  Shifted to the
+    smallest exponent, the mantissas add as Python ints with no
+    rounding, so both dyadic pairs equal the scalar
+    :meth:`RollupSummary.observe` fold's.
+    """
+    mantissas, exponents = np.frexp(values)
+    ints = np.ldexp(mantissas, 53).astype(np.int64).tolist()
+    base = int(exponents.min())
+    shifts = exponents - base
+    total = sum(map(operator.lshift, ints, shifts.tolist()))
+    squares = sum(
+        map(operator.lshift, map(operator.mul, ints, ints), (2 * shifts).tolist())
+    )
+    return _dyadic(total, 53 - base), _dyadic(squares, 106 - 2 * base)
+
+
+#: The sketch bounds as float64 arrays, for the batched bin search.
+_BOUNDS_ARRAYS: Dict[Tuple[float, ...], np.ndarray] = {}
+
+
+def _bounds_array(bounds: Tuple[float, ...]) -> np.ndarray:
+    array = _BOUNDS_ARRAYS.get(bounds)
+    if array is None:
+        array = _BOUNDS_ARRAYS[bounds] = np.asarray(bounds, dtype=np.float64)
+    return array
 
 
 class RollupSummary:
@@ -176,9 +220,43 @@ class RollupSummary:
         self.bin_counts[bisect_left(self.bounds, value)] += 1
 
     def observe_many(self, values: Iterable[float]) -> None:
-        """Fold a stream of observations into the summary."""
-        for value in values:
-            self.observe(value)
+        """Fold a batch of observations, as observing each in turn would.
+
+        The batch folds in whole-array steps: exact sums from the
+        integer mantissas (:func:`_exact_sums`), bins from
+        :func:`numpy.searchsorted` (``side="left"``, which is
+        :func:`bisect.bisect_left`) and :func:`numpy.bincount`, and the
+        first element equal to the batch's extreme as min / max, which
+        the scalar fold's strict comparisons also keep (``-0.0`` and
+        ``0.0`` tie).  A batch holding NaN or an infinity takes the
+        scalar path value by value, which raises where
+        :meth:`observe` raises.
+        """
+        array = np.asarray(
+            values if isinstance(values, np.ndarray) else list(values),
+            dtype=np.float64,
+        ).reshape(-1)
+        if not array.size:
+            return
+        if not np.isfinite(array).all():
+            for value in array.tolist():
+                self.observe(value)
+            return
+        (sum_n, sum_s), (sq_n, sq_s) = _exact_sums(array)
+        self.count += int(array.size)
+        self._sum_n, self._sum_s = _shift_add(self._sum_n, self._sum_s, sum_n, sum_s)
+        self._sq_n, self._sq_s = _shift_add(self._sq_n, self._sq_s, sq_n, sq_s)
+        low = float(array[array.argmin()])
+        if self.min is None or low < self.min:
+            self.min = low
+        high = float(array[array.argmax()])
+        if self.max is None or high > self.max:
+            self.max = high
+        bins = np.bincount(
+            np.searchsorted(_bounds_array(self.bounds), array, side="left"),
+            minlength=len(self.bin_counts),
+        )
+        self.bin_counts[:] = map(operator.add, self.bin_counts, bins.tolist())
 
     def merge(self, other: "RollupSummary") -> None:
         """Fold ``other`` into this summary (exact, associative)."""
@@ -447,44 +525,89 @@ class ShardRollupBuilder:
 
     ``shard_of`` maps a board id to its *logical* rollup shard — a
     partition independent of how many executor workers happen to run, so
-    shard-scoped series are identical across worker counts.
+    shard-scoped series are identical across worker counts.  A window's
+    month arrives as columns (:meth:`observe_fleet`, each row labelled
+    with its shard) and folds, shard by shard, in one batched step per
+    statistic when :meth:`take` drains the documents;
+    :meth:`observe_board` folds one board at a time.  Either way the
+    documents are the ones the per-board fold gives.
     """
 
     def __init__(self, shard_of: Callable[[int], int]):
         self._shard_of = shard_of
         self._summaries: Dict[str, RollupSummary] = {}
+        self._pending: List[Tuple[Sequence[int], Mapping[str, np.ndarray]]] = []
+
+    def _summary(self, stat: str, shard: int) -> RollupSummary:
+        key = rollup_doc_name(stat, shard)
+        summary = self._summaries.get(key)
+        if summary is None:
+            summary = self._summaries[key] = RollupSummary(bounds=UNIT_BOUNDS)
+        return summary
 
     def observe_board(self, board_id: int, stats: Mapping[str, float]) -> None:
         """Fold one board-month's named statistics into its shard summaries."""
+        self._fold_pending()
         shard = self._shard_of(board_id)
         for stat in ROLLUP_STATS:
-            key = rollup_doc_name(stat, shard)
-            summary = self._summaries.get(key)
-            if summary is None:
-                summary = RollupSummary(bounds=UNIT_BOUNDS)
-                self._summaries[key] = summary
-            summary.observe(float(stats[stat]))
+            self._summary(stat, shard).observe(float(stats[stat]))
+
+    def observe_fleet(
+        self, shards: Sequence[int], columns: Mapping[str, np.ndarray]
+    ) -> None:
+        """Record a run of board-months, one column per statistic.
+
+        Row ``i`` of every column is a board of rollup shard
+        ``shards[i]`` (what ``shard_of`` gives for it).  The rows fold in
+        :meth:`take` (or before the next :meth:`observe_board`), in
+        order, exactly as observing them board by board would.
+        """
+        self._pending.append((shards, columns))
+
+    def _fold_pending(self) -> None:
+        for shards, columns in self._pending:
+            _fold_grouped(shards, columns, self._summary)
+        self._pending.clear()
 
     def take(self) -> Dict[str, dict]:
         """Drain the month's partial documents (keyed by canonical name)."""
+        self._fold_pending()
         docs = {name: self._summaries[name].to_doc() for name in sorted(self._summaries)}
         self._summaries.clear()
         return docs
+
+
+def _fold_grouped(
+    groups: Sequence, columns: Mapping[str, np.ndarray], summary_of: Callable
+) -> None:
+    """Fold each group's rows of every statistic column in one batch.
+
+    ``groups[i]`` is row ``i``'s group (a rollup shard or a profile
+    label); ``summary_of(stat, group)`` is the summary the group's
+    rows of ``stat`` fold into.  Boolean masks keep the rows' order.
+    """
+    labels = np.asarray(groups)
+    distinct = np.unique(labels).tolist()
+    for group in distinct:
+        rows = labels == group if len(distinct) > 1 else slice(None)
+        for stat in ROLLUP_STATS:
+            summary_of(stat, group).observe_many(
+                np.asarray(columns[stat], dtype=np.float64)[rows]
+            )
 
 
 def evaluation_shard_docs(evaluation, shard_of: Callable[[int], int]) -> Dict[str, dict]:
     """Shard rollup documents for one assembled :class:`MonthlyEvaluation`.
 
     Produces bit-identical documents to the worker-side
-    :class:`ShardRollupBuilder` because ``assemble_evaluation`` stores
-    each board's scalar statistics verbatim in its arrays.
+    :class:`ShardRollupBuilder` because ``assemble_evaluation`` keeps
+    each board's statistics verbatim in its arrays.
     """
     builder = ShardRollupBuilder(shard_of)
-    for i, board_id in enumerate(evaluation.board_ids):
-        builder.observe_board(
-            int(board_id),
-            {stat: float(getattr(evaluation, stat)[i]) for stat in ROLLUP_STATS},
-        )
+    builder.observe_fleet(
+        [shard_of(int(board)) for board in evaluation.board_ids],
+        {stat: getattr(evaluation, stat) for stat in ROLLUP_STATS},
+    )
     return builder.take()
 
 
@@ -523,15 +646,19 @@ def evaluation_profile_docs(
     from checkpoints and rebuilt by resume replay.
     """
     summaries: Dict[str, RollupSummary] = {}
-    for i, board_id in enumerate(evaluation.board_ids):
-        profile = profile_of(int(board_id))
-        for stat in ROLLUP_STATS:
-            key = profile_rollup_doc_name(stat, profile)
-            summary = summaries.get(key)
-            if summary is None:
-                summary = RollupSummary(bounds=UNIT_BOUNDS)
-                summaries[key] = summary
-            summary.observe(float(getattr(evaluation, stat)[i]))
+
+    def summary_of(stat: str, profile: str) -> RollupSummary:
+        key = profile_rollup_doc_name(stat, profile)
+        summary = summaries.get(key)
+        if summary is None:
+            summary = summaries[key] = RollupSummary(bounds=UNIT_BOUNDS)
+        return summary
+
+    _fold_grouped(
+        [profile_of(int(board)) for board in evaluation.board_ids],
+        {stat: getattr(evaluation, stat) for stat in ROLLUP_STATS},
+        summary_of,
+    )
     return {name: summaries[name].to_doc() for name in sorted(summaries)}
 
 

@@ -20,6 +20,7 @@ import os
 import pytest
 
 from repro.analysis.campaign import LongTermCampaign
+from repro.analysis.monthly import FleetMonthMetrics
 from repro.errors import CampaignExecutionError
 from repro.exec.executor import ParallelExecutor, SerialExecutor
 from repro.exec.pool import WindowPool
@@ -152,8 +153,13 @@ class TamperingPool(WindowPool):
         return self.tamper([fn(spec) for spec in specs])
 
 
+def _rows_of(rows, *boards):
+    """The rows of ``boards`` (in that order) from a window's record."""
+    return rows.take([rows.board_ids.index(board) for board in boards])
+
+
 def _without(rows, board):
-    return {b: row for b, row in rows.items() if b != board}
+    return _rows_of(rows, *(b for b in rows.board_ids if b != board))
 
 
 class TestMergeRefusesBadCoverage:
@@ -186,7 +192,7 @@ class TestMergeRefusesBadCoverage:
     def test_duplicate_board_is_refused(self):
         def duplicate(results):
             first, second = results
-            rows = {1: first.rows[1], **second.rows}
+            rows = FleetMonthMetrics.concat([_rows_of(first.rows, 1), second.rows])
             return [first, dataclasses.replace(second, rows=rows)]
 
         error = self._run(duplicate)
@@ -196,13 +202,23 @@ class TestMergeRefusesBadCoverage:
     def test_unplanned_board_is_refused(self):
         def add(results):
             first, second = results
-            rows = dict(second.rows)
-            rows[9] = rows[3]
+            extra = dataclasses.replace(_rows_of(second.rows, 3), board_ids=(9,))
+            rows = FleetMonthMetrics.concat([second.rows, extra])
             return [first, dataclasses.replace(second, rows=rows)]
 
         error = self._run(add)
         assert "unplanned boards [9]" in str(error)
         assert (error.shard_index, error.board_id) == (1, 9)
+
+    def test_reordered_boards_are_refused(self):
+        def swap(results):
+            first, second = results
+            rows = _rows_of(second.rows, *reversed(second.rows.board_ids))
+            return [first, dataclasses.replace(second, rows=rows)]
+
+        error = self._run(swap)
+        assert "rows for boards [3, 2], planned [2, 3]" in str(error)
+        assert error.shard_index == 1
 
     def test_wrong_month_count_is_refused(self):
         def stale(results):

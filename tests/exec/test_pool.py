@@ -12,6 +12,7 @@ used for the exact month that follows it.
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -112,6 +113,16 @@ class TestDispatch:
         pool.run_tasks(echo, specs)
         assert pool.spawn_count == 2
         pool.close()
+
+    def test_close_leaves_no_lane_process_alive(self):
+        before = set(multiprocessing.active_children())
+        pool = WindowPool(2)
+        pool.run_tasks(echo, [EchoSpec(i, i) for i in range(2)])
+        lanes = set(multiprocessing.active_children()) - before
+        assert len(lanes) == 2
+        pool.close()
+        assert not [lane for lane in lanes if lane.is_alive()]
+        assert not set(multiprocessing.active_children()) & lanes
 
     def test_failure_discards_the_pool(self):
         pool = WindowPool(2)

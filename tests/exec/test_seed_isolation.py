@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis.monthly import BoardMonthMetrics
 from repro.exec.windows import WindowSpec, clear_window_cache, run_board_window
 from repro.rng import SeedHierarchy
 from repro.sram.profiles import ATMEGA32U4
@@ -57,8 +58,18 @@ def _trajectories(board_ids, shard_index=0):
             )
             for board, reference in result.references.items():
                 trajectories[board] = Trajectory(board, reference)
-            for board, row in result.rows.items():
-                trajectories[board].months.append(row)
+            rows = result.rows
+            for index, board in enumerate(rows.board_ids):
+                trajectories[board].months.append(
+                    BoardMonthMetrics(
+                        board,
+                        rows.wchd[index],
+                        rows.fhw[index],
+                        rows.stable_ratio[index],
+                        rows.noise_entropy[index],
+                        rows.first_readouts[index],
+                    )
+                )
         return trajectories
     finally:
         clear_window_cache()

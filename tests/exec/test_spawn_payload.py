@@ -185,17 +185,12 @@ class TestResultPayload:
     def test_read_outs_round_trip_bit_for_bit(self):
         result = self.month_zero_result()
         clone = pickle.loads(pickle.dumps(result))
-        assert clone.rows.keys() == result.rows.keys()
-        for board, row in result.rows.items():
-            again = clone.rows[board]
-            assert again.first_readout.dtype == row.first_readout.dtype
-            np.testing.assert_array_equal(again.first_readout, row.first_readout)
-            assert (again.wchd, again.fhw, again.stable_ratio, again.noise_entropy) == (
-                row.wchd,
-                row.fhw,
-                row.stable_ratio,
-                row.noise_entropy,
-            )
+        rows, again = result.rows, clone.rows
+        assert again.board_ids == rows.board_ids
+        assert again.first_readouts.dtype == rows.first_readouts.dtype
+        np.testing.assert_array_equal(again.first_readouts, rows.first_readouts)
+        for stat in ("wchd", "fhw", "stable_ratio", "noise_entropy"):
+            assert getattr(again, stat).tobytes() == getattr(rows, stat).tobytes()
         assert clone.references.keys() == result.references.keys()
         for board, bits in result.references.items():
             assert clone.references[board].dtype == bits.dtype
@@ -203,7 +198,7 @@ class TestResultPayload:
 
     def test_read_outs_travel_packed(self):
         result = self.month_zero_result()
-        read_out_bits = sum(row.first_readout.size for row in result.rows.values())
+        read_out_bits = result.rows.first_readouts.size
         read_out_bits += sum(bits.size for bits in result.references.values())
         # One byte per bit unpacked; packed, the read-outs are an eighth
         # of that and everything else in a month-0 result is small.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.metrics import hamming
 from repro.metrics.entropy import puf_min_entropy
 from repro.metrics.hamming import (
     between_class_hd,
@@ -158,6 +159,23 @@ class TestBetweenClassHDVectorization:
         np.testing.assert_array_equal(
             between_class_hd(list(matrix)), self.loop_reference(matrix)
         )
+
+    @pytest.mark.parametrize("devices", [2, 3, 100, 512])
+    def test_bytes_equal_per_pair_oracle(self, devices):
+        rng = np.random.default_rng(devices)
+        matrix = (rng.random((devices, 64)) < 0.627).astype(np.uint8)
+        vectorized = between_class_hd(matrix)
+        assert len(vectorized) == devices * (devices - 1) // 2
+        assert vectorized.tobytes() == self.loop_reference(matrix).tobytes()
+
+    def test_float64_branch_bytes_equal_per_pair_oracle(self, monkeypatch):
+        # Read-outs of FLOAT32_EXACT_BITS bits or more take the float64
+        # Gram; lower the threshold so a small fleet exercises it.
+        monkeypatch.setattr(hamming, "FLOAT32_EXACT_BITS", 8)
+        rng = np.random.default_rng(64)
+        matrix = rng.integers(0, 2, size=(9, 40), dtype=np.uint8)
+        vectorized = between_class_hd(matrix)
+        assert vectorized.tobytes() == self.loop_reference(matrix).tobytes()
 
 
 CROSS_BOARD_METRICS = [between_class_hd, puf_min_entropy]

@@ -479,16 +479,19 @@ class TestRowBlocks:
     def test_fleet_metrics_match_per_board_evaluation(self):
         kernel = vector_fleet(self.BOARDS)
         chips = scalar_fleet(self.BOARDS)
-        references = dict(zip(self.BOARDS, kernel.read_startup()))
+        reference_rows = kernel.read_startup()
+        references = dict(zip(self.BOARDS, reference_rows))
         for chip in chips:
             chip.read_startup()
-        fleet_rows = evaluate_fleet(kernel, references, measurements=40)
-        for chip, row in zip(chips, fleet_rows):
+        rows = evaluate_fleet(kernel, reference_rows, measurements=40)
+        for index, chip in enumerate(chips):
             expected = evaluate_board(chip, references[chip.chip_id], measurements=40)
-            assert row.board_id == expected.board_id
-            assert row.wchd == expected.wchd
-            assert row.fhw == expected.fhw
-            assert row.stable_ratio == expected.stable_ratio
-            assert row.noise_entropy == expected.noise_entropy
-            np.testing.assert_array_equal(row.first_readout, expected.first_readout)
+            assert rows.board_ids[index] == expected.board_id
+            assert rows.wchd[index] == expected.wchd
+            assert rows.fhw[index] == expected.fhw
+            assert rows.stable_ratio[index] == expected.stable_ratio
+            assert rows.noise_entropy[index] == expected.noise_entropy
+            np.testing.assert_array_equal(
+                rows.first_readouts[index], expected.first_readout
+            )
         assert_states_equal(kernel, chips)

@@ -157,6 +157,25 @@ class TestMergeOnRead:
         with pytest.raises(StorageError, match="resume the campaign"):
             merge_sharded_campaign(ckpt)
 
+    def test_malformed_row_is_refused_and_ends_the_resume_prefix(self, tmp_path):
+        import json
+
+        ckpt = str(tmp_path / "ckpt")
+        make_campaign().run(checkpoint_dir=ckpt)
+        stream = os.path.join(shard_root(ckpt, 0), SHARD_STREAM_NAME)
+        lines = read_bytes(stream).decode("utf-8").splitlines()
+        record = json.loads(lines[4])  # header, references, months 0, 1, 2
+        assert record["month"] == 2
+        record["rows"][1]["first_hex"] = "zz" + record["rows"][1]["first_hex"][2:]
+        lines[4] = json.dumps(record, sort_keys=True)
+        with open(stream, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        with pytest.raises(StorageError, match="bad month-2 record"):
+            merge_sharded_campaign(ckpt)
+        _, _, rows = read_shard_stream(shard_root(ckpt, 0), strict=False)
+        assert sorted(rows) == [0, 1]
+        assert rows[1].board_ids == (0, 1, 2, 3)
+
 
 class TestShardedResume:
     def test_kill_and_resume_matches_uninterrupted(self, tmp_path):

@@ -10,12 +10,14 @@ exact document round-trips.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.plan import partition_boards, rollup_shard_of
+from repro.exec.plan import partition_boards, rollup_shard_of, rollup_shards_of
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.rollup import (
     ROLLUP_STATS,
@@ -241,3 +243,130 @@ class TestShardPipeline:
         snapshot = metrics.snapshot()
         assert snapshot["rollup.updates"]["value"] == 1
         assert snapshot["rollup.observations"]["value"] == 4 * len(ROLLUP_STATS)
+
+
+# -- the batched fold ---------------------------------------------------------
+
+#: Values the fold must treat exactly like the scalar path: signed zeros
+#: (which tie under min/max), bin bounds, and floats over the whole
+#: exponent range (subnormals to near-overflow).
+fold_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1 / 128, 0.5, 1.0, -1.0]),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+batches = st.lists(st.lists(fold_values, max_size=30), max_size=4)
+bound_sets = st.sampled_from([UNIT_BOUNDS, WIDE_BOUNDS])
+
+
+def doc_text(summary: RollupSummary) -> str:
+    """The summary document as bytes-comparable text (``-0.0`` != ``0.0``)."""
+    return json.dumps(summary.to_doc())
+
+
+def folded(bounds, batches, batched: bool) -> RollupSummary:
+    summary = RollupSummary(bounds)
+    for batch in batches:
+        if batched:
+            summary.observe_many(np.array(batch, dtype=np.float64))
+        else:
+            for value in batch:
+                summary.observe(value)
+    return summary
+
+
+class TestBatchedFold:
+    """``observe_many`` on an array ≡ ``observe`` value by value, doc for doc."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounds=bound_sets, batches=batches)
+    def test_batched_doc_equals_per_value_doc(self, bounds, batches):
+        assert doc_text(folded(bounds, batches, True)) == doc_text(
+            folded(bounds, batches, False)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(bounds=bound_sets, first=batches, second=batches)
+    def test_merge_after_batched_fold(self, bounds, first, second):
+        batched = folded(bounds, first, True)
+        batched.merge(folded(bounds, second, True))
+        scalar = folded(bounds, first, False)
+        scalar.merge(folded(bounds, second, False))
+        assert doc_text(batched) == doc_text(scalar)
+        # And folding on after the merge stays in step too.
+        batched.observe_many(np.array([-0.0, 0.25]))
+        for value in (-0.0, 0.25):
+            scalar.observe(value)
+        assert doc_text(batched) == doc_text(scalar)
+
+    @settings(max_examples=100, deadline=None)
+    @given(batches=st.lists(st.lists(st.sampled_from([0.0, -0.0]), max_size=6), max_size=3))
+    def test_signed_zero_ties_keep_the_first(self, batches):
+        batched = folded(UNIT_BOUNDS, batches, True)
+        assert doc_text(batched) == doc_text(folded(UNIT_BOUNDS, batches, False))
+        for values in ([0.0, -0.0], [-0.0, 0.0]):
+            batched = folded(UNIT_BOUNDS, [values], True)
+            assert str(batched.min) == str(batched.max) == str(values[0])
+
+    def test_empty_batch_changes_nothing(self):
+        summary = RollupSummary(UNIT_BOUNDS)
+        summary.observe_many(np.array([], dtype=np.float64))
+        summary.observe_many([])
+        assert doc_text(summary) == doc_text(RollupSummary(UNIT_BOUNDS))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        batch=st.lists(fold_values, min_size=1, max_size=20),
+        bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        data=st.data(),
+    )
+    def test_non_finite_takes_the_scalar_path(self, batch, bad, data):
+        position = data.draw(st.integers(0, len(batch)))
+        values = batch[:position] + [bad] + batch[position:]
+        scalar = RollupSummary(UNIT_BOUNDS)
+        with pytest.raises((ValueError, OverflowError)) as scalar_error:
+            for value in values:
+                scalar.observe(value)
+        batched = RollupSummary(UNIT_BOUNDS)
+        with pytest.raises(scalar_error.type):
+            batched.observe_many(np.array(values))
+        assert doc_text(batched) == doc_text(scalar)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        columns=st.lists(
+            st.tuples(*[fold_values] * len(ROLLUP_STATS)), min_size=1, max_size=24
+        ),
+        shards=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_builder_fleet_fold_equals_per_board_fold(self, columns, shards, data):
+        boards = len(columns)
+        split = data.draw(st.integers(0, boards))
+
+        def shard_of(board):
+            return rollup_shard_of(board, boards, shards)
+
+        per_board = ShardRollupBuilder(shard_of)
+        for board, row in enumerate(columns):
+            per_board.observe_board(board, dict(zip(ROLLUP_STATS, row)))
+        batched = ShardRollupBuilder(shard_of)
+        arrays = {
+            stat: np.array([row[i] for row in columns], dtype=np.float64)
+            for i, stat in enumerate(ROLLUP_STATS)
+        }
+        # A recorded column, then single boards, then another column:
+        # the fold keeps the boards' order.
+        batched.observe_fleet(
+            [shard_of(board) for board in range(split)],
+            {stat: arrays[stat][:split] for stat in ROLLUP_STATS},
+        )
+        if split < boards:
+            batched.observe_board(
+                split, {stat: arrays[stat][split] for stat in ROLLUP_STATS}
+            )
+            batched.observe_fleet(
+                rollup_shards_of(range(split + 1, boards), boards, shards),
+                {stat: arrays[stat][split + 1 :] for stat in ROLLUP_STATS},
+            )
+        assert json.dumps(batched.take()) == json.dumps(per_board.take())

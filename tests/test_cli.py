@@ -278,6 +278,24 @@ class TestRunCommand:
         assert (tmp_path / "ckpt" / SHARD0 / "month-0000.json").exists()
         assert not (tmp_path / "ckpt" / SHARD0 / "month-0001.json").exists()
 
+    def test_resume_with_nothing_to_resume_exits_6(self, capsys, tmp_path):
+        # A missing directory and an empty one: no traceback, exit 6.
+        (tmp_path / "empty").mkdir()
+        for directory in ("missing", "empty"):
+            code = main(
+                [
+                    "run", *SMALL,
+                    "--save", str(tmp_path / "campaign.json"),
+                    "--checkpoint-dir", str(tmp_path / directory),
+                    "--resume",
+                ]
+            )
+            err = capsys.readouterr().err
+            assert code == 6
+            assert err.startswith("error: ")
+            assert "Traceback" not in err
+        assert not (tmp_path / "campaign.json").exists()
+
     def test_abort_env_variable(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ABORT_AFTER_MONTH", "0")
         code, _ = run_cli(capsys, *self._run_args(tmp_path))
