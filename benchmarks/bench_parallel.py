@@ -10,8 +10,8 @@ The acceptance target — ≥3× at 4 workers — is asserted **only when the
 host actually has ≥4 CPU cores**.  On a smaller machine (CI containers
 are often 1–2 cores) parallel speedup is physically impossible, so the
 bench still runs, still checks bit-identity, and records the honest
-numbers together with ``cpu_count`` so the committed artifact is
-self-describing.
+numbers together with ``cpu_count`` and the lanes' ``start_method`` so
+the committed artifact is self-describing.
 
 Run it directly::
 
@@ -29,6 +29,7 @@ import time
 import numpy as np
 
 from repro.analysis.campaign import LongTermCampaign
+from repro.exec.pool import START_METHOD
 from repro.telemetry import reset_telemetry
 
 #: Speedup demanded at 4 workers — asserted only on hosts with >= 4 cores.
@@ -90,6 +91,7 @@ def main() -> int:
         "config": {**CONFIG, "seed": SEED},
         "repeats": REPEATS,
         "cpu_count": cores,
+        "start_method": START_METHOD,
         "median_seconds": {str(w): round(timings[w], 6) for w in WORKER_LADDER},
         "speedup_vs_serial": {str(w): round(speedups[w], 4) for w in WORKER_LADDER},
         "target_speedup_at_4_workers": TARGET_SPEEDUP,

@@ -131,7 +131,7 @@ class LongTermCampaign:
         Parallel worker processes for the board-sharded execution
         engine (:mod:`repro.exec`).  1 (the default) runs every month
         window in this process; higher values shard the fleet over
-        ``spawn``-ed workers with bit-identical results (the
+        worker lanes with bit-identical results (the
         ``tests/exec`` equivalence suite enforces this).
     keyframe_every:
         Full-state keyframe cadence of checkpointed runs: one keyframe
@@ -1040,7 +1040,7 @@ class LongTermCampaign:
                 raise
             finally:
                 # Windows run in this process (one worker) leave their
-                # slots here; spawned workers drop theirs with the pool.
+                # slots here; pool lanes drop theirs with the pool.
                 clear_window_cache()
             logger.info("campaign finished: %d snapshots", len(snapshots))
 

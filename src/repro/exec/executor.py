@@ -11,7 +11,7 @@ campaign driver dispatches through (``max_workers`` attribute plus
 
 :class:`ParallelExecutor`
     Runs each dispatch on a one-shot :class:`~repro.exec.pool.WindowPool`
-    of ``spawn``-ed lanes.  A campaign never dispatches through it
+    of worker lanes.  A campaign never dispatches through it
     directly: :meth:`~repro.exec.pool.WindowPool.adopt` swaps it for one
     pool that lives as long as the campaign.
 
@@ -55,7 +55,7 @@ class SerialExecutor:
 
 
 class ParallelExecutor:
-    """Run specs in ``spawn``-ed worker processes.
+    """Run specs in worker processes (see :data:`START_METHOD`).
 
     Parameters
     ----------

@@ -3,7 +3,7 @@
 Every campaign runs as month windows: one dispatch per month, each
 shard's window advancing its boards by one month (see
 :mod:`repro.exec.windows`).  A fresh process pool per dispatch would
-pay a round of ``spawn`` start-up every month, and most of a lane's
+pay a round of lane start-up every month, and most of a fresh lane's
 start-up is importing :mod:`repro.exec.windows`, which the package
 inits keep to what a window runs (see "Worker start-up" in
 ``docs/parallel.md``).
@@ -21,10 +21,16 @@ process that holds its boards after month ``m`` — the resident slot
 of :mod:`repro.exec.windows` — and no board state has to cross the
 process boundary between months.
 
-The lanes use the ``spawn`` start method (:data:`START_METHOD`): the
-only start method that is safe on every platform and never inherits
-parent state (locks, open files, loaded RNG state) that could perturb
-determinism.
+**Warm lanes.**  The lanes use the ``forkserver`` start method
+(:data:`START_METHOD`).  The first multi-lane pool of a process starts
+one server that imports :data:`PRELOAD` and nothing else; every lane
+of every later pool is a fork of it, so the window closure is imported
+once per process instead of once per lane.  Each pool still gets fresh
+lane processes, forked from a server that never ran a window and
+holds no resident slot, and they inherit no state of the caller
+(locks, open files, RNG state) that could perturb determinism.  Lanes
+see the environment as of the server's start.  Platforms without
+``forkserver`` (Windows) start every lane with ``spawn``.
 
 Determinism note: results are collected in plan order and every
 window is a pure function of its spec and the shard's resident slot
@@ -36,17 +42,37 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
+import shutil
+import tempfile
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from multiprocessing.util import Finalize
 from typing import Any, Callable, List, Sequence
 
 from repro.errors import CampaignExecutionError, ConfigurationError
 
 logger = logging.getLogger(__name__)
 
-#: Start method used for worker processes.  ``fork`` would be faster on
-#: Linux but silently shares parent memory; ``spawn`` keeps workers
-#: hermetic and behaviour identical across platforms.
-START_METHOD = "spawn"
+#: Start method used for worker processes.  ``fork`` would share the
+#: caller's memory and locks; a ``forkserver`` lane is a fork of a
+#: server that only imported :data:`PRELOAD`, as hermetic as a
+#: ``spawn`` lane without re-importing the window closure.  ``spawn``
+#: is the fallback where ``forkserver`` does not exist (Windows).
+START_METHOD = (
+    "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
+#: The module the forkserver imports once, before it forks any lane.
+PRELOAD = "repro.exec.windows"
+
+#: The directory that holds the ``repro`` package this module is part of.
+_IMPORT_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+
+#: Serialises the ``PYTHONPATH`` swap around a server start.
+_SERVER_START = threading.Lock()
 
 
 def _guarded(call: Callable[[], Any], spec: Any) -> Any:
@@ -63,6 +89,51 @@ def _guarded(call: Callable[[], Any], spec: Any) -> Any:
         ) from exc
 
 
+def _own_temp_dir() -> None:
+    """Create multiprocessing's temp dir, with a removal that tolerates its loss.
+
+    The forkserver's listener socket lives in this process's ``pymp-*``
+    directory under ``TMPDIR``.  Multiprocessing removes that directory
+    at exit with a plain ``rmtree``, which prints a ``FileNotFoundError``
+    traceback when the caller has already deleted its ``TMPDIR``.  Made
+    here first, it is removed with ``ignore_errors`` instead.  A
+    directory multiprocessing already made stays its own.
+    """
+    config = multiprocessing.current_process()._config
+    if config.get("tempdir") is None:
+        tempdir = tempfile.mkdtemp(prefix="pymp-")
+        Finalize(
+            None, shutil.rmtree, args=(tempdir,), kwargs={"ignore_errors": True},
+            exitpriority=-100,
+        )
+        config["tempdir"] = tempdir
+
+
+def _ensure_server() -> None:
+    """Make sure the lanes' forkserver runs, with :data:`PRELOAD` imported.
+
+    The stdlib's ``ensure_running`` returns at once while the server
+    lives and starts a new one if it died.  The server imports the
+    preload by name but ignores the ``sys.path`` it is handed (and
+    swallows the ``ImportError``), so the directory holding this
+    ``repro`` goes on its ``PYTHONPATH`` for the start only.
+    """
+    from multiprocessing import forkserver
+
+    with _SERVER_START:
+        _own_temp_dir()
+        forkserver.set_forkserver_preload([PRELOAD])
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_IMPORT_ROOT, saved) if p)
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+
+
 def run_inline(fn: Callable[[Any], Any], specs: Sequence[Any]) -> List[Any]:
     """Apply ``fn`` to every spec in this process, in plan order.
 
@@ -74,7 +145,7 @@ def run_inline(fn: Callable[[Any], Any], specs: Sequence[Any]) -> List[Any]:
 
 
 class WindowPool:
-    """Sticky ``spawn`` worker lanes with one lifetime.
+    """Sticky worker lanes with one lifetime.
 
     Parameters
     ----------
@@ -110,6 +181,8 @@ class WindowPool:
         """The live lanes, (re)started only when absent or too few."""
         if len(self._lanes) < lanes:
             self.close()
+            if START_METHOD == "forkserver":
+                _ensure_server()
             context = multiprocessing.get_context(START_METHOD)
             self._lanes = [
                 ProcessPoolExecutor(max_workers=1, mp_context=context)

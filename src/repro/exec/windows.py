@@ -107,8 +107,8 @@ class WindowSpec:
     """One shard's work order for a single campaign month.
 
     The spec carries *values* (the root seed, the profiles, the month's
-    temperature) rather than live objects, so it survives the ``spawn``
-    start method on every platform.  When ``rollup_shards`` (the
+    temperature) rather than live objects, so it pickles to a lane under
+    any start method on every platform.  When ``rollup_shards`` (the
     logical rollup-shard count of the whole fleet, independent of the
     worker count) is positive, the window also returns exact partial
     rollup documents for its boards' month; ``fleet_size`` and

@@ -55,7 +55,7 @@ class TraceContext:
     """Pickle-safe observability context handed to shard workers.
 
     Carries *values only* — the campaign's trace id plus which layers
-    are live — so it survives the ``spawn`` start method.  Workers
+    are live — so it pickles to a lane under any start method.  Workers
     never mutate the parent's tracer; they build a private one when
     ``spans`` is set and return records for the parent to graft.
     """

@@ -3,7 +3,9 @@
 Kept apart from the test modules on purpose: a lane unpickles
 :func:`probe` by importing this module, and a test module's own
 imports (the campaign driver, pytest) would land in the worker and
-hide what the windows themselves loaded.
+hide what the windows themselves loaded.  This module imports no
+``repro`` module either, so :func:`preloaded` sees only what the lane
+held before its first task.
 """
 
 import os
@@ -39,3 +41,8 @@ class ProbeSpec:
 def probe(spec: ProbeSpec):
     """``(pid, imported HEAVY_MODULES)`` of the lane that ran ``spec``."""
     return os.getpid(), sorted(name for name in HEAVY_MODULES if name in sys.modules)
+
+
+def preloaded(spec: ProbeSpec):
+    """``(pid, whether the lane holds repro.exec.windows)`` for ``spec``."""
+    return os.getpid(), "repro.exec.windows" in sys.modules

@@ -12,17 +12,24 @@ used for the exact month that follows it.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import dataclass, field
 from typing import Tuple
 
 import pytest
 
+import repro
 from repro.analysis.campaign import LongTermCampaign
 from repro.errors import CampaignExecutionError, CampaignInterrupted, ConfigurationError
 from repro.exec import windows
 from repro.exec.executor import ParallelExecutor, SerialExecutor
-from repro.exec.pool import WindowPool
+from repro.exec.pool import START_METHOD, WindowPool
 from repro.exec.windows import WindowSpec, clear_window_cache, run_board_window
 from repro.io.resultstore import save_campaign
 from repro.sram.profiles import ATMEGA32U4
@@ -134,6 +141,99 @@ class TestDispatch:
         assert pool.run_tasks(echo, specs) == [0, 2]
         assert pool.spawn_count == 2
         pool.close()
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+needs_forkserver = pytest.mark.skipif(
+    START_METHOD != "forkserver" or not os.path.isdir("/proc/self/task"),
+    reason="needs forkserver lanes and Linux /proc",
+)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie waiting to be reaped does not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+def _wait_gone(pids, timeout: float = 10.0) -> list:
+    """The pids still running after up to ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    running = [pid for pid in pids if _alive(pid)]
+    while running and time.monotonic() < deadline:
+        time.sleep(0.05)
+        running = [pid for pid in running if _alive(pid)]
+    return running
+
+
+#: A process that starts a pool, deletes its TMPDIR with the pool still
+#: open and exits; it prints every descendant pid first.
+QUIET_EXIT = """
+import os, shutil, sys
+sys.path[:0] = [{src!r}, {root!r}]
+from repro.exec.pool import WindowPool
+from tests.exec.closure_probe import ProbeSpec, probe
+
+def descendants(pid):
+    found = []
+    for task in os.listdir(f"/proc/{{pid}}/task"):
+        with open(f"/proc/{{pid}}/task/{{task}}/children") as handle:
+            for child in map(int, handle.read().split()):
+                found += [child] + descendants(child)
+    return found
+
+pool = WindowPool(2)
+pool.run_tasks(probe, [ProbeSpec(0), ProbeSpec(1)])
+print(descendants(os.getpid()))
+shutil.rmtree(os.environ["TMPDIR"])
+"""
+
+
+@needs_forkserver
+class TestForkServer:
+    def test_exit_after_tmpdir_deleted_is_quiet_and_leaves_no_process(self, tmp_path):
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+        env["TMPDIR"] = str(tmpdir)
+        completed = subprocess.run(
+            [sys.executable, "-c", QUIET_EXIT.format(src=SRC, root=ROOT)],
+            env=env,
+            cwd=str(tmp_path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == ""
+        descendants = json.loads(completed.stdout)
+        assert len(descendants) >= 3  # the server and its two lanes, at least
+        assert _wait_gone(descendants) == []
+        assert not tmpdir.exists()
+
+    def test_a_killed_server_is_restarted_for_the_next_pool(self, tmp_path):
+        from multiprocessing import forkserver
+
+        save_campaign(make_campaign().run(), str(tmp_path / "serial.json"))
+        with WindowPool(2) as pool:
+            pool.run_tasks(echo, [EchoSpec(i, i) for i in range(2)])
+        server = forkserver._forkserver._forkserver_pid
+        os.kill(server, signal.SIGKILL)
+        # Left unreaped: the stdlib's restart check reaps it.
+        assert _wait_gone([server]) == []
+        reset_telemetry()
+        with WindowPool(2) as pool:
+            result = make_campaign(max_workers=2).run(executor=pool)
+            assert pool.spawn_count == 1
+        assert forkserver._forkserver._forkserver_pid not in (None, server)
+        save_campaign(result, str(tmp_path / "pooled.json"))
+        assert (tmp_path / "pooled.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
 
 class TestPoolReuseRegression:

@@ -1,11 +1,13 @@
 """A window worker imports only what a window runs.
 
-Every ``WindowPool`` lane is a ``spawn``-ed interpreter that imports
-:mod:`repro.exec.windows` before its first window, so whatever that
-import drags in is paid once per lane per pool.  The package
-``__init__``s export lazily to keep scipy.stats/optimize/spatial/
-interpolate, the campaign driver, the trend and reliability models,
-key generation and the TRNG out of that closure.
+Every ``WindowPool`` lane is forked from one ``forkserver`` per
+process that imported :mod:`repro.exec.windows` before forking any
+lane (a ``spawn``-ed interpreter that imports it before its first
+window where ``forkserver`` does not exist).  Whatever that import
+drags in is in every lane.  The package ``__init__``s export lazily
+to keep scipy.stats/optimize/spatial/interpolate, the campaign driver,
+the trend and reliability models, key generation and the TRNG out of
+that closure.
 
 The test process has all of those imported already, so the checks
 run in a fresh interpreter and in live pool workers.
@@ -21,11 +23,12 @@ import pytest
 import repro
 from repro.analysis.campaign import LongTermCampaign
 from repro.errors import CampaignInterrupted
-from repro.exec.pool import WindowPool
+from repro.exec.pool import START_METHOD, WindowPool
 
 from tests.exec.closure_probe import HEAVY_MODULES, ProbeSpec, probe
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def fresh_interpreter_heavy_modules(statement: str):
@@ -72,3 +75,33 @@ def test_live_lanes_hold_no_heavy_module_after_real_windows(tmp_path):
     assert len(set(pids)) == 2 and os.getpid() not in pids
     for pid, loaded in replies:
         assert loaded == [], f"window worker {pid} holds {loaded}"
+
+
+@pytest.mark.skipif(START_METHOD != "forkserver", reason="lanes are spawned here")
+def test_lanes_hold_the_preload_when_repro_is_on_a_runtime_path(tmp_path):
+    """The server imports the preload even without ``repro`` on PYTHONPATH.
+
+    The caller finds ``repro`` only through a ``sys.path`` insert, as
+    perfbench and scripts do.  The probe imports no ``repro`` module,
+    so a lane holds the window module only if its server preloaded it.
+    """
+    code = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{SRC!r}, {ROOT!r}]\n"
+        "from repro.exec.pool import WindowPool\n"
+        "from tests.exec.closure_probe import ProbeSpec, preloaded\n"
+        "with WindowPool(2) as pool:\n"
+        "    print(json.dumps(pool.run_tasks(preloaded, [ProbeSpec(0), ProbeSpec(1)])))\n"
+    )
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        cwd=str(tmp_path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    replies = json.loads(completed.stdout)
+    assert len({pid for pid, _held in replies}) == 2
+    assert all(held for _pid, held in replies), f"lanes without the preload: {replies}"
