@@ -56,9 +56,10 @@ CONFIG = StudyConfig(
 REPEATS = 5
 OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_rollup_overhead.json")
 
-#: Every observability entry point on the campaign hot path.  Worker-side
-#: rollup building happens inside ``_ingest_rollups`` on the serial path
-#: used here, so the set is complete.
+#: Every observability entry point on the campaign hot path.  The driver
+#: derives each month's shard rollups from the assembled month inside
+#: ``_ingest_rollups``, at any worker count; windows build none, so the
+#: set is complete.
 ENTRY_POINTS = (
     (LongTermCampaign, "_ingest_rollups"),
     (LongTermCampaign, "_count_labeled_powerups"),

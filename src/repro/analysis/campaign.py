@@ -19,7 +19,7 @@ import logging
 import math
 import uuid
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -487,51 +487,44 @@ class LongTermCampaign:
             resume_state=state,
         )
 
-    def _rollup_shard_of(self, position: int) -> int:
-        """Logical rollup shard of the board at fleet ``position``.
+    def _month_counter_deltas(
+        self, month: int, boards: int
+    ) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """One month's ``(evaluation, aging)`` counter deltas for ``boards``.
 
-        Positions index the run's fleet order, not board ids: an
-        injected fleet keeps its chips' own ids.  Worker-count
-        independent.
+        Evaluation: every board's measurement block, plus its day-0
+        reference read-out in month 0.  Aging: the month's integration
+        steps, when the month ages.  Evaluation deltas fold in before
+        the month's monitor poll, aging deltas after it (visible at the
+        next poll), so the counter trajectory is the same poll for poll
+        at every worker count.
         """
-        from repro.exec.plan import rollup_shard_of
+        per_board = self._measurements + (1 if month == 0 else 0)
+        evaluation = {"campaign.powerups": boards * per_board}
+        aging = (
+            {"campaign.aging_steps": self._aging_steps * boards}
+            if month < self._months
+            else {}
+        )
+        return evaluation, aging
 
-        return rollup_shard_of(position, self._device_count, self._rollup_shards)
-
-    def _rollup_shard_sizes(self) -> List[int]:
-        """Board counts per logical rollup shard, in shard order.
-
-        Computed once per campaign (the fleet and shard count are
-        fixed) and cached — this runs every month on the hot path.
-        """
-        sizes = getattr(self, "_rollup_shard_size_cache", None)
-        if sizes is None:
-            from repro.exec.plan import partition_boards
-
-            sizes = [
-                len(boards)
-                for boards in partition_boards(
-                    range(self._device_count), self._rollup_shards
-                )
-            ]
-            self._rollup_shard_size_cache = sizes
-        return sizes
-
-    def _count_labeled_powerups(self, metrics, month: int) -> None:
+    def _count_labeled_powerups(
+        self, metrics, month: int, shard_sizes: Sequence[int]
+    ) -> None:
         """Advance the per-shard ``campaign.powerups{shard=N}`` counters.
 
-        Counted parent-side from the (deterministic) shard sizes so
-        every execution path advances the same labeled instruments by
-        the same amounts at the same polls; month 0 includes the day-0
-        reference read-outs.  These labeled counters ride the normal
-        checkpoint delta channel (they are ``campaign.*``, not
-        ``rollup.*``), so resume replay restores them from storage
-        rather than recounting.
+        ``shard_sizes`` are the board counts of the logical rollup
+        shards, so every execution path advances the same labeled
+        instruments by the same amounts at the same polls; month 0
+        includes the day-0 reference read-outs.  These labeled counters
+        ride the normal checkpoint delta channel (they are
+        ``campaign.*``, not ``rollup.*``), so resume replay restores
+        them from storage rather than recounting.
         """
         if not rollups_enabled():
             return
         per_board = self._measurements + (1 if month == 0 else 0)
-        for shard, size in enumerate(self._rollup_shard_sizes()):
+        for shard, size in enumerate(shard_sizes):
             metrics.counter("campaign.powerups", labels={"shard": shard}).inc(
                 size * per_board
             )
@@ -586,13 +579,13 @@ class LongTermCampaign:
                         bounds=WIDE_BOUNDS,
                     ).observe(float(value))
 
-    def _ingest_rollups(self, evaluation, docs=None) -> None:
-        """Fold one month's shard rollup documents into the global registry.
+    def _ingest_rollups(self, evaluation) -> None:
+        """Fold one assembled month's rollup documents into the global registry.
 
-        ``docs`` are worker-shipped partial documents when available;
-        otherwise identical documents are derived parent-side from the
-        assembled evaluation (exact arithmetic makes the two routes
-        bit-identical).  No-op when rollups are globally disabled.
+        The live month and resume replay both derive the documents here,
+        from the assembled evaluation, so they are identical across
+        worker counts and resume by construction.  No-op when rollups
+        are globally disabled.
         """
         if not rollups_enabled():
             return
@@ -602,17 +595,8 @@ class LongTermCampaign:
             fold_rollup_docs,
         )
 
-        if not docs:
-            position = {board: i for i, board in enumerate(evaluation.board_ids)}
-            docs = evaluation_shard_docs(
-                evaluation, lambda b: self._rollup_shard_of(position[b])
-            )
+        docs = evaluation_shard_docs(evaluation, self._rollup_shards)
         if self._population is not None:
-            # Profile-cohort scopes are derived parent-side from the
-            # assembled evaluation (never shipped by workers), so they
-            # are identical across worker counts and resume replay by
-            # construction.
-            docs = dict(docs)
             docs.update(
                 evaluation_profile_docs(evaluation, self._profile_label_of)
             )
@@ -700,16 +684,14 @@ class LongTermCampaign:
         record.  Every run, any worker count, uses this one loop, so
         results are byte-identical across execution modes.
 
-        Counter bookkeeping is the same poll for poll at every worker
-        count: evaluation deltas fold in *before* the month's monitor
-        poll, aging deltas *after* (they become visible at the next
-        poll, exactly as in-process aging would).  The per-poll deltas
-        are recorded into the parent's month log so a resumed process
-        can replay its registry — and the monitor's alert sequence — to
-        the exact interrupted-run state.
+        The driver derives the month's counter deltas
+        (:meth:`_month_counter_deltas`) and shard rollups
+        (:meth:`_ingest_rollups`) from the plan and the assembled month;
+        windows ship neither.  The per-poll deltas are recorded into the
+        parent's month log so a resumed process can replay its registry
+        — and the monitor's alert sequence — to the exact
+        interrupted-run state.
         """
-        from itertools import accumulate
-
         from repro.exec.plan import partition_boards
         from repro.exec.windows import (
             WindowSpec,
@@ -730,7 +712,6 @@ class LongTermCampaign:
             prepare_shard_resume,
             shard_root,
         )
-        from repro.telemetry.rollup import combine_rollup_docs
 
         metrics = get_metrics()
         tracer = get_tracer()
@@ -761,6 +742,9 @@ class LongTermCampaign:
                 for chip in fleet
             }
         profile_of = dict(zip(board_ids, board_profiles))
+        rollup_shard_sizes = [
+            len(shard) for shard in partition_boards(board_ids, self._rollup_shards)
+        ]
         total_snapshots = self._months + 1
         walk = self._temperature_walk_k > 0.0
         temp_rng = self._seeds.stream("ambient-temperature")
@@ -871,10 +855,6 @@ class LongTermCampaign:
                     "the shard map does not split the fleet into contiguous "
                     "runs in fleet order"
                 )
-            shard_offsets = list(
-                accumulate((len(boards) for boards in shard_boards[:-1]), initial=0)
-            )
-            worker_rollups = self._rollup_shards if rollups_enabled() else 0
             trace_context = tracer.context(phases=profiling_enabled())
             run_token = uuid.uuid4().hex
             try:
@@ -922,9 +902,6 @@ class LongTermCampaign:
                                     if self._fail_board in boards
                                     else None
                                 ),
-                                rollup_shards=worker_rollups,
-                                fleet_size=self._device_count,
-                                fleet_offset=shard_offsets[index],
                                 trace=trace_context,
                                 shard_store=(
                                     ShardStoreSpec(
@@ -961,17 +938,11 @@ class LongTermCampaign:
                             check_window_result(spec, result)
                         self._graft_worker_spans(month_span, results)
                         self._merge_worker_phases(results)
-                        eval_deltas: Dict[str, int] = {}
-                        aging_deltas: Dict[str, int] = {}
-                        window_rollups: List[Dict[str, dict]] = []
                         for result in results:
                             references.update(result.references)
-                            for name, delta in result.eval_deltas.items():
-                                eval_deltas[name] = eval_deltas.get(name, 0) + delta
-                            for name, delta in result.aging_deltas.items():
-                                aging_deltas[name] = aging_deltas.get(name, 0) + delta
-                            if result.rollups:
-                                window_rollups.append(result.rollups)
+                        eval_deltas, aging_deltas = self._month_counter_deltas(
+                            month, len(board_ids)
+                        )
                         fold_counter_deltas(metrics, eval_deltas)
                         snapshots.append(
                             assemble_evaluation(
@@ -980,16 +951,9 @@ class LongTermCampaign:
                                 [result.rows for result in results],
                             )
                         )
-                        self._count_labeled_powerups(metrics, month)
+                        self._count_labeled_powerups(metrics, month, rollup_shard_sizes)
                         snapshots_done.inc()
-                        # One window's partial documents are already exact
-                        # and in name order: only several need merging.
-                        rollup_docs = (
-                            window_rollups[0]
-                            if len(window_rollups) == 1
-                            else combine_rollup_docs(window_rollups)
-                        )
-                        self._ingest_rollups(snapshots[-1], docs=rollup_docs or None)
+                        self._ingest_rollups(snapshots[-1])
                         self._ingest_worker_resources(
                             result.resources for result in results
                         )

@@ -19,7 +19,7 @@ Layers (see ``docs/parallel.md`` for the full design):
 * :mod:`repro.exec.windows` — month-granular work orders
   (:class:`WindowSpec` / :func:`run_board_window`) on a resident
   :class:`~repro.sram.fleetkernel.FleetKernel` per shard; results
-  carry the month's rows plus telemetry counter deltas.
+  carry the month's rows; the driver derives counters and rollups.
 * :mod:`repro.exec.pool` — :class:`WindowPool`, the persistent worker
   pool: one pool lifetime per campaign instead of a respawn per month,
   and sticky shard→worker lanes, so each shard's boards stay resident

@@ -39,13 +39,13 @@ pipeline runs in-process and under :class:`~repro.exec.pool.WindowPool`,
 which is why checkpoint files — not just results — are byte-identical
 across worker counts.
 
-Windows do not touch the process-global telemetry registry (they may
-share a process with the driver under
-:class:`~repro.exec.executor.SerialExecutor`).  They count work on
-private registries and return deltas, split into *evaluation* deltas
-(folded before the month's monitor poll) and *aging* deltas (folded
-after, visible at the next poll), so the counter trajectory is the
-same poll for poll at every worker count.
+A window returns only what only the window knows: its boards' month
+rows, the day-0 references of month 0, a resource sample, trace spans,
+phase timings and the months it restored.  Windows do not touch the
+process-global telemetry registries (they may share a process with
+the driver under :class:`~repro.exec.executor.SerialExecutor`): the
+driver derives the month's counters and shard rollups from the
+assembled month itself.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.analysis.monthly import FleetMonthMetrics, evaluate_fleet, reference_matrix
 from repro.errors import CampaignExecutionError
-from repro.exec.plan import normalize_profile_fields, rollup_shard_of, rollup_shards_of
+from repro.exec.plan import normalize_profile_fields
 from repro.io.bitutil import ensure_bit_matrix, pack_bit_vector, unpack_bits
 from repro.sram.fleetkernel import build_fleet_kernel
 from repro.sram.profiles import DeviceProfile
@@ -70,10 +70,8 @@ from repro.store.checkpoint import (
     load_latest_shard_keyframe,
 )
 from repro.store.shardstore import ShardStoreSpec, persist_shard_window
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiling import PHASE_AGING, PHASE_STORE_IO, PhaseProfiler
 from repro.telemetry.resources import ResourceSampler
-from repro.telemetry.rollup import ROLLUP_STATS, UNIT_BOUNDS, ShardRollupBuilder
 from repro.telemetry.runtime import get_profiler, install_profiler
 from repro.telemetry.tracing import NULL_SPAN, TraceContext, Tracer, span_record
 
@@ -108,15 +106,10 @@ class WindowSpec:
 
     The spec carries *values* (the root seed, the profiles, the month's
     temperature) rather than live objects, so it pickles to a lane under
-    any start method on every platform.  When ``rollup_shards`` (the
-    logical rollup-shard count of the whole fleet, independent of the
-    worker count) is positive, the window also returns exact partial
-    rollup documents for its boards' month; ``fleet_size`` and
-    ``fleet_offset`` (the fleet position of the window's first board —
-    shards are contiguous runs of the fleet) place the boards in that
-    partition.  ``fail_board`` is the fault-injection
-    hook — the worker raises before simulating any board of the
-    window.
+    any start method on every platform.  It says nothing about
+    rollups or counters: the driver derives those from the assembled
+    month.  ``fail_board`` is the fault-injection hook — the worker
+    raises before simulating any board of the window.
     """
 
     shard_index: int
@@ -148,9 +141,6 @@ class WindowSpec:
     references: Optional[Dict[int, np.ndarray]] = field(default=None, repr=False)
     states: Optional[Dict[int, Dict[str, Any]]] = field(default=None, repr=False)
     fail_board: Optional[int] = None
-    rollup_shards: int = 0
-    fleet_size: int = 0
-    fleet_offset: int = 0
     #: Observability context (``None`` when neither tracing nor phase
     #: profiling is live).  With ``trace.spans`` the worker records
     #: per-board spans on a private tracer and ships them back; with
@@ -181,13 +171,6 @@ class WindowResult:
     rows: FleetMonthMetrics = field(repr=False)
     #: Day-0 references, populated only by month-0 windows.
     references: Dict[int, np.ndarray] = field(repr=False)
-    #: Counters advanced by manufacture/reference/measurement work.
-    eval_deltas: Dict[str, int] = field(repr=False)
-    #: Counters advanced by the post-snapshot aging block.
-    aging_deltas: Dict[str, int] = field(repr=False)
-    #: Partial rollup documents for this window's month (empty when
-    #: ``WindowSpec.rollup_shards`` is 0).
-    rollups: Dict[str, dict] = field(default_factory=dict, repr=False)
     #: Worker resource sample for this window (wall/CPU/RSS).
     resources: Dict[str, float] = field(default_factory=dict, repr=False)
     #: Pickle-safe per-board span records in board order; empty unless
@@ -202,16 +185,11 @@ class WindowResult:
     restored_months: Tuple[int, ...] = ()
 
     # The day-0 references are bit vectors: they pickle packed eight
-    # bits per byte, like the rows' read-out matrix.  A rollup document's
-    # ``bounds`` is nearly always the default UNIT_BOUNDS, 128 floats
-    # per document: it pickles as None and is restored on unpickling.
+    # bits per byte, like the rows' read-out matrix.
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         state["references"] = {
             board: pack_bit_vector(bits) for board, bits in self.references.items()
-        }
-        state["rollups"] = {
-            name: _drop_unit_bounds(doc) for name, doc in self.rollups.items()
         }
         return state
 
@@ -219,30 +197,7 @@ class WindowResult:
         state["references"] = {
             board: unpack_bits(*packed) for board, packed in state["references"].items()
         }
-        state["rollups"] = {
-            name: _restore_unit_bounds(doc) for name, doc in state["rollups"].items()
-        }
         self.__dict__.update(state)
-
-
-#: ``RollupSummary.to_doc()["bounds"]`` of a default-bounds summary.
-_UNIT_BOUNDS_DOC = list(UNIT_BOUNDS)
-
-
-def _drop_unit_bounds(doc: dict) -> dict:
-    """``doc`` with a default ``bounds`` list replaced by None."""
-    return {
-        key: None if key == "bounds" and value == _UNIT_BOUNDS_DOC else value
-        for key, value in doc.items()
-    }
-
-
-def _restore_unit_bounds(doc: dict) -> dict:
-    """Inverse of :func:`_drop_unit_bounds` (a fresh list per document)."""
-    return {
-        key: list(UNIT_BOUNDS) if key == "bounds" and value is None else value
-        for key, value in doc.items()
-    }
 
 
 def check_window_result(spec: WindowSpec, result: WindowResult) -> None:
@@ -319,15 +274,6 @@ def board_span_records(
     ]
 
 
-def _registry_deltas(registry: MetricsRegistry) -> Dict[str, int]:
-    """Non-zero counter values of a private window registry."""
-    return {
-        name: int(doc["value"])
-        for name, doc in registry.snapshot().items()
-        if doc["type"] == "counter" and doc["value"]
-    }
-
-
 def _restore_kernel(spec: WindowSpec) -> Tuple[Any, np.ndarray, Tuple[int, ...]]:
     """Rebuild a shard's kernel at the start of ``spec.month`` after a resume.
 
@@ -337,8 +283,8 @@ def _restore_kernel(spec: WindowSpec) -> Tuple[Any, np.ndarray, Tuple[int, ...]]
     replays* the months in between — the same measurement and aging calls the
     original months made, with the recorded block temperatures, so
     every board's RNG stream lands on exactly the draw position of the
-    uninterrupted run.  Replay touches no telemetry registries and no
-    rollup builders: those months were already counted and persisted.
+    uninterrupted run.  Replay touches no telemetry: those months were
+    already counted and persisted.
     Returns the kernel, the shard's day-0 :func:`reference_matrix`
     (from ``spec.references``) and the restored months.
     """
@@ -418,13 +364,7 @@ def _wants_states(spec: WindowSpec) -> bool:
     )
 
 
-def _run_window_fleet(
-    spec: WindowSpec,
-    powerups,
-    aging_steps,
-    builder: Optional[ShardRollupBuilder],
-    tracer: Optional[Tracer],
-):
+def _run_window_fleet(spec: WindowSpec, tracer: Optional[Tracer]):
     """One month of the window's boards, together on one FleetKernel.
 
     Returns ``(rows, states, new_references, restored_months, slot)``:
@@ -451,7 +391,6 @@ def _run_window_fleet(
             )
             references = ensure_bit_matrix(kernel.read_startup())
             new_references = dict(zip(kernel.board_ids, references))
-            powerups.inc(boards)  # the day-0 reference read-outs
         elif spec.references is not None:
             kernel, references, restored = _restore_kernel(spec)
         else:
@@ -464,16 +403,6 @@ def _run_window_fleet(
                 statistical=spec.statistical,
                 temperature_k=spec.temperature,
             )
-        if builder is not None:
-            builder.observe_fleet(
-                rollup_shards_of(
-                    range(spec.fleet_offset, spec.fleet_offset + boards),
-                    spec.fleet_size,
-                    spec.rollup_shards,
-                ),
-                {stat: getattr(rows, stat) for stat in ROLLUP_STATS},
-            )
-        powerups.inc(spec.measurements * boards)
         if spec.apply_aging:
             with tracer.span("board.age") if tracer is not None else NULL_SPAN:
                 with get_profiler().phase(PHASE_AGING, calls=boards):
@@ -481,7 +410,6 @@ def _run_window_fleet(
                         spec.aging_acceleration,
                         steps=spec.aging_steps_per_month,
                     )
-            aging_steps.inc(spec.aging_steps_per_month * boards)
         states: Dict[int, Dict[str, Any]] = {}
         if _wants_states(spec):
             raw_states = kernel.export_states()
@@ -505,20 +433,6 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
     month's rows and chain file to the shard's store before returning.
     """
     sampler = ResourceSampler()
-    eval_registry = MetricsRegistry()
-    aging_registry = MetricsRegistry()
-    powerups = eval_registry.counter("campaign.powerups")
-    aging_steps = aging_registry.counter("campaign.aging_steps")
-    builder: Optional[ShardRollupBuilder] = None
-    if spec.rollup_shards > 0:
-        builder = ShardRollupBuilder(
-            lambda b: rollup_shard_of(
-                spec.fleet_offset + spec.board_ids.index(b),
-                spec.fleet_size,
-                spec.rollup_shards,
-            )
-        )
-
     trace = spec.trace
     tracer: Optional[Tracer] = None
     if trace is not None and trace.spans:
@@ -537,11 +451,7 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
                 shard_index=spec.shard_index,
             )
         try:
-            rows, states, references, restored, slot = _run_window_fleet(
-                spec, powerups, aging_steps, builder, tracer
-            )
-            # The builder folds the month's recorded columns here.
-            rollups = builder.take() if builder is not None else {}
+            rows, states, references, restored, slot = _run_window_fleet(spec, tracer)
         except CampaignExecutionError:
             raise
         except Exception as exc:
@@ -575,9 +485,6 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
         month=spec.month,
         rows=rows,
         references=references,
-        eval_deltas=_registry_deltas(eval_registry),
-        aging_deltas=_registry_deltas(aging_registry),
-        rollups=rollups,
         resources=sampler.sample(),
         spans=board_span_records(tracer, spec.board_ids),
         phase_deltas=phase_deltas,

@@ -24,16 +24,16 @@ def replay_campaign(
     replay emitted, in emission order.
 
     When the hub carries hierarchical ``rollup:`` rules, shard rollups
-    are rebuilt from each snapshot's per-board statistics — exactly the
-    numbers a live monitored run aggregates — so replayed hierarchical
-    alert sequences match the live run's.  ``rollup_shards`` overrides
-    the shard count (default: one shard per 32 boards, at least one,
-    at most eight — the live campaign's auto choice).
+    are rebuilt from each snapshot's per-board statistics by the live
+    campaign's own :func:`~repro.telemetry.rollup.evaluation_shard_docs`
+    (boards split by fleet position, whatever their ids), so replayed
+    hierarchical alert sequences match the live run's.
+    ``rollup_shards`` overrides the shard count (default:
+    ``min(8, fleet size)``, the live campaign's auto choice).
     """
     emitted: List[Alert] = []
     rebuild = hub.rollup_rule_count > 0 and len(result.snapshots) > 0
     if rebuild:
-        from repro.exec.plan import rollup_shard_of
         from repro.telemetry.rollup import evaluation_shard_docs, fold_rollup_docs
         from repro.telemetry.runtime import get_rollups
 
@@ -42,10 +42,7 @@ def replay_campaign(
         rollups = get_rollups()
     for index, snapshot in enumerate(result.snapshots):
         if rebuild:
-            docs = evaluation_shard_docs(
-                snapshot, lambda b: rollup_shard_of(b, fleet, shards)
-            )
-            fold_rollup_docs(rollups, docs)
+            fold_rollup_docs(rollups, evaluation_shard_docs(snapshot, shards))
             emitted += hub.observe_rollups(index=index)
         emitted += hub.observe_evaluation(snapshot)
     return emitted

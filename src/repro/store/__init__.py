@@ -133,7 +133,6 @@ __getattr__, __dir__, __all__ = _lazy.attach(
             "write_shard_manifest",
         ),
         "repro.store.stream": (
-            "CampaignStreamWriter",
             "is_stream_header",
             "load_campaign_stream_doc",
             "write_campaign_stream",

@@ -1,15 +1,16 @@
 """Mergeable streaming rollup summaries for hierarchical observability.
 
-A 100k-device fleet cannot materialize one metric series per device in
-the parent process.  Instead, workers fold each device's per-month
-statistics into a small per-shard **rollup summary** and ship the
-summary through the existing counter-delta channel; the parent merges
-shard summaries associatively into fleet-level views.  The monitor
-layer then polls O(shards) rollups instead of O(devices) series.
+A 100k-device fleet cannot keep one metric series per device.  Instead,
+the campaign driver folds each assembled month's per-device statistics
+into a small per-shard **rollup summary**
+(:func:`evaluation_shard_docs`) and merges the shard summaries
+associatively into fleet-level views (:func:`fold_rollup_docs`).  The
+monitor layer then polls O(shards) rollups instead of O(devices)
+series.
 
-Bit-identity is the design constraint: serial and parallel campaigns
-must produce byte-identical artifacts, so the merge must be exact under
-*any* grouping of observations.  Floating-point accumulation is not
+Bit-identity is the design constraint: every execution path must give
+byte-identical registries, so the merge must be exact under *any*
+grouping of observations.  Floating-point accumulation is not
 associative, so :class:`RollupSummary` keeps its accumulators exact:
 
 * ``count`` — int;
@@ -500,9 +501,10 @@ class RollupRegistry:
 
 # -- shared ingestion pipeline ------------------------------------------------
 #
-# Workers, the sharded parent path, the serial path and checkpoint-resume
-# replay all feed rollups through the same three functions below, which is
-# what makes every execution path produce bit-identical registries.
+# The live month, checkpoint-resume replay and offline replay all derive
+# shard documents with ``evaluation_shard_docs`` and fold them with
+# ``fold_rollup_docs``, which is what makes every execution path produce
+# bit-identical registries.
 
 
 #: Memoized document keys — ``rollup_doc_name`` runs once per board per
@@ -521,16 +523,17 @@ def rollup_doc_name(stat: str, shard: int) -> str:
 
 
 class ShardRollupBuilder:
-    """Worker-side accumulator of per-month shard rollup documents.
+    """Incremental accumulator of per-month shard rollup documents.
 
-    ``shard_of`` maps a board id to its *logical* rollup shard — a
-    partition independent of how many executor workers happen to run, so
-    shard-scoped series are identical across worker counts.  A window's
-    month arrives as columns (:meth:`observe_fleet`, each row labelled
-    with its shard) and folds, shard by shard, in one batched step per
-    statistic when :meth:`take` drains the documents;
-    :meth:`observe_board` folds one board at a time.  Either way the
-    documents are the ones the per-board fold gives.
+    For callers that see a month piece by piece; the campaign derives
+    its documents from the assembled month with
+    :func:`evaluation_shard_docs`, which gives the same documents.
+    ``shard_of`` maps a board to its *logical* rollup shard.  Columns
+    (:meth:`observe_fleet`, each row labelled with its shard) fold,
+    shard by shard, in one batched step per statistic when :meth:`take`
+    drains the documents; :meth:`observe_board` folds one board at a
+    time.  Either way the documents are the ones the per-board fold
+    gives.
     """
 
     def __init__(self, shard_of: Callable[[int], int]):
@@ -596,19 +599,48 @@ def _fold_grouped(
             )
 
 
-def evaluation_shard_docs(evaluation, shard_of: Callable[[int], int]) -> Dict[str, dict]:
+def _grouped_docs(
+    evaluation, groups: Sequence, doc_name: Callable[[str, object], str]
+) -> Dict[str, dict]:
+    """Rollup documents of an evaluation's rows, grouped by ``groups``.
+
+    ``groups[i]`` is row ``i``'s group; ``doc_name(stat, group)`` names
+    the document the group's rows of ``stat`` fold into.  Documents are
+    keyed by name, in name order.
+    """
+    summaries: Dict[str, RollupSummary] = {}
+
+    def summary_of(stat: str, group) -> RollupSummary:
+        key = doc_name(stat, group)
+        summary = summaries.get(key)
+        if summary is None:
+            summary = summaries[key] = RollupSummary(bounds=UNIT_BOUNDS)
+        return summary
+
+    _fold_grouped(
+        groups, {stat: getattr(evaluation, stat) for stat in ROLLUP_STATS}, summary_of
+    )
+    return {name: summaries[name].to_doc() for name in sorted(summaries)}
+
+
+def evaluation_shard_docs(evaluation, shard_count: int) -> Dict[str, dict]:
     """Shard rollup documents for one assembled :class:`MonthlyEvaluation`.
 
-    Produces bit-identical documents to the worker-side
-    :class:`ShardRollupBuilder` because ``assemble_evaluation`` keeps
-    each board's statistics verbatim in its arrays.
+    Row ``i`` of an assembled month is the board at fleet position
+    ``i``, so the rows split into ``shard_count`` logical rollup shards
+    by position (:func:`repro.exec.plan.rollup_shards_of`) — never by
+    board id, which an injected fleet chooses freely.  The partition
+    depends on the fleet alone, not on the worker count.  The live
+    month, resume replay and offline replay
+    (:func:`repro.monitor.replay.replay_campaign`) all derive their
+    documents here.
     """
-    builder = ShardRollupBuilder(shard_of)
-    builder.observe_fleet(
-        [shard_of(int(board)) for board in evaluation.board_ids],
-        {stat: getattr(evaluation, stat) for stat in ROLLUP_STATS},
+    from repro.exec.plan import rollup_shards_of
+
+    fleet = len(evaluation.board_ids)
+    return _grouped_docs(
+        evaluation, rollup_shards_of(range(fleet), fleet, shard_count), rollup_doc_name
     )
-    return builder.take()
 
 
 #: Memoized profile-scope document keys, mirroring ``_DOC_NAME_CACHE``.
@@ -645,29 +677,19 @@ def evaluation_profile_docs(
     construction, and — like all ``rollup.*`` state — they are excluded
     from checkpoints and rebuilt by resume replay.
     """
-    summaries: Dict[str, RollupSummary] = {}
-
-    def summary_of(stat: str, profile: str) -> RollupSummary:
-        key = profile_rollup_doc_name(stat, profile)
-        summary = summaries.get(key)
-        if summary is None:
-            summary = summaries[key] = RollupSummary(bounds=UNIT_BOUNDS)
-        return summary
-
-    _fold_grouped(
+    return _grouped_docs(
+        evaluation,
         [profile_of(int(board)) for board in evaluation.board_ids],
-        {stat: getattr(evaluation, stat) for stat in ROLLUP_STATS},
-        summary_of,
+        profile_rollup_doc_name,
     )
-    return {name: summaries[name].to_doc() for name in sorted(summaries)}
 
 
 def combine_rollup_docs(doc_maps: Sequence[Mapping[str, dict]]) -> Dict[str, dict]:
-    """Exactly merge partial document maps from several workers.
+    """Exactly merge partial document maps.
 
-    Multiple executor shards may contribute observations to the same
-    logical rollup shard; because the merge is exact, the combined
-    documents are independent of how many workers produced the partials.
+    Several partial maps may hold observations of the same logical
+    rollup shard; because the merge is exact, the combined documents
+    are independent of how the observations were split.
     """
     merged: Dict[str, RollupSummary] = {}
     for doc_map in doc_maps:
@@ -684,7 +706,7 @@ def combine_rollup_docs(doc_maps: Sequence[Mapping[str, dict]]) -> Dict[str, dic
 def fold_rollup_docs(registry: RollupRegistry, docs: Mapping[str, dict], metrics=None) -> None:
     """Fold one month's shard documents into ``registry`` and derive fleet scope.
 
-    Every execution path (serial, sharded, windowed, resume replay)
+    Every execution path (live month, resume replay, offline replay)
     calls this with identical documents in identical order, which keeps
     the registry — and the ``rollup.*`` counters it increments — byte
     identical across paths.  ``metrics`` defaults to the global

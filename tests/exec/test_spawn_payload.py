@@ -12,7 +12,6 @@ bits per byte.
 """
 
 import dataclasses
-import json
 import pickle
 
 import numpy as np
@@ -22,7 +21,6 @@ from repro.errors import ConfigurationError
 from repro.exec.windows import WindowSpec, clear_window_cache, run_board_window
 from repro.sram.population import PopulationMember, PopulationSpec
 from repro.sram.profiles import ATMEGA32U4, DFF_PUF
-from repro.telemetry.rollup import UNIT_BOUNDS, RollupSummary
 
 MIXED = PopulationSpec(
     name="payload-mix",
@@ -164,7 +162,7 @@ class TestProfileFieldNormalization:
 
 
 class TestResultPayload:
-    def month_zero_result(self, rollup_shards: int = 0):
+    def month_zero_result(self):
         spec = WindowSpec(
             shard_index=0,
             month=0,
@@ -173,8 +171,6 @@ class TestResultPayload:
             board_ids=(0, 1, 2, 3),
             run_token="payload",
             profile=ATMEGA32U4,
-            rollup_shards=rollup_shards,
-            fleet_size=4,
         )
         clear_window_cache()
         try:
@@ -203,26 +199,3 @@ class TestResultPayload:
         # One byte per bit unpacked; packed, the read-outs are an eighth
         # of that and everything else in a month-0 result is small.
         assert len(pickle.dumps(result)) < read_out_bits / 4
-
-    def test_rollup_docs_round_trip_without_default_bounds(self):
-        result = self.month_zero_result(rollup_shards=2)
-        assert result.rollups
-        clone = pickle.loads(pickle.dumps(result))
-        assert list(clone.rollups) == list(result.rollups)
-        for name, doc in result.rollups.items():
-            assert doc["bounds"] == list(UNIT_BOUNDS)
-            # Same keys in the same order, so persisted bytes cannot move.
-            assert json.dumps(clone.rollups[name]) == json.dumps(doc)
-            assert RollupSummary.from_doc(clone.rollups[name]).to_doc() == doc
-        bare = dataclasses.replace(result, rollups={})
-        per_doc = (len(pickle.dumps(result)) - len(pickle.dumps(bare))) / len(
-            result.rollups
-        )
-        # 128 pickled bounds floats alone are over 1 KB per document.
-        assert per_doc < 1024
-
-    def test_custom_rollup_bounds_travel_as_they_are(self):
-        result = self.month_zero_result()
-        doc = RollupSummary(bounds=(0.25, 0.5, 1.0)).to_doc()
-        custom = dataclasses.replace(result, rollups={"rollup.custom": doc})
-        assert pickle.loads(pickle.dumps(custom)).rollups == {"rollup.custom": doc}

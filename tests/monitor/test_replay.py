@@ -9,6 +9,8 @@ from repro.monitor.alerts import Alert, AlertRule, alert_log_path_for, load_aler
 from repro.monitor.detectors import StaticThresholdDetector
 from repro.monitor.hub import MonitorHub
 from repro.monitor.replay import render_alert_timeline, replay_campaign
+from repro.sram.chip import SRAMChip
+from repro.sram.profiles import ATMEGA32U4
 from repro.telemetry import reset_telemetry
 
 
@@ -62,6 +64,30 @@ class TestReplay:
         )
         alerts = replay_campaign(load_campaign(path), hub)
         assert len(alerts) == len(small_campaign.snapshots)
+
+    def test_injected_fleet_rollups_replay_by_fleet_position(self):
+        """Board ids 3 and 7 are fleet positions 0 and 1, live and replayed."""
+
+        def build_hub():
+            tripwire = AlertRule(
+                name="shard-wchd-tripwire",
+                metric="rollup:wchd.p99@shard",
+                detector_factory=lambda: StaticThresholdDetector(upper=0.0),
+                hysteresis=1,
+            )
+            return MonitorHub([tripwire])
+
+        tiny = ATMEGA32U4.with_overrides(sram_bytes=64, read_bytes=32)
+        chips = [SRAMChip(i, tiny, random_state=4) for i in (3, 7)]
+        live_hub = build_hub()
+        result = LongTermCampaign(
+            device_count=2, months=2, measurements=50, profile=tiny
+        ).run(chips=chips, monitor=live_hub)
+        assert result.board_ids == [3, 7]
+        reset_telemetry()
+        replayed = replay_campaign(result, build_hub())
+        assert replayed
+        assert replayed == live_hub.alerts
 
     def test_save_campaign_writes_alert_log(self, small_campaign, tmp_path):
         path = str(tmp_path / "campaign.json")

@@ -203,7 +203,7 @@ class TestShardPipeline:
                 board,
                 {stat: float(getattr(evaluation, stat)[i]) for stat in ROLLUP_STATS},
             )
-        assert builder.take() == evaluation_shard_docs(evaluation, shard_of)
+        assert builder.take() == evaluation_shard_docs(evaluation, 2)
 
     def test_combine_is_worker_count_independent(self):
         rng = np.random.default_rng(3)

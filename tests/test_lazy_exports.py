@@ -59,7 +59,7 @@ PUBLIC = {
     ],
     "repro.store": [
         "ArtifactStore", "BENCH_LEDGER_NAME", "BENCH_VERSION", "BenchLedger",
-        "CampaignCheckpointer", "CampaignStreamWriter", "CheckpointState",
+        "CampaignCheckpointer", "CheckpointState",
         "CounterDeltaRecorder", "DEFAULT_KEYFRAME_EVERY", "DeltaRecord", "JsonCodec",
         "JsonLinesCodec", "PARENT_LOG_NAME", "SCHEMAS", "SHARDS_DIR",
         "SHARD_MANIFEST_NAME", "SHARD_STREAM_NAME", "ShardCheckpointState",
