@@ -148,7 +148,7 @@ class LongTermCampaign:
         skipped entirely when
         :func:`repro.telemetry.rollups_enabled` is off.
     fail_board:
-        Fault-injection hook: the worker that owns this board raises
+        Fault-injection hook: the worker that owns this board id raises
         before simulating it, surfacing as
         :class:`~repro.errors.CampaignExecutionError`.  Used by chaos
         drills and the CI flight-recorder smoke; leave ``None`` in
@@ -204,10 +204,6 @@ class LongTermCampaign:
         if rollup_shards is not None and rollup_shards < 1:
             raise ConfigurationError(
                 f"rollup_shards must be >= 1, got {rollup_shards}"
-            )
-        if fail_board is not None and not 0 <= fail_board < device_count:
-            raise ConfigurationError(
-                f"fail_board {fail_board} outside fleet of {device_count}"
             )
         self._rollup_shards_opt = rollup_shards
         self._rollup_shards = (
@@ -580,9 +576,9 @@ class LongTermCampaign:
                     ).observe(float(value))
 
     def _ingest_rollups(self, evaluation) -> None:
-        """Fold one assembled month's rollup documents into the global registry.
+        """Fold one assembled month's rollup summaries into the global registry.
 
-        The live month and resume replay both derive the documents here,
+        The live month and resume replay both derive the summaries here,
         from the assembled evaluation, so they are identical across
         worker counts and resume by construction.  No-op when rollups
         are globally disabled.
@@ -595,12 +591,12 @@ class LongTermCampaign:
             fold_rollup_docs,
         )
 
-        docs = evaluation_shard_docs(evaluation, self._rollup_shards)
+        summaries = evaluation_shard_docs(evaluation, self._rollup_shards)
         if self._population is not None:
-            docs.update(
+            summaries.update(
                 evaluation_profile_docs(evaluation, self._profile_label_of)
             )
-        fold_rollup_docs(get_rollups(), docs, get_metrics())
+        fold_rollup_docs(get_rollups(), summaries, get_metrics())
 
     def _checkpoint_config(self) -> Dict:
         """The campaign's complete configuration as a JSON document.
@@ -719,7 +715,6 @@ class LongTermCampaign:
         # One instrument set for every run, whatever its worker count.
         metrics.counter("campaign.powerups")
         metrics.counter("campaign.aging_steps")
-        metrics.gauge("campaign.devices").set(self._device_count)
 
         # A legacy campaign-scoped directory is read, never extended;
         # only its resume state carries the fleet's device state.
@@ -741,6 +736,12 @@ class LongTermCampaign:
                 chip.chip_id: board_state_to_doc(chip.array.export_state())
                 for chip in fleet
             }
+        if self._fail_board is not None and self._fail_board not in board_ids:
+            raise ConfigurationError(
+                f"fail_board {self._fail_board} is not a board of the fleet "
+                f"({len(board_ids)} boards)"
+            )
+        metrics.gauge("campaign.devices").set(len(board_ids))
         profile_of = dict(zip(board_ids, board_profiles))
         rollup_shard_sizes = [
             len(shard) for shard in partition_boards(board_ids, self._rollup_shards)
@@ -770,7 +771,7 @@ class LongTermCampaign:
 
         with tracer.span(
             "campaign.run",
-            devices=self._device_count,
+            devices=len(board_ids),
             months=self._months,
             workers=executor.max_workers,
         ):

@@ -17,7 +17,7 @@
     python -m repro store inspect DIR [--clean] [--deep]
     python -m repro store compact DIR [--keep-keyframes N]
     python -m repro store merge DIR --out OUT.json [--stream]
-    python -m repro bench record [--bench NAME] [--repeats N] [--ledger PATH]
+    python -m repro bench record OUTPUT... [--ledger PATH]
     python -m repro bench compare [--bench NAME] [--threshold T]
     python -m repro bench list
 
@@ -43,8 +43,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.assessment import LongTermAssessment
 from repro.core.config import StudyConfig
@@ -599,31 +600,75 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """The perf-regression ledger: record, compare and list benchmarks.
+def _read_perfbench_output(path: str) -> Dict[str, Any]:
+    """Parse the saved stdout of one untraced ``perfbench/run.py`` run.
 
-    ``record`` runs registered tiny benchmarks (:mod:`repro.perf`) and
-    appends their metrics to the JSONL ledger, keyed by benchmark name,
-    host fingerprint and git revision.  ``compare`` checks each
-    benchmark's newest run against the one before it on this host and
-    exits with code 5 when any metric regressed past ``--threshold`` —
-    the CI perf-smoke job fails on that code.  ``list`` shows the
-    registered benchmarks and the ledger history.
+    The first line reads ``workload <name>, seed <n>, host {...}`` and
+    the last line is the result JSON.  Returns the ledger record's
+    fields; raises :class:`ConfigurationError` for anything that is not
+    a correct, untraced run.
+    """
+    import json
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines() or [""]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
+    header = re.fullmatch(r"workload (\S+), seed (-?\d+), host (.*)", lines[0])
+    try:
+        host = json.loads(header.group(3))["host_fingerprint"]
+        result = json.loads(lines[-1])
+        metrics = {
+            name: float(metric["value"]) for name, metric in result["metrics"].items()
+        }
+        correct, attempted, failed = (
+            result["correct"], result["attempted"], result["failed"]
+        )
+    except (ValueError, KeyError, TypeError, AttributeError):
+        raise ConfigurationError(
+            f"{path}: not a whole perfbench/run.py output (its first line "
+            "names the workload and host, its last line is the result)"
+        ) from None
+    if correct is not True:
+        raise ConfigurationError(f"{path}: perfbench result is not correct")
+    layered = sorted(name for name in metrics if "." in name)
+    if layered:
+        raise ConfigurationError(
+            f"{path}: per-layer metrics ({', '.join(layered)}) come from a "
+            "traced run; record an untraced (--trace 0) run"
+        )
+    return {
+        "name": f"perfbench/{header.group(1)}",
+        "metrics": metrics,
+        "host": host,
+        "meta": {"seed": int(header.group(2)), "attempted": attempted, "failed": failed},
+    }
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """The perf-regression ledger: record, compare and list benchmark runs.
+
+    ``record`` appends saved ``perfbench/run.py`` outputs to the JSONL
+    ledger as ``perfbench/<workload>``, keyed by the host fingerprint
+    perfbench printed and the git revision; every file is parsed
+    before any is recorded.  ``compare`` checks each benchmark's newest
+    run against the one before it on this host and exits with code 5
+    when any metric regressed past ``--threshold`` — the CI bench-smoke
+    job fails on that code.  ``list`` shows the ledger history.
     """
     from repro.errors import StorageError
-    from repro.perf import BENCHMARKS, run_benchmark
     from repro.store.bench import BenchLedger, render_comparison
 
     ledger = BenchLedger(args.ledger)
     if args.action == "record":
-        names = args.bench or sorted(BENCHMARKS)
-        for name in names:
-            metrics = run_benchmark(name, repeats=args.repeats)
-            document = ledger.record(name, metrics, meta={"repeats": args.repeats})
+        runs = [_read_perfbench_output(path) for path in args.outputs]
+        for run in runs:
+            document = ledger.record(**run)
             rendered = ", ".join(
-                f"{key}={value:.6g}" for key, value in sorted(metrics.items())
+                f"{key}={value:.6g}" for key, value in sorted(run["metrics"].items())
             )
-            print(f"recorded {name} @ {document['git_rev'][:12]}: {rendered}")
+            print(f"recorded {run['name']} @ {document['git_rev'][:12]}: {rendered}")
         print(f"ledger: {ledger.path}")
         return 0
     if args.action == "compare":
@@ -645,9 +690,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 5
         return 0
     # list
-    print("registered benchmarks:")
-    for name in sorted(BENCHMARKS):
-        print(f"  {name:<16} {BENCHMARKS[name].description}")
     records = ledger.records(name=args.bench[0] if args.bench else None)
     if not records:
         print(f"ledger {ledger.path}: (empty)")
@@ -932,24 +974,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="perf-regression ledger: record / compare / list tiny benchmarks",
+        help="perf-regression ledger: record / compare / list perfbench runs",
     )
     bench_actions = bench.add_subparsers(dest="action", required=True)
     bench_record = bench_actions.add_parser(
-        "record", help="run registered benchmarks and append results to the ledger"
+        "record", help="append saved perfbench/run.py outputs to the ledger"
     )
     bench_record.add_argument(
-        "--bench",
-        action="append",
-        metavar="NAME",
-        help="benchmark to run (repeatable; default: all registered)",
-    )
-    bench_record.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="repeats per benchmark; the median is recorded (default: 3)",
+        "outputs",
+        nargs="+",
+        metavar="OUTPUT",
+        help="saved stdout of one untraced perfbench/run.py run",
     )
     bench_compare = bench_actions.add_parser(
         "compare",
@@ -970,9 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative change tolerated before a metric counts as regressed "
         f"(default: {DEFAULT_THRESHOLD})",
     )
-    bench_list = bench_actions.add_parser(
-        "list", help="show registered benchmarks and the ledger history"
-    )
+    bench_list = bench_actions.add_parser("list", help="show the ledger history")
     bench_list.add_argument(
         "--bench",
         action="append",

@@ -11,9 +11,10 @@ record, keyed by benchmark name, host fingerprint and git revision.
 
 Ledger lines are self-contained documents::
 
-    {"bench_version": 1, "name": "powerup-block", "host": "1f6ab29c...",
-     "git_rev": "63a75ba...", "created_at": "2026-08-09T12:00:00Z",
-     "metrics": {"wall_s": 0.812, "months_per_s": 30.8}, "meta": {...}}
+    {"bench_version": 1, "name": "perfbench/paper", "host": "8e9ccc5bfccf",
+     "git_rev": "eab3490...", "created_at": "2026-10-19T23:30:00Z",
+     "metrics": {"board_months_per_s": 226.7, "cpu_s": 1.72, ...},
+     "meta": {"seed": 0, "attempted": 10, "failed": 0}}
 
 Metric direction is inferred from the name (:func:`higher_is_better`):
 throughput-shaped metrics (``*_per_s``, ``*_ops``, ``*_rate``,

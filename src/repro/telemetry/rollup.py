@@ -502,18 +502,20 @@ class RollupRegistry:
 # -- shared ingestion pipeline ------------------------------------------------
 #
 # The live month, checkpoint-resume replay and offline replay all derive
-# shard documents with ``evaluation_shard_docs`` and fold them with
-# ``fold_rollup_docs``, which is what makes every execution path produce
-# bit-identical registries.
+# a month's shard summaries with ``evaluation_shard_docs`` and fold them
+# with ``fold_rollup_docs``, which is what makes every execution path
+# produce bit-identical registries.  The summaries never leave the
+# process, so they pass as :class:`RollupSummary` objects keyed by
+# canonical name; :meth:`RollupSummary.to_doc` is their JSON form.
 
 
-#: Memoized document keys — ``rollup_doc_name`` runs once per board per
+#: Memoized summary keys — ``rollup_doc_name`` runs once per board per
 #: statistic per month, and the label rendering dominates its cost.
 _DOC_NAME_CACHE: Dict[Tuple[str, int], str] = {}
 
 
 def rollup_doc_name(stat: str, shard: int) -> str:
-    """Canonical document key for one shard-scope statistic."""
+    """Canonical key for one shard-scope statistic."""
     key = (stat, shard)
     name = _DOC_NAME_CACHE.get(key)
     if name is None:
@@ -523,16 +525,16 @@ def rollup_doc_name(stat: str, shard: int) -> str:
 
 
 class ShardRollupBuilder:
-    """Incremental accumulator of per-month shard rollup documents.
+    """Incremental accumulator of per-month shard rollup summaries.
 
     For callers that see a month piece by piece; the campaign derives
-    its documents from the assembled month with
-    :func:`evaluation_shard_docs`, which gives the same documents.
+    its summaries from the assembled month with
+    :func:`evaluation_shard_docs`, which gives the same summaries.
     ``shard_of`` maps a board to its *logical* rollup shard.  Columns
     (:meth:`observe_fleet`, each row labelled with its shard) fold,
     shard by shard, in one batched step per statistic when :meth:`take`
-    drains the documents; :meth:`observe_board` folds one board at a
-    time.  Either way the documents are the ones the per-board fold
+    drains the summaries; :meth:`observe_board` folds one board at a
+    time.  Either way the summaries are the ones the per-board fold
     gives.
     """
 
@@ -572,12 +574,12 @@ class ShardRollupBuilder:
             _fold_grouped(shards, columns, self._summary)
         self._pending.clear()
 
-    def take(self) -> Dict[str, dict]:
-        """Drain the month's partial documents (keyed by canonical name)."""
+    def take(self) -> Dict[str, RollupSummary]:
+        """Drain the month's partial summaries (keyed by canonical name)."""
         self._fold_pending()
-        docs = {name: self._summaries[name].to_doc() for name in sorted(self._summaries)}
+        summaries = {name: self._summaries[name] for name in sorted(self._summaries)}
         self._summaries.clear()
-        return docs
+        return summaries
 
 
 def _fold_grouped(
@@ -599,19 +601,19 @@ def _fold_grouped(
             )
 
 
-def _grouped_docs(
-    evaluation, groups: Sequence, doc_name: Callable[[str, object], str]
-) -> Dict[str, dict]:
-    """Rollup documents of an evaluation's rows, grouped by ``groups``.
+def _grouped_summaries(
+    evaluation, groups: Sequence, summary_name: Callable[[str, object], str]
+) -> Dict[str, RollupSummary]:
+    """Rollup summaries of an evaluation's rows, grouped by ``groups``.
 
-    ``groups[i]`` is row ``i``'s group; ``doc_name(stat, group)`` names
-    the document the group's rows of ``stat`` fold into.  Documents are
-    keyed by name, in name order.
+    ``groups[i]`` is row ``i``'s group; ``summary_name(stat, group)``
+    names the summary the group's rows of ``stat`` fold into.  Summaries
+    are keyed by name, in name order.
     """
     summaries: Dict[str, RollupSummary] = {}
 
     def summary_of(stat: str, group) -> RollupSummary:
-        key = doc_name(stat, group)
+        key = summary_name(stat, group)
         summary = summaries.get(key)
         if summary is None:
             summary = summaries[key] = RollupSummary(bounds=UNIT_BOUNDS)
@@ -620,11 +622,11 @@ def _grouped_docs(
     _fold_grouped(
         groups, {stat: getattr(evaluation, stat) for stat in ROLLUP_STATS}, summary_of
     )
-    return {name: summaries[name].to_doc() for name in sorted(summaries)}
+    return {name: summaries[name] for name in sorted(summaries)}
 
 
-def evaluation_shard_docs(evaluation, shard_count: int) -> Dict[str, dict]:
-    """Shard rollup documents for one assembled :class:`MonthlyEvaluation`.
+def evaluation_shard_docs(evaluation, shard_count: int) -> Dict[str, RollupSummary]:
+    """Shard rollup summaries for one assembled :class:`MonthlyEvaluation`.
 
     Row ``i`` of an assembled month is the board at fleet position
     ``i``, so the rows split into ``shard_count`` logical rollup shards
@@ -633,24 +635,24 @@ def evaluation_shard_docs(evaluation, shard_count: int) -> Dict[str, dict]:
     depends on the fleet alone, not on the worker count.  The live
     month, resume replay and offline replay
     (:func:`repro.monitor.replay.replay_campaign`) all derive their
-    documents here.
+    summaries here.
     """
     from repro.exec.plan import rollup_shards_of
 
     fleet = len(evaluation.board_ids)
-    return _grouped_docs(
+    return _grouped_summaries(
         evaluation, rollup_shards_of(range(fleet), fleet, shard_count), rollup_doc_name
     )
 
 
-#: Memoized profile-scope document keys, mirroring ``_DOC_NAME_CACHE``.
+#: Memoized profile-scope summary keys, mirroring ``_DOC_NAME_CACHE``.
 _PROFILE_DOC_NAME_CACHE: Dict[Tuple[str, str], str] = {}
 
 
 def profile_rollup_doc_name(stat: str, profile: str) -> str:
-    """Canonical document key for one profile-cohort statistic.
+    """Canonical key for one profile-cohort statistic.
 
-    Profile-scope documents ride the same label grammar as shard docs
+    Profile-scope summaries ride the same label grammar as shard ones
     (``rollup.wchd{profile=ATmega32u4,scope=profile}``), so
     ``rollup:``-rules can pin a cohort with ``@profile=<name>`` (see
     ``docs/monitoring.md`` and ``docs/population.md``).
@@ -665,52 +667,57 @@ def profile_rollup_doc_name(stat: str, profile: str) -> str:
 
 def evaluation_profile_docs(
     evaluation, profile_of: Callable[[int], str]
-) -> Dict[str, dict]:
-    """Profile-cohort rollup documents for one :class:`MonthlyEvaluation`.
+) -> Dict[str, RollupSummary]:
+    """Profile-cohort rollup summaries for one :class:`MonthlyEvaluation`.
 
     ``profile_of`` maps a board id to its cohort's profile label (a
     population member's base-profile name).  Only heterogeneous
     campaigns (``StudyConfig.population``) emit these — homogeneous
     runs keep their registries byte-identical to pre-population
     releases.  Derived parent-side from the assembled evaluation, so
-    the documents are identical across worker counts and resume by
+    the summaries are identical across worker counts and resume by
     construction, and — like all ``rollup.*`` state — they are excluded
     from checkpoints and rebuilt by resume replay.
     """
-    return _grouped_docs(
+    return _grouped_summaries(
         evaluation,
         [profile_of(int(board)) for board in evaluation.board_ids],
         profile_rollup_doc_name,
     )
 
 
-def combine_rollup_docs(doc_maps: Sequence[Mapping[str, dict]]) -> Dict[str, dict]:
-    """Exactly merge partial document maps.
+def combine_rollup_docs(
+    summary_maps: Sequence[Mapping[str, RollupSummary]],
+) -> Dict[str, RollupSummary]:
+    """Exactly merge partial summary maps into new summaries.
 
     Several partial maps may hold observations of the same logical
-    rollup shard; because the merge is exact, the combined documents
-    are independent of how the observations were split.
+    rollup shard; because the merge is exact, the combined summaries
+    are independent of how the observations were split.  The inputs
+    are left unchanged.
     """
     merged: Dict[str, RollupSummary] = {}
-    for doc_map in doc_maps:
-        for name in sorted(doc_map):
-            partial = RollupSummary.from_doc(doc_map[name])
+    for summary_map in summary_maps:
+        for name in sorted(summary_map):
+            partial = summary_map[name]
             existing = merged.get(name)
             if existing is None:
-                merged[name] = partial
+                merged[name] = partial.copy()
             else:
                 existing.merge(partial)
-    return {name: merged[name].to_doc() for name in sorted(merged)}
+    return {name: merged[name] for name in sorted(merged)}
 
 
-def fold_rollup_docs(registry: RollupRegistry, docs: Mapping[str, dict], metrics=None) -> None:
-    """Fold one month's shard documents into ``registry`` and derive fleet scope.
+def fold_rollup_docs(
+    registry: RollupRegistry, summaries: Mapping[str, RollupSummary], metrics=None
+) -> None:
+    """Fold one month's shard summaries into ``registry`` and derive fleet scope.
 
     Every execution path (live month, resume replay, offline replay)
-    calls this with identical documents in identical order, which keeps
+    calls this with identical summaries in identical order, which keeps
     the registry — and the ``rollup.*`` counters it increments — byte
-    identical across paths.  ``metrics`` defaults to the global
-    registry; pass ``None``-like explicitly only in tests.
+    identical across paths.  The summaries are left unchanged.
+    ``metrics`` defaults to the global registry.
     """
     if metrics is None:
         from repro.telemetry.runtime import get_metrics
@@ -718,8 +725,8 @@ def fold_rollup_docs(registry: RollupRegistry, docs: Mapping[str, dict], metrics
         metrics = get_metrics()
     observations = 0
     fleet_partials: Dict[str, RollupSummary] = {}
-    for name in sorted(docs):
-        partial = RollupSummary.from_doc(docs[name])
+    for name in sorted(summaries):
+        partial = summaries[name]
         base, labels = parse_labeled_name(name)
         target = registry.summary_named(name, bounds=partial.bounds)
         target.merge(partial)

@@ -119,6 +119,52 @@ class TestOptions:
         assert serial_rollups
         assert serial_rollups == sharded_rollups
 
+    def test_injected_fleet_reports_the_boards_it_runs(self, small_profile):
+        """``campaign.devices`` and the run span count the injected chips."""
+        from repro.sram.chip import SRAMChip
+        from repro.telemetry import get_metrics, get_tracer, reset_telemetry, set_tracing
+
+        reset_telemetry()
+        set_tracing(True)
+        try:
+            chips = [SRAMChip(i, small_profile, random_state=4) for i in (3, 5)]
+            LongTermCampaign(
+                device_count=16, months=1, measurements=50, profile=small_profile
+            ).run(chips=chips)
+            (run_span,) = [
+                span for span in get_tracer().roots if span.name == "campaign.run"
+            ]
+        finally:
+            set_tracing(False)
+        assert get_metrics().snapshot()["campaign.devices"]["value"] == 2
+        assert run_span.attributes["devices"] == 2
+
+    def test_fail_board_names_an_injected_board_id(self, small_profile):
+        from repro.errors import CampaignExecutionError
+        from repro.sram.chip import SRAMChip
+
+        chips = [SRAMChip(i, small_profile, random_state=4) for i in (3, 5)]
+        campaign = LongTermCampaign(
+            device_count=2, months=1, measurements=50, profile=small_profile,
+            fail_board=5,
+        )
+        with pytest.raises(CampaignExecutionError) as excinfo:
+            campaign.run(chips=chips)
+        assert excinfo.value.board_id == 5
+
+    def test_fail_board_outside_the_run_fleet_rejected(self, small_profile):
+        from repro.sram.chip import SRAMChip
+
+        chips = [SRAMChip(i, small_profile, random_state=4) for i in (3, 5)]
+        campaign = LongTermCampaign(
+            device_count=8, months=1, measurements=50, profile=small_profile,
+            fail_board=1,
+        )
+        with pytest.raises(ConfigurationError, match="fail_board 1"):
+            campaign.run(chips=chips)
+        with pytest.raises(ConfigurationError, match="fail_board 8"):
+            LongTermCampaign(device_count=8, months=1, fail_board=8).run()
+
     def test_temperature_walk_runs(self):
         campaign = LongTermCampaign(
             device_count=2, months=2, measurements=100,

@@ -110,7 +110,7 @@ class TestProfileRollupDocs:
         )
         for profile in set(labels):
             key = profile_rollup_doc_name("wchd", profile)
-            assert docs[key]["count"] == labels.count(profile)
+            assert docs[key].count == labels.count(profile)
 
 
 class TestPopulationRuleset:

@@ -44,6 +44,11 @@ def summarize(observations) -> RollupSummary:
     return summary
 
 
+def docs_of(summaries) -> dict:
+    """A name -> summary map in document form, for exact comparison."""
+    return {name: summary.to_doc() for name, summary in summaries.items()}
+
+
 def finalized(summary: RollupSummary) -> tuple:
     return (
         summary.count,
@@ -203,7 +208,7 @@ class TestShardPipeline:
                 board,
                 {stat: float(getattr(evaluation, stat)[i]) for stat in ROLLUP_STATS},
             )
-        assert builder.take() == evaluation_shard_docs(evaluation, 2)
+        assert docs_of(builder.take()) == docs_of(evaluation_shard_docs(evaluation, 2))
 
     def test_combine_is_worker_count_independent(self):
         rng = np.random.default_rng(3)
@@ -217,12 +222,15 @@ class TestShardPipeline:
                 builder.observe_board(board, stats[board])
             return builder.take()
 
-        two = combine_rollup_docs([docs_for(range(4)), docs_for(range(4, 8))])
-        four = combine_rollup_docs(
-            [docs_for(range(i, i + 2)) for i in range(0, 8, 2)]
+        halves = [docs_for(range(4)), docs_for(range(4, 8))]
+        before = [docs_of(half) for half in halves]
+        two = docs_of(combine_rollup_docs(halves))
+        four = docs_of(
+            combine_rollup_docs([docs_for(range(i, i + 2)) for i in range(0, 8, 2)])
         )
-        one = combine_rollup_docs([docs_for(range(8))])
+        one = docs_of(combine_rollup_docs([docs_for(range(8))]))
         assert one == two == four
+        assert [docs_of(half) for half in halves] == before
 
     def test_fold_builds_fleet_scope_and_counters(self):
         builder = ShardRollupBuilder(lambda b: rollup_shard_of(b, 4, 2))
@@ -243,6 +251,32 @@ class TestShardPipeline:
         snapshot = metrics.snapshot()
         assert snapshot["rollup.updates"]["value"] == 1
         assert snapshot["rollup.observations"]["value"] == 4 * len(ROLLUP_STATS)
+
+    def test_fold_equals_the_document_round_trip(self):
+        """Folding summaries gives the registry their documents gave."""
+        rng = np.random.default_rng(5)
+
+        class FakeEvaluation:
+            board_ids = tuple(range(9))
+
+        for stat in ROLLUP_STATS:
+            setattr(FakeEvaluation, stat, rng.random(9))
+        direct, round_trip = RollupRegistry(), RollupRegistry()
+        metrics = MetricsRegistry(), MetricsRegistry()
+        for _ in range(2):
+            summaries = evaluation_shard_docs(FakeEvaluation(), 4)
+            before = docs_of(summaries)
+            fold_rollup_docs(direct, summaries, metrics=metrics[0])
+            assert docs_of(summaries) == before
+            fold_rollup_docs(
+                round_trip,
+                {name: RollupSummary.from_doc(doc) for name, doc in before.items()},
+                metrics=metrics[1],
+            )
+        assert direct.names() == round_trip.names()
+        for name in direct.names():
+            assert doc_text(direct.get(name)) == doc_text(round_trip.get(name))
+        assert metrics[0].snapshot() == metrics[1].snapshot()
 
 
 # -- the batched fold ---------------------------------------------------------
@@ -369,4 +403,6 @@ class TestBatchedFold:
                 rollup_shards_of(range(split + 1, boards), boards, shards),
                 {stat: arrays[stat][split + 1 :] for stat in ROLLUP_STATS},
             )
-        assert json.dumps(batched.take()) == json.dumps(per_board.take())
+        assert json.dumps(docs_of(batched.take())) == json.dumps(
+            docs_of(per_board.take())
+        )

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -380,68 +383,104 @@ class TestRunCommand:
         assert run_id_of(first) == run_id_of(second)
 
 
+#: Saved stdout of one untraced ``perfbench/run.py --workload paper
+#: --seed 0 --seconds 3 --trace 0`` run.
+PERFBENCH_OUTPUT = os.path.join(os.path.dirname(__file__), "perfbench_paper_output.txt")
+
+
 class TestBenchCommand:
-    def _record(self, capsys, tmp_path, *extra):
+    @staticmethod
+    def _output(tmp_path, name="run.txt", edit=None):
+        """The saved perfbench output as if run on this host, its result edited."""
+        from repro.store.bench import host_fingerprint
+
+        with open(PERFBENCH_OUTPUT, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        lines[0] = lines[0].replace("8e9ccc5bfccf", host_fingerprint())
+        if edit is not None:
+            result = json.loads(lines[-1])
+            edit(result)
+            lines[-1] = json.dumps(result)
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    def _record(self, capsys, tmp_path, *outputs):
         ledger = str(tmp_path / "ledger.jsonl")
         code, out = run_cli(
-            capsys, "bench", "record", "--bench", "gram-bchd",
-            "--repeats", "1", "--ledger", ledger, *extra,
+            capsys, "bench", "record", "--ledger", ledger,
+            *(outputs or (PERFBENCH_OUTPUT,)),
         )
         assert code == 0
         return ledger, out
 
+    def _refused(self, capsys, tmp_path, *outputs):
+        ledger = tmp_path / "ledger.jsonl"
+        code = main(["bench", "record", "--ledger", str(ledger), *outputs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert not ledger.exists()
+        return captured.err
+
     def test_record_appends_to_ledger(self, capsys, tmp_path):
-        import json
+        from repro.store.bench import git_revision
 
         ledger, out = self._record(capsys, tmp_path)
-        assert "recorded gram-bchd" in out
+        assert "recorded perfbench/paper" in out
         with open(ledger, "r", encoding="utf-8") as handle:
             (line,) = handle.read().splitlines()
         document = json.loads(line)
-        assert document["name"] == "gram-bchd"
-        assert document["metrics"]["wall_s"] > 0.0
-        assert document["metrics"]["pairs_per_s"] > 0.0
+        assert document["name"] == "perfbench/paper"
+        assert document["host"] == "8e9ccc5bfccf"
+        assert document["git_rev"] == git_revision()
+        assert document["meta"] == {"seed": 0, "attempted": 10, "failed": 0}
+        assert document["metrics"] == {
+            "board_months_per_s": 199.9941526474824,
+            "cpu_s": 1.9483795947673122,
+            "setup_s": 1.2105831643945748,
+            "peak_rss_mb": 113.078125,
+            "store_mb": 0.116809,
+        }
 
-    def test_list_shows_registry_and_history(self, capsys, tmp_path):
+    def test_list_shows_history(self, capsys, tmp_path):
         ledger, _ = self._record(capsys, tmp_path)
         code, out = run_cli(capsys, "bench", "list", "--ledger", ledger)
         assert code == 0
-        assert "registered benchmarks:" in out
-        assert "powerup-block" in out and "campaign-small" in out
-        assert "1 runs" in out
+        assert "registered benchmarks" not in out
+        assert "1 runs" in out and "perfbench/paper" in out
 
     def test_compare_needs_two_runs(self, capsys, tmp_path):
-        ledger, _ = self._record(capsys, tmp_path)
+        ledger, _ = self._record(capsys, tmp_path, self._output(tmp_path))
         code = main(["bench", "compare", "--ledger", ledger])
         captured = capsys.readouterr()
         assert code == 2
         assert "need at least 2" in captured.err
 
     def test_compare_passes_on_steady_numbers(self, capsys, tmp_path):
-        ledger, _ = self._record(capsys, tmp_path)
-        self._record(capsys, tmp_path)
-        # Generous threshold: CI runners are noisy; this asserts the
-        # exit-code contract, not machine speed.
+        run = self._output(tmp_path)
+        ledger, _ = self._record(capsys, tmp_path, run, run)
         code, out = run_cli(
-            capsys, "bench", "compare", "--ledger", ledger, "--threshold", "5.0"
+            capsys, "bench", "compare", "--ledger", ledger, "--threshold", "0.0"
         )
         assert code == 0
-        assert "no regressions" in out
+        assert "bench perfbench/paper" in out and "no regressions" in out
 
     def test_compare_exits_5_on_injected_regression(self, capsys, tmp_path):
-        ledger, _ = self._record(capsys, tmp_path)
-        from repro.store.bench import BenchLedger
+        def slow_down(result):
+            throughput = result["metrics"]["board_months_per_s"]
+            throughput["value"] /= 10
 
-        handle = BenchLedger(ledger)
-        last = handle.records(name="gram-bchd")[-1]
-        slowed = dict(last["metrics"])
-        slowed["wall_s"] = slowed["wall_s"] * 10
-        slowed["pairs_per_s"] = slowed["pairs_per_s"] / 10
-        handle.record("gram-bchd", slowed, host=last["host"], git_rev="injected")
+        ledger, _ = self._record(
+            capsys,
+            tmp_path,
+            self._output(tmp_path),
+            self._output(tmp_path, "slowed.txt", slow_down),
+        )
         code = main(["bench", "compare", "--ledger", ledger])
         captured = capsys.readouterr()
         assert code == 5
-        assert "REGRESSED" in captured.out
+        (regressed,) = [line for line in captured.out.splitlines() if "REGRESSED" in line]
+        assert "board_months_per_s" in regressed
         assert "PERF REGRESSION" in captured.err
 
     def test_compare_empty_ledger_fails(self, capsys, tmp_path):
@@ -452,14 +491,34 @@ class TestBenchCommand:
         assert code == 2
         assert "empty" in captured.err
 
-    def test_record_unknown_benchmark_rejected(self, capsys, tmp_path):
-        code = main(
-            ["bench", "record", "--bench", "bogus",
-             "--ledger", str(tmp_path / "l.jsonl")]
+    def test_record_refuses_traced_run(self, capsys, tmp_path):
+        traced = self._output(
+            tmp_path,
+            edit=lambda result: result["metrics"].update(
+                {"sram.draw_efficiency": {"value": 0.5, "unit": "ratio"}}
+            ),
         )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "unknown benchmark" in captured.err
+        err = self._refused(capsys, tmp_path, traced)
+        assert "sram.draw_efficiency" in err and "traced" in err
+
+    def test_record_refuses_incorrect_run(self, capsys, tmp_path):
+        failed = self._output(tmp_path, edit=lambda result: result.update(correct=False))
+        assert "not correct" in self._refused(capsys, tmp_path, failed)
+
+    def test_record_refuses_truncated_output(self, capsys, tmp_path):
+        with open(PERFBENCH_OUTPUT, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        truncated = tmp_path / "truncated.txt"
+        truncated.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        for path in (truncated, empty):
+            assert "not a whole perfbench" in self._refused(capsys, tmp_path, str(path))
+        assert "cannot read" in self._refused(capsys, tmp_path, str(tmp_path / "none"))
+
+    def test_one_refused_file_records_nothing(self, capsys, tmp_path):
+        failed = self._output(tmp_path, edit=lambda result: result.update(correct=False))
+        self._refused(capsys, tmp_path, PERFBENCH_OUTPUT, failed, PERFBENCH_OUTPUT)
 
 
 class TestStoreCommand:
