@@ -6,8 +6,12 @@ the whole package and whatever those siblings import.  A spawned
 window worker needs only the kernel, the monthly metrics, the store
 and telemetry; the campaign driver, reliability and trend modules
 next to ``repro.analysis.monthly`` import scipy.stats, optimize and
-spatial, which cost a lane more than everything it does need.  So
-the packages export lazily::
+spatial, which cost a lane more than everything it does need.  A
+campaign's parent pays the same way: ``repro.core`` would import the
+calibration solver (scipy.stats and optimize) for every run.  So
+``repro``, ``repro.analysis``, ``repro.core``, ``repro.io``,
+``repro.metrics``, ``repro.monitor``, ``repro.sram`` and
+``repro.store`` export lazily::
 
     __getattr__, __dir__, __all__ = attach(__name__, {
         "repro.analysis.campaign": ("CampaignResult", "LongTermCampaign"),

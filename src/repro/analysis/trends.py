@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import ConfigurationError
 from repro.metrics.summary import geometric_monthly_change
@@ -76,6 +75,9 @@ def fit_power_law_trend(months: np.ndarray, values: np.ndarray) -> PowerLawTrend
         raise ConfigurationError("need at least 4 points to fit a 3-parameter trend")
     if t[0] != 0:
         raise ConfigurationError("months must start at 0")
+    # Imported on first fit: no campaign fits trends, and every module
+    # that imports this one for PowerLawTrend would pay for scipy.optimize.
+    from scipy import optimize
 
     def model(params):
         y0, amplitude, exponent = params

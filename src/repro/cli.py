@@ -695,13 +695,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"ledger {ledger.path}: (empty)")
         return 0
     print(f"ledger {ledger.path} ({len(records)} runs, oldest first):")
+    width = max(len(document["name"]) for document in records)
     for document in records:
         rendered = ", ".join(
             f"{key}={value:.6g}"
             for key, value in sorted(document.get("metrics", {}).items())
         )
         print(
-            f"  {document['name']:<16} {document['git_rev'][:12]:<12} "
+            f"  {document['name']:<{width}} {document['git_rev'][:12]:<12} "
             f"{document['created_at']}  {rendered}"
         )
     return 0

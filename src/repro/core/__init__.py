@@ -11,26 +11,20 @@
 * :mod:`repro.core.report` — Table I construction and rendering.
 """
 
-from repro.core.assessment import AssessmentResult, LongTermAssessment
-from repro.core.calibration import (
-    CalibrationTargets,
-    calibrate_aging,
-    calibrate_skew_distribution,
-    predicted_initial_metrics,
-)
-from repro.core.config import StudyConfig
-from repro.core.paper import PAPER, PaperFacts
-from repro.core.report import build_quality_report
+from repro import _lazy
 
-__all__ = [
-    "AssessmentResult",
-    "LongTermAssessment",
-    "CalibrationTargets",
-    "calibrate_aging",
-    "calibrate_skew_distribution",
-    "predicted_initial_metrics",
-    "StudyConfig",
-    "PAPER",
-    "PaperFacts",
-    "build_quality_report",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "repro.core.assessment": ("AssessmentResult", "LongTermAssessment"),
+        "repro.core.calibration": (
+            "CalibrationTargets",
+            "calibrate_aging",
+            "calibrate_skew_distribution",
+            "predicted_initial_metrics",
+        ),
+        "repro.core.config": ("StudyConfig",),
+        "repro.core.paper": ("PAPER", "PaperFacts"),
+        "repro.core.report": ("build_quality_report",),
+    },
+)

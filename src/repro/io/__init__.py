@@ -8,33 +8,24 @@
   mirroring the paper's Raspberry-Pi-fed JSON store.
 """
 
-from repro.io.bitutil import (
-    bits_from_bytes,
-    bits_from_hex,
-    bits_to_bytes,
-    bits_to_hex,
-    ensure_bits,
-    hamming_weight,
-    pack_bits,
-    random_bits,
-    unpack_bits,
-)
-from repro.io.jsonstore import MeasurementDatabase
-from repro.io.records import MeasurementRecord
-from repro.io.resultstore import load_campaign, save_campaign
+from repro import _lazy
 
-__all__ = [
-    "bits_from_bytes",
-    "bits_from_hex",
-    "bits_to_bytes",
-    "bits_to_hex",
-    "ensure_bits",
-    "hamming_weight",
-    "pack_bits",
-    "random_bits",
-    "unpack_bits",
-    "MeasurementDatabase",
-    "MeasurementRecord",
-    "load_campaign",
-    "save_campaign",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "repro.io.bitutil": (
+            "bits_from_bytes",
+            "bits_from_hex",
+            "bits_to_bytes",
+            "bits_to_hex",
+            "ensure_bits",
+            "hamming_weight",
+            "pack_bits",
+            "random_bits",
+            "unpack_bits",
+        ),
+        "repro.io.jsonstore": ("MeasurementDatabase",),
+        "repro.io.records": ("MeasurementRecord",),
+        "repro.io.resultstore": ("load_campaign", "save_campaign"),
+    },
+)

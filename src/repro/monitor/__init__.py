@@ -22,91 +22,61 @@ Quick tour
 [4]
 """
 
-from repro.monitor.alerts import (
-    SEVERITIES,
-    Alert,
-    AlertRule,
-    alert_log_path_for,
-    append_alert,
-    load_alert_log,
-    write_alert_log,
-)
-from repro.monitor.defaults import (
-    default_ruleset,
-    hierarchical_ruleset,
-    population_ruleset,
-    paper_wchd_trend,
-)
-from repro.monitor.detectors import (
-    CUSUMDetector,
-    Decision,
-    Detector,
-    EWMADetector,
-    StaticThresholdDetector,
-    TrendBandDetector,
-)
-from repro.monitor.exporters import (
-    DEFAULT_NAMESPACE,
-    PROMETHEUS_CONTENT_TYPE,
-    ROLLUP_EXPORT_STATS,
-    MetricsJSONLSink,
-    prometheus_name,
-    render_prometheus,
-    write_metrics_jsonl,
-    write_prometheus,
-)
-from repro.monitor.heartbeat import SnapshotEmitter, current_rss_kb, heartbeat_path_for
-from repro.monitor.hub import (
-    RATE_PREFIX,
-    ROLLUP_PREFIX,
-    MonitorHub,
-    parse_rollup_metric,
-)
-from repro.monitor.replay import render_alert_timeline, replay_campaign
-from repro.monitor.status import (
-    CampaignStatus,
-    load_status,
-    read_jsonl_tolerant,
-    render_status,
-)
+from repro import _lazy
 
-__all__ = [
-    "Alert",
-    "AlertRule",
-    "CUSUMDetector",
-    "CampaignStatus",
-    "DEFAULT_NAMESPACE",
-    "Decision",
-    "Detector",
-    "EWMADetector",
-    "MetricsJSONLSink",
-    "MonitorHub",
-    "PROMETHEUS_CONTENT_TYPE",
-    "RATE_PREFIX",
-    "ROLLUP_EXPORT_STATS",
-    "ROLLUP_PREFIX",
-    "SEVERITIES",
-    "SnapshotEmitter",
-    "StaticThresholdDetector",
-    "TrendBandDetector",
-    "alert_log_path_for",
-    "append_alert",
-    "current_rss_kb",
-    "default_ruleset",
-    "heartbeat_path_for",
-    "hierarchical_ruleset",
-    "population_ruleset",
-    "load_alert_log",
-    "load_status",
-    "paper_wchd_trend",
-    "parse_rollup_metric",
-    "prometheus_name",
-    "read_jsonl_tolerant",
-    "render_alert_timeline",
-    "render_prometheus",
-    "render_status",
-    "replay_campaign",
-    "write_alert_log",
-    "write_metrics_jsonl",
-    "write_prometheus",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(
+    __name__,
+    {
+        "repro.monitor.alerts": (
+            "SEVERITIES",
+            "Alert",
+            "AlertRule",
+            "alert_log_path_for",
+            "append_alert",
+            "load_alert_log",
+            "write_alert_log",
+        ),
+        "repro.monitor.defaults": (
+            "default_ruleset",
+            "hierarchical_ruleset",
+            "population_ruleset",
+            "paper_wchd_trend",
+        ),
+        "repro.monitor.detectors": (
+            "CUSUMDetector",
+            "Decision",
+            "Detector",
+            "EWMADetector",
+            "StaticThresholdDetector",
+            "TrendBandDetector",
+        ),
+        "repro.monitor.exporters": (
+            "DEFAULT_NAMESPACE",
+            "PROMETHEUS_CONTENT_TYPE",
+            "ROLLUP_EXPORT_STATS",
+            "MetricsJSONLSink",
+            "prometheus_name",
+            "render_prometheus",
+            "write_metrics_jsonl",
+            "write_prometheus",
+        ),
+        "repro.monitor.heartbeat": (
+            "SnapshotEmitter",
+            "current_rss_kb",
+            "heartbeat_path_for",
+        ),
+        "repro.monitor.hub": (
+            "RATE_PREFIX",
+            "ROLLUP_PREFIX",
+            "MonitorHub",
+            "parse_rollup_metric",
+        ),
+        "repro.monitor.replay": ("render_alert_timeline", "replay_campaign"),
+        "repro.monitor.status": (
+            "CampaignStatus",
+            "load_status",
+            "read_jsonl_tolerant",
+            "render_status",
+        ),
+    },
+)

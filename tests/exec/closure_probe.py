@@ -23,6 +23,9 @@ HEAVY_MODULES = (
     "repro.analysis.campaign",
     "repro.analysis.reliability",
     "repro.analysis.trends",
+    "repro.io.jsonstore",
+    "repro.io.resultstore",
+    "repro.io.records",
     "repro.keygen",
     "repro.trng",
     "repro.store.bench",

@@ -9,6 +9,10 @@ to keep scipy.stats/optimize/spatial/interpolate, the campaign driver,
 the trend and reliability models, key generation and the TRNG out of
 that closure.
 
+A campaign's parent is held to the scipy half of the same rule: the
+CLI and the modules a campaign is built from load none of those scipy
+modules, and calibration and trend fitting import them when called.
+
 The test process has all of those imported already, so the checks
 run in a fresh interpreter and in live pool workers.
 """
@@ -31,15 +35,15 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-def fresh_interpreter_heavy_modules(statement: str):
-    """The heavy modules a new interpreter holds after ``statement``."""
-    code = (
-        f"import json, sys\n{statement}\n"
-        f"print(json.dumps(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules)))"
-    )
+#: The heavy modules a campaign's parent process never needs either.
+SCIPY_HEAVY = tuple(name for name in HEAVY_MODULES if name.startswith("scipy."))
+
+
+def fresh_interpreter(code: str):
+    """The JSON document a new interpreter prints after running ``code``."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     completed = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", f"import json, sys\n{code}"],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -48,11 +52,55 @@ def fresh_interpreter_heavy_modules(statement: str):
     return json.loads(completed.stdout)
 
 
+def fresh_interpreter_heavy_modules(statement: str, heavy=HEAVY_MODULES):
+    """The ``heavy`` modules a new interpreter holds after ``statement``."""
+    return fresh_interpreter(
+        f"{statement}\n"
+        f"print(json.dumps(sorted(m for m in {heavy!r} if m in sys.modules)))"
+    )
+
+
 def test_window_modules_import_no_heavy_module():
     loaded = fresh_interpreter_heavy_modules(
         "import repro.exec.windows, repro.exec.executor"
     )
     assert loaded == [], f"a fresh window worker imports {loaded}"
+
+
+def test_campaign_parent_imports_no_heavy_scipy_module():
+    """The CLI and every perfbench workload's imports leave scipy's heavy half out."""
+    loaded = fresh_interpreter_heavy_modules(
+        "import repro.cli\n"
+        "from repro import StudyConfig\n"
+        "import repro.core.assessment, repro.analysis.campaign\n"
+        "import repro.monitor.defaults, repro.monitor.hub\n"
+        "import repro.store.shardstore, repro.io.resultstore",
+        SCIPY_HEAVY,
+    )
+    assert loaded == [], f"a fresh campaign parent imports {loaded}"
+
+
+def test_scipy_callers_import_it_on_first_call():
+    """Trend fitting and calibration load scipy when called, and answer as before."""
+    loaded = f"sorted(m for m in {SCIPY_HEAVY!r} if m in sys.modules)"
+    before, fitted, trend, calibrated, skew = fresh_interpreter(
+        "import numpy as np\n"
+        "import repro.analysis, repro.core\n"
+        f"before = {loaded}\n"
+        "months = np.arange(8.0)\n"
+        "fit = repro.analysis.fit_power_law_trend(months, 0.03 + 0.004 * months**0.45)\n"
+        f"fitted = {loaded}\n"
+        "skew = repro.core.calibrate_skew_distribution(fhw=0.627, wchd=0.0249)\n"
+        "print(json.dumps([before, fitted, [fit.y0, fit.amplitude, fit.exponent],\n"
+        f"    {loaded}, skew]))"
+    )
+    assert before == []
+    assert "scipy.optimize" in fitted and "scipy.stats" not in fitted
+    assert trend == pytest.approx(
+        [0.02999998411809233, 0.00400001495177268, 0.449998889804512], rel=1e-6
+    )
+    assert "scipy.stats" in calibrated
+    assert skew == pytest.approx([5.558113549610375, 17.129842042064357], rel=1e-9)
 
 
 def test_live_lanes_hold_no_heavy_module_after_real_windows(tmp_path):

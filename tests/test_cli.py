@@ -390,13 +390,14 @@ PERFBENCH_OUTPUT = os.path.join(os.path.dirname(__file__), "perfbench_paper_outp
 
 class TestBenchCommand:
     @staticmethod
-    def _output(tmp_path, name="run.txt", edit=None):
+    def _output(tmp_path, name="run.txt", edit=None, workload="paper"):
         """The saved perfbench output as if run on this host, its result edited."""
         from repro.store.bench import host_fingerprint
 
         with open(PERFBENCH_OUTPUT, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         lines[0] = lines[0].replace("8e9ccc5bfccf", host_fingerprint())
+        lines[0] = lines[0].replace("workload paper,", f"workload {workload},")
         if edit is not None:
             result = json.loads(lines[-1])
             edit(result)
@@ -448,6 +449,22 @@ class TestBenchCommand:
         assert code == 0
         assert "registered benchmarks" not in out
         assert "1 runs" in out and "perfbench/paper" in out
+
+    def test_list_aligns_columns_past_long_names(self, capsys, tmp_path):
+        from repro.store.bench import git_revision
+
+        outputs = [
+            self._output(tmp_path, f"{workload}.txt", workload=workload)
+            for workload in ("paper", "paper-durable", "fleet")
+        ]
+        ledger, _ = self._record(capsys, tmp_path, *outputs)
+        code, out = run_cli(capsys, "bench", "list", "--ledger", ledger)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == [
+            "perfbench/paper", "perfbench/paper-durable", "perfbench/fleet"
+        ]
+        assert len({row.index(git_revision()[:12]) for row in rows}) == 1
 
     def test_compare_needs_two_runs(self, capsys, tmp_path):
         ledger, _ = self._record(capsys, tmp_path, self._output(tmp_path))

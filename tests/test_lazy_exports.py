@@ -1,6 +1,7 @@
 """The lazily exported package namespaces keep their public surface.
 
-``repro``, ``repro.analysis``, ``repro.sram``, ``repro.metrics`` and
+``repro``, ``repro.analysis``, ``repro.core``, ``repro.io``,
+``repro.metrics``, ``repro.monitor``, ``repro.sram`` and
 ``repro.store`` resolve their public names on first access (PEP 562,
 through :mod:`repro._lazy`) instead of importing every submodule up
 front.  These tests pin what that must not change: the names, the
@@ -36,6 +37,30 @@ PUBLIC = {
         "block_failure_probability", "bootstrap_mean_ci", "classify_cells",
         "evaluate_month", "fit_power_law_trend", "key_failure_probability",
         "monthly_rates", "paired_change_test", "startup_pattern_image",
+    ],
+    "repro.core": [
+        "AssessmentResult", "CalibrationTargets", "LongTermAssessment", "PAPER",
+        "PaperFacts", "StudyConfig", "build_quality_report", "calibrate_aging",
+        "calibrate_skew_distribution", "predicted_initial_metrics",
+    ],
+    "repro.io": [
+        "MeasurementDatabase", "MeasurementRecord", "bits_from_bytes",
+        "bits_from_hex", "bits_to_bytes", "bits_to_hex", "ensure_bits",
+        "hamming_weight", "load_campaign", "pack_bits", "random_bits",
+        "save_campaign", "unpack_bits",
+    ],
+    "repro.monitor": [
+        "Alert", "AlertRule", "CUSUMDetector", "CampaignStatus", "DEFAULT_NAMESPACE",
+        "Decision", "Detector", "EWMADetector", "MetricsJSONLSink", "MonitorHub",
+        "PROMETHEUS_CONTENT_TYPE", "RATE_PREFIX", "ROLLUP_EXPORT_STATS",
+        "ROLLUP_PREFIX", "SEVERITIES", "SnapshotEmitter", "StaticThresholdDetector",
+        "TrendBandDetector", "alert_log_path_for", "append_alert", "current_rss_kb",
+        "default_ruleset", "heartbeat_path_for", "hierarchical_ruleset",
+        "load_alert_log", "load_status", "paper_wchd_trend", "parse_rollup_metric",
+        "population_ruleset", "prometheus_name", "read_jsonl_tolerant",
+        "render_alert_timeline", "render_prometheus", "render_status",
+        "replay_campaign", "write_alert_log", "write_metrics_jsonl",
+        "write_prometheus",
     ],
     "repro.sram": [
         "ATMEGA32U4", "AgingSimulator", "BUSKEEPER_PUF", "DFF_PUF", "DataPolicy",
@@ -95,6 +120,12 @@ VALUE_HOMES = {
     "TESTCHIP_65NM": "repro.sram.profiles",
     "NOISE_SIGMA_V": "repro.sram.profiles",
     "REGISTRY": "repro.sram.profiles",
+    "SEVERITIES": "repro.monitor.alerts",
+    "DEFAULT_NAMESPACE": "repro.monitor.exporters",
+    "PROMETHEUS_CONTENT_TYPE": "repro.monitor.exporters",
+    "ROLLUP_EXPORT_STATS": "repro.monitor.exporters",
+    "RATE_PREFIX": "repro.monitor.hub",
+    "ROLLUP_PREFIX": "repro.monitor.hub",
     "BENCH_LEDGER_NAME": "repro.store.bench",
     "BENCH_VERSION": "repro.store.bench",
     "DEFAULT_KEYFRAME_EVERY": "repro.store.checkpoint",
