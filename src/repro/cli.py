@@ -10,13 +10,12 @@
     python -m repro profile [--devices 4] [--months 3] [--prometheus PATH]
     python -m repro monitor campaign.json [--alerts PATH]
     python -m repro run --save campaign.json [--checkpoint-dir DIR] [--resume]
-                        [--stream-artifact]
                         [--keyframe-every K] [--rollup-shards N]
                         [--heartbeat-every K]
     python -m repro status campaign.json [--once | --interval S]
     python -m repro store inspect DIR [--clean] [--deep]
     python -m repro store compact DIR [--keep-keyframes N]
-    python -m repro store merge DIR --out OUT.json [--stream]
+    python -m repro store merge DIR --out OUT.json
     python -m repro bench record OUTPUT... [--ledger PATH]
     python -m repro bench compare [--bench NAME] [--threshold T]
     python -m repro bench list
@@ -45,10 +44,8 @@ import argparse
 import os
 import re
 import sys
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.core.assessment import LongTermAssessment
-from repro.core.config import StudyConfig
 from repro.errors import ConfigurationError
 from repro.store.checkpoint import DEFAULT_KEYFRAME_EVERY
 from repro.telemetry import (
@@ -62,6 +59,10 @@ from repro.telemetry import (
     set_tracing,
     tracing_enabled,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing aid only
+    from repro.core.assessment import LongTermAssessment
+    from repro.core.config import StudyConfig
 
 
 def _add_study_arguments(parser: argparse.ArgumentParser) -> None:
@@ -119,6 +120,8 @@ def _study_fleet_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _study_config(args: argparse.Namespace) -> StudyConfig:
+    from repro.core.config import StudyConfig
+
     return StudyConfig(
         device_count=args.devices,
         months=args.months,
@@ -132,20 +135,27 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
     )
 
 
+def _assessment(args: argparse.Namespace) -> LongTermAssessment:
+    """The campaign driver over the study the CLI flags configure."""
+    from repro.core.assessment import LongTermAssessment
+
+    return LongTermAssessment(_study_config(args))
+
+
 def _cmd_table1(args: argparse.Namespace) -> int:
-    result = LongTermAssessment(_study_config(args)).run()
+    result = _assessment(args).run()
     print(result.table.render())
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    result = LongTermAssessment(_study_config(args)).run()
+    result = _assessment(args).run()
     print(result.render_comparison())
     return 0
 
 
 def _cmd_fig6(args: argparse.Namespace) -> int:
-    result = LongTermAssessment(_study_config(args)).run()
+    result = _assessment(args).run()
     metric = result.series.metric(args.metric)
     if args.save:
         from repro.io.resultstore import save_campaign
@@ -198,7 +208,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     reset_telemetry()
     tracer = get_tracer()
 
-    result = LongTermAssessment(_study_config(args)).run()
+    result = _assessment(args).run()
 
     with tracer.span("profile.testbed", cycles=args.cycles):
         bed = Testbed(device_count=2, random_state=args.seed)
@@ -249,9 +259,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     checkpoints after every month; ``--resume`` continues from the last
     complete checkpoint, producing artifacts byte-identical to an
     uninterrupted run (see ``docs/storage.md``).  ``--abort-after-month``
-    (or the ``REPRO_ABORT_AFTER_MONTH`` environment variable) interrupts
-    deterministically after that month's checkpoint and exits with
-    code 3 — the CI resume-smoke job uses this to rehearse a crash.
+    interrupts deterministically after that month's checkpoint and
+    exits with code 3 — the CI resume-smoke job uses this to rehearse a
+    crash.
 
     The checkpoint directory holds one layout (``docs/storage.md``):
     each window worker writes its own keyframed checkpoint chain and
@@ -261,21 +271,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     campaign-scoped directory finishes the campaign without writing to
     the directory.
 
-    ``--stream-artifact`` saves the campaign artifact in the JSON Lines
-    stream format (``docs/storage.md``) instead of one JSON document;
-    ``load_campaign`` reads both formats.
-
     Every run heartbeats to ``<save>.heartbeat.jsonl`` (tail it, or
     point ``repro status`` at the artifact) and keeps a flight recorder
     of recent events; a crashed campaign (including one injected with
-    ``--fail-board`` / ``$REPRO_FAIL_BOARD``) dumps the recorder to
-    ``<save>.flight.json`` and exits with code 4.
+    ``--fail-board``) dumps the recorder to ``<save>.flight.json`` and
+    exits with code 4.
 
     A checkpoint directory the campaign cannot use — ``--resume`` of a
     directory with nothing to resume (missing, empty, or no month every
     shard can restore), or an unreadable or foreign checkpoint — prints
     ``error: <message>`` on stderr and exits with code 6.
     """
+    from repro.core.assessment import LongTermAssessment
     from repro.errors import (
         CampaignExecutionError,
         CampaignInterrupted,
@@ -362,7 +369,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.save,
         manifest=result.manifest,
         alerts=hub.alerts,
-        stream=args.stream,
     )
     print(f"campaign saved to {args.save}")
     print(f"manifest saved to {manifest_path_for(args.save)}")
@@ -548,7 +554,7 @@ def _cmd_store_merge(args: argparse.Namespace) -> int:
     except StorageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    save_campaign(result, args.out, stream=args.stream)
+    save_campaign(result, args.out)
     print(
         f"merged {len(result.board_ids)} boards x {result.months} months "
         f"from {args.path}"
@@ -815,7 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.set_defaults(handler=_cmd_profile)
 
-    env_abort = os.environ.get("REPRO_ABORT_AFTER_MONTH", "")
     run = commands.add_parser(
         "run",
         help="run the monitored campaign with artifacts and checkpoint/resume",
@@ -849,17 +854,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--abort-after-month",
         type=int,
-        default=int(env_abort) if env_abort else None,
+        default=None,
         metavar="M",
         help="interrupt deterministically after month M's checkpoint and "
-        "exit 3 (default: $REPRO_ABORT_AFTER_MONTH; requires "
-        "--checkpoint-dir)",
-    )
-    run.add_argument(
-        "--stream-artifact",
-        dest="stream",
-        action="store_true",
-        help="save the campaign artifact in the JSON Lines stream format",
+        "exit 3 (requires --checkpoint-dir)",
     )
     run.add_argument(
         "--keyframe-every",
@@ -877,14 +875,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="logical shard count of the hierarchical rollup layer "
         "(default: min(8, devices); independent of --workers)",
     )
-    env_fail = os.environ.get("REPRO_FAIL_BOARD", "")
     run.add_argument(
         "--fail-board",
         type=int,
-        default=int(env_fail) if env_fail else None,
+        default=None,
         metavar="B",
         help="fault injection: crash the worker before simulating board B "
-        "and dump the flight recorder (default: $REPRO_FAIL_BOARD)",
+        "and dump the flight recorder",
     )
     run.add_argument(
         "--heartbeat-every",
@@ -963,11 +960,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="PATH",
         help="merged campaign artifact destination",
-    )
-    merge.add_argument(
-        "--stream",
-        action="store_true",
-        help="write the merged artifact in the JSON Lines stream format",
     )
     merge.set_defaults(handler=_cmd_store_merge)
 

@@ -18,31 +18,15 @@ from repro.errors import ConfigurationError
 
 
 def normalize_profile_fields(spec, board_count: int) -> None:
-    """Reconcile a spec's ``profile`` / ``profiles`` / ``profile_index``.
+    """Validate a spec's ``profiles`` / ``profile_index`` table.
 
     Called by :class:`~repro.exec.windows.WindowSpec` ``__post_init__``:
-    the homogeneous shorthand (``profile=...``) expands to a one-entry
-    table, an explicit table is validated against ``board_count``, and
-    a homogeneous table back-fills ``profile`` so existing call sites
-    reading ``spec.profile`` keep working.  Mutates via
-    ``object.__setattr__`` (the spec is a frozen dataclass).
+    the table is stored as tuples and validated against
+    ``board_count``.  Mutates via ``object.__setattr__`` (the spec is a
+    frozen dataclass).
     """
-    if spec.profile is not None and spec.profiles:
-        # A normalized homogeneous spec round-trips through
-        # dataclasses.replace with both fields set; accept the
-        # consistent case and re-expand the shorthand below.
-        if tuple(spec.profiles) != (spec.profile,):
-            raise ConfigurationError(
-                "pass either profile (homogeneous) or profiles/profile_index, "
-                "not both"
-            )
-        object.__setattr__(spec, "profiles", ())
-    if spec.profile is not None:
-        object.__setattr__(spec, "profiles", (spec.profile,))
-        object.__setattr__(spec, "profile_index", (0,) * board_count)
-        return
     if not spec.profiles:
-        raise ConfigurationError("a spec needs a profile or a profiles table")
+        raise ConfigurationError("a spec needs a profiles table")
     object.__setattr__(spec, "profiles", tuple(spec.profiles))
     object.__setattr__(spec, "profile_index", tuple(int(i) for i in spec.profile_index))
     if len(spec.profile_index) != board_count:
@@ -57,8 +41,6 @@ def normalize_profile_fields(spec, board_count: int) -> None:
             f"profile_index entries must point into the {len(spec.profiles)}-"
             "entry profiles table"
         )
-    if len(spec.profiles) == 1:
-        object.__setattr__(spec, "profile", spec.profiles[0])
 
 
 def partition_boards(
@@ -92,36 +74,15 @@ def partition_boards(
     return shards
 
 
-def rollup_shard_of(position: int, board_count: int, shard_count: int) -> int:
-    """The logical rollup shard of the board at fleet ``position``.
+def rollup_shards_of(positions, board_count: int, shard_count: int) -> np.ndarray:
+    """The logical rollup shard of every fleet position in ``positions``.
 
     Closed-form inverse of :func:`partition_boards` over
-    ``range(board_count)`` — O(1), so workers map boards to rollup
-    shards without materializing the partition:
+    ``range(board_count)``, so workers map boards to rollup shards
+    without materializing the partition:
 
-    >>> shards = partition_boards(range(7), 3)
-    >>> [rollup_shard_of(b, 7, 3) for b in range(7)]
-    [0, 0, 0, 1, 1, 2, 2]
-    >>> shards
+    >>> partition_boards(range(7), 3)
     [(0, 1, 2), (3, 4), (5, 6)]
-    """
-    if not 0 <= position < board_count:
-        raise ConfigurationError(
-            f"board position {position} outside fleet of {board_count}"
-        )
-    count = min(shard_count, board_count)
-    if count < 1:
-        raise ConfigurationError(f"shard_count must be >= 1, got {shard_count}")
-    base, extra = divmod(board_count, count)
-    pivot = extra * (base + 1)
-    if position < pivot:
-        return position // (base + 1)
-    return extra + (position - pivot) // base
-
-
-def rollup_shards_of(positions, board_count: int, shard_count: int) -> np.ndarray:
-    """:func:`rollup_shard_of` of every fleet position in ``positions``.
-
     >>> rollup_shards_of(range(7), 7, 3).tolist()
     [0, 0, 0, 1, 1, 2, 2]
     """

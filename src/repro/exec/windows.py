@@ -120,11 +120,9 @@ class WindowSpec:
     #: Identifies the campaign run; a resident slot serves only
     #: windows of the run that filled it.
     run_token: str = ""
-    #: Homogeneous shorthand — every board shares this profile.  Mixed
-    #: windows instead carry the interned table of *distinct*
-    #: ``profiles`` plus per-board ``profile_index`` entries (aligned
-    #: with ``board_ids``), so each profile pickles once per spec.
-    profile: Optional[DeviceProfile] = field(default=None, repr=False)
+    #: The interned table of *distinct* profiles plus per-board
+    #: ``profile_index`` entries (aligned with ``board_ids``), so each
+    #: profile pickles once per spec.
     profiles: Tuple[DeviceProfile, ...] = field(default=(), repr=False)
     profile_index: Tuple[int, ...] = ()
     statistical: bool = True

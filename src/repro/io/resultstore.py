@@ -59,16 +59,14 @@ def _snapshot_to_dict(snapshot) -> Dict[str, Any]:
     }
 
 
-def encode_snapshot(snapshot, sort_keys: bool = False) -> str:
+def encode_snapshot(snapshot) -> str:
     """``json.dumps`` of a snapshot's document, byte for byte.
 
     The float arrays go through
     :func:`~repro.store.codecs.encode_json_array`, which encodes each
-    distinct value once instead of every element's ``repr``.  Both
-    artifact writers use it: the at-once document in field order, the
-    stream with ``sort_keys=True``.
+    distinct value once instead of every element's ``repr``.
     """
-    return encode_json_object(_snapshot_fields(snapshot), sort_keys=sort_keys)
+    return encode_json_object(_snapshot_fields(snapshot))
 
 
 def _snapshot_from_dict(doc: Dict[str, Any]):
@@ -164,14 +162,13 @@ def save_campaign(
     path: str,
     manifest: Optional[RunManifest] = None,
     alerts: Optional[Sequence[Any]] = None,
-    stream: bool = False,
 ) -> None:
     """Write a campaign result to a JSON file.
 
-    ``stream=True`` writes the JSON Lines *stream* format instead of
-    the legacy whole-document one (see :mod:`repro.store.stream`) —
-    the same bytes an incrementally streamed run produces.
-    :func:`load_campaign` reads both formats transparently.
+    The artifact is one single-line JSON document
+    (:func:`encode_campaign`), the only campaign artifact format this
+    library writes.  :func:`load_campaign` also reads the JSON Lines
+    stream artifacts of older versions (:mod:`repro.store.stream`).
 
     When ``manifest`` is given it is written alongside, at
     :func:`~repro.telemetry.manifest_path_for` of ``path``.  When
@@ -183,13 +180,8 @@ def save_campaign(
     the writes are atomic: a crash mid-save leaves the previous
     artifact intact (plus a detectable ``*.tmp`` stray).
     """
-    if stream:
-        from repro.store.stream import write_campaign_stream
-
-        write_campaign_stream(result, path)
-    else:
-        store, name = ArtifactStore.locate(path)
-        store.write_text(name, encode_campaign(result))
+    store, name = ArtifactStore.locate(path)
+    store.write_text(name, encode_campaign(result))
     if manifest is not None:
         from repro.io.jsonstore import save_manifest
 
@@ -204,11 +196,12 @@ def load_campaign(path: str):
     """Read a campaign result written by :func:`save_campaign`.
 
     Both artifact formats load here: the first line is sniffed — a
-    stream header record routes to the stream reader, anything else is
-    treated as one legacy JSON document.  (A legacy document's first
-    line either is the whole single-line document, which has no
-    ``kind`` field, or the ``{`` of an indented one, which is not
-    valid JSON on its own — so the sniff cannot misfire.)
+    stream header record routes to the read-only reader of legacy
+    stream artifacts (:mod:`repro.store.stream`), anything else is
+    treated as one JSON document.  (A document's first line either is
+    the whole single-line document, which has no ``kind`` field, or
+    the ``{`` of an indented one, which is not valid JSON on its own —
+    so the sniff cannot misfire.)
 
     A *directory* with a campaign manifest is a sharded checkpoint
     layout (``docs/storage.md``): the result is reassembled from the

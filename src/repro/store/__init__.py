@@ -25,8 +25,8 @@ package:
 * :mod:`repro.store.legacy` — read-only parsers of legacy
   campaign-scoped checkpoint directories (schema v1–v3), imported only
   when such a directory is read.
-* :mod:`repro.store.stream` — the incremental (JSON Lines) campaign
-  artifact format and its writer/loader.
+* :mod:`repro.store.stream` — the read-only loader of legacy JSON
+  Lines (stream) campaign artifacts.
 * :mod:`repro.store.bench` — the append-only perf-regression ledger
   behind ``repro bench`` (record / compare / list).
 
@@ -135,7 +135,6 @@ __getattr__, __dir__, __all__ = _lazy.attach(
         "repro.store.stream": (
             "is_stream_header",
             "load_campaign_stream_doc",
-            "write_campaign_stream",
         ),
     },
 )

@@ -49,8 +49,7 @@ from repro.errors import StorageError
 class JsonText(NamedTuple):
     """Already-encoded compact JSON, embedded verbatim.
 
-    :func:`encode_json_object` inserts a ``JsonText`` value as it is
-    and :meth:`JsonLinesCodec.encode_line` takes one as a whole record,
+    :func:`encode_json_object` inserts a ``JsonText`` value as it is,
     so a document can be assembled from separately encoded parts
     without encoding or copying them again.
     """
@@ -102,17 +101,11 @@ class JsonLinesCodec:
         self._sort_keys = sort_keys
 
     def encode_line(self, document: Any) -> str:
-        """One record as a single line (no trailing newline).
-
-        A :class:`JsonText` record is taken as already encoded.
-        """
-        if isinstance(document, JsonText):
-            text = document.text
-        else:
-            try:
-                text = json.dumps(document, sort_keys=self._sort_keys)
-            except (TypeError, ValueError) as exc:
-                raise StorageError(f"record is not JSON-serialisable: {exc}") from exc
+        """One record as a single line (no trailing newline)."""
+        try:
+            text = json.dumps(document, sort_keys=self._sort_keys)
+        except (TypeError, ValueError) as exc:
+            raise StorageError(f"record is not JSON-serialisable: {exc}") from exc
         if "\n" in text:
             raise StorageError("a JSONL record cannot span lines")
         return text
@@ -167,8 +160,8 @@ def encode_json_array(values: np.ndarray) -> str:
     return "[" + ", ".join(texts[inverse].tolist()) + "]"
 
 
-def encode_json_object(fields: Mapping[str, Any], sort_keys: bool = False) -> str:
-    """``json.dumps(fields, sort_keys=sort_keys)`` of a string-keyed object.
+def encode_json_object(fields: Mapping[str, Any]) -> str:
+    """``json.dumps(fields)`` of a string-keyed object.
 
     NumPy array values are encoded by :func:`encode_json_array` (the
     bytes ``json.dumps`` gives for their ``tolist()``), :class:`JsonText`
@@ -177,7 +170,7 @@ def encode_json_object(fields: Mapping[str, Any], sort_keys: bool = False) -> st
     :class:`~repro.errors.StorageError`.
     """
     pieces = ["{"]
-    for key in sorted(fields) if sort_keys else fields:
+    for key in fields:
         value = fields[key]
         if isinstance(value, JsonText):
             text = value.text
@@ -185,7 +178,7 @@ def encode_json_object(fields: Mapping[str, Any], sort_keys: bool = False) -> st
             text = encode_json_array(value)
         else:
             try:
-                text = json.dumps(value, sort_keys=sort_keys)
+                text = json.dumps(value)
             except (TypeError, ValueError) as exc:
                 raise StorageError(
                     f"field {key!r} is not JSON-serialisable: {exc}"

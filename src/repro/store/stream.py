@@ -1,8 +1,10 @@
-"""Campaign artifacts in the JSON Lines *stream* format.
+"""Reader of legacy campaign artifacts in the JSON Lines *stream* format.
 
-The stream format is the campaign artifact's data as JSON Lines, one
-record per line, so a reader can take the header and the snapshots one
-at a time:
+Older versions of this library could save a campaign artifact as JSON
+Lines, one record per line.  Nothing writes the format any more — the
+single-document artifact of :func:`repro.io.resultstore.save_campaign`
+is the one campaign artifact format — but every stream artifact on
+disk keeps loading.  Its records, in file order:
 
 ``{"kind": "header", "stream_version": 1, ...}``
     Campaign identity: profile name, configured months, measurements
@@ -17,10 +19,9 @@ at a time:
     campaign result (the snapshot records are still inspectable by
     hand).
 
-Every record is canonical sorted-key JSON, and
-:func:`write_campaign_stream` writes the whole stream in one atomic
-write, as the single-document artifact is written: the bytes depend on
-the result alone, and a crash mid-write leaves the previous file.
+Every record is canonical sorted-key JSON.
+``tests/store/fixtures/campaign_stream_v1.jsonl`` is one such artifact,
+kept as the reader's test data.
 
 :func:`load_campaign_stream_doc` folds a finalized stream back into
 the legacy single-document shape, which is how
@@ -32,11 +33,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from repro.errors import StorageError
 from repro.store.artifact import ArtifactStore
-from repro.store.codecs import JsonText, encode_json_object
 from repro.store.schema import current_version, migrate
 
 #: Record kinds of a campaign stream, in file order.
@@ -46,46 +44,6 @@ STREAM_RECORD_KINDS = ("header", "references", "snapshot", "end")
 def is_stream_header(record: Any) -> bool:
     """Whether a decoded first line marks a campaign stream artifact."""
     return isinstance(record, dict) and record.get("kind") == "header"
-
-
-def write_campaign_stream(result, path: str) -> str:
-    """Write a finished campaign result in the stream format; returns the path."""
-    from repro.io.bitutil import bits_to_hex
-    from repro.io.resultstore import encode_snapshot
-
-    header = {
-        "kind": "header",
-        "stream_version": current_version("campaign-stream"),
-        "profile_name": str(result.profile_name),
-        "months": int(result.months),
-        "measurements": int(result.measurements),
-        "board_ids": [int(board) for board in result.board_ids],
-    }
-    references = {
-        "kind": "references",
-        "references": {
-            str(board): bits_to_hex(bits) for board, bits in result.references.items()
-        },
-        "reference_bits": {
-            str(board): int(np.asarray(bits).size)
-            for board, bits in result.references.items()
-        },
-    }
-    snapshots = [
-        JsonText(
-            encode_json_object(
-                {
-                    "kind": "snapshot",
-                    "snapshot": JsonText(encode_snapshot(snapshot, sort_keys=True)),
-                },
-                sort_keys=True,
-            )
-        )
-        for snapshot in result.snapshots
-    ]
-    end = {"kind": "end", "snapshots": len(snapshots)}
-    store, name = ArtifactStore.locate(path)
-    return store.write_jsonl(name, [header, references, *snapshots, end], sort_keys=True)
 
 
 def load_campaign_stream_doc(path: str) -> Dict[str, Any]:

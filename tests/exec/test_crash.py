@@ -41,7 +41,8 @@ def _spec(board_ids, shard_index=0, **overrides) -> WindowSpec:
         measurements=50,
         board_ids=tuple(board_ids),
         run_token="crash",
-        profile=ATMEGA32U4,
+        profiles=(ATMEGA32U4,),
+        profile_index=(0,) * len(board_ids),
     )
     spec.update(overrides)
     return WindowSpec(**spec)

@@ -369,7 +369,8 @@ class TestSlotGuard:
                 measurements=20,
                 board_ids=(0, 1),
                 run_token=token,
-                profile=ATMEGA32U4,
+                profiles=(ATMEGA32U4,),
+                profile_index=(0, 0),
             )
 
         clear_window_cache()

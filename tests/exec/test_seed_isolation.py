@@ -51,7 +51,8 @@ def _trajectories(board_ids, shard_index=0):
                     measurements=MEASUREMENTS,
                     board_ids=tuple(board_ids),
                     run_token="isolation",
-                    profile=ATMEGA32U4,
+                    profiles=(ATMEGA32U4,),
+                    profile_index=(0,) * len(board_ids),
                     statistical=True,
                     apply_aging=month < MONTHS,
                 )

@@ -96,40 +96,21 @@ class TestProfileFieldNormalization:
         base.update(overrides)
         return base
 
-    def test_homogeneous_shorthand_expands_to_a_table(self):
-        shard = WindowSpec(**self.kwargs(profile=ATMEGA32U4))
-        assert shard.profiles == (ATMEGA32U4,)
-        assert shard.profile_index == (0, 0, 0)
-
-    def test_homogeneous_table_backfills_profile(self):
-        shard = WindowSpec(
-            **self.kwargs(profiles=(ATMEGA32U4,), profile_index=(0, 0, 0))
-        )
-        assert shard.profile == ATMEGA32U4
-        assert shard.profiles == (ATMEGA32U4,)
-
     def test_heterogeneous_table_keeps_profile_unset(self):
         shard = WindowSpec(
             **self.kwargs(profiles=(ATMEGA32U4, DFF_PUF), profile_index=(0, 1, 0))
         )
-        assert shard.profile is None
         assert shard.board_profiles == (ATMEGA32U4, DFF_PUF, ATMEGA32U4)
 
     def test_replace_round_trip_survives_normalization(self):
-        shard = WindowSpec(**self.kwargs(profile=ATMEGA32U4))
+        shard = WindowSpec(
+            **self.kwargs(profiles=[ATMEGA32U4], profile_index=[0, 0, 0])
+        )
+        assert shard.profiles == (ATMEGA32U4,)
+        assert shard.profile_index == (0, 0, 0)
         clone = dataclasses.replace(shard, fail_board=1)
         assert clone.profiles == shard.profiles
         assert clone.profile_index == shard.profile_index
-
-    def test_conflicting_profile_and_table_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            WindowSpec(
-                **self.kwargs(
-                    profile=ATMEGA32U4,
-                    profiles=(DFF_PUF,),
-                    profile_index=(0, 0, 0),
-                )
-            )
 
     def test_missing_profile_information_rejected(self):
         with pytest.raises(ConfigurationError, match="profile"):
@@ -157,7 +138,6 @@ class TestProfileFieldNormalization:
             profiles=(ATMEGA32U4, DFF_PUF),
             profile_index=(1, 0),
         )
-        assert window.profile is None
         assert window.board_profiles == (DFF_PUF, ATMEGA32U4)
 
 
@@ -170,7 +150,8 @@ class TestResultPayload:
             measurements=10,
             board_ids=(0, 1, 2, 3),
             run_token="payload",
-            profile=ATMEGA32U4,
+            profiles=(ATMEGA32U4,),
+            profile_index=(0, 0, 0, 0),
         )
         clear_window_cache()
         try:

@@ -80,6 +80,14 @@ def test_campaign_parent_imports_no_heavy_scipy_module():
     assert loaded == [], f"a fresh campaign parent imports {loaded}"
 
 
+def test_cli_import_loads_no_campaign_driver():
+    """``import repro.cli`` leaves the campaign and its scipy.special to the handlers."""
+    loaded = fresh_interpreter_heavy_modules(
+        "import repro.cli", ("repro.analysis.campaign", "scipy.special")
+    )
+    assert loaded == [], f"a fresh 'import repro.cli' imports {loaded}"
+
+
 def test_scipy_callers_import_it_on_first_call():
     """Trend fitting and calibration load scipy when called, and answer as before."""
     loaded = f"sorted(m for m in {SCIPY_HEAVY!r} if m in sys.modules)"

@@ -15,8 +15,6 @@ from repro.io.resultstore import (
     save_campaign,
 )
 from repro.sram.profiles import ATMEGA32U4
-from repro.store.codecs import JsonLinesCodec
-from repro.store.schema import current_version
 
 
 @pytest.fixture(scope="module")
@@ -110,31 +108,8 @@ def nan_entropy_result(result):
     return dataclasses.replace(result, snapshots=snapshots + result.snapshots[1:])
 
 
-def expected_stream(result) -> bytes:
-    """The stream artifact, record by record, from ``campaign_to_dict``."""
-    doc = campaign_to_dict(result)
-    records = [
-        {
-            "kind": "header",
-            "stream_version": current_version("campaign-stream"),
-            "profile_name": doc["profile_name"],
-            "months": doc["months"],
-            "measurements": doc["measurements"],
-            "board_ids": doc["board_ids"],
-        },
-        {
-            "kind": "references",
-            "references": doc["references"],
-            "reference_bits": doc["reference_bits"],
-        },
-    ]
-    records += [{"kind": "snapshot", "snapshot": snap} for snap in doc["snapshots"]]
-    records.append({"kind": "end", "snapshots": len(doc["snapshots"])})
-    return JsonLinesCodec(sort_keys=True).encode(records)
-
-
 class TestArtifactBytes:
-    """Both artifact writers equal ``json.dumps`` of the public document."""
+    """The artifact equals ``json.dumps`` of the public document."""
 
     @pytest.fixture(scope="class", params=["fleet-64", "nan-entropy"])
     def encoded(self, request):
@@ -145,11 +120,6 @@ class TestArtifactBytes:
         path = tmp_path / "campaign.json"
         save_campaign(encoded, str(path))
         assert path.read_bytes() == json.dumps(campaign_to_dict(encoded)).encode()
-
-    def test_stream_artifact_equals_record_encoding(self, encoded, tmp_path):
-        path = tmp_path / "campaign.jsonl"
-        save_campaign(encoded, str(path), stream=True)
-        assert path.read_bytes() == expected_stream(encoded)
 
     def test_nan_entropy_is_null(self, tmp_path):
         result = nan_entropy_result(fleet_result())

@@ -209,15 +209,13 @@ class TestJsonArray:
 class TestJsonObject:
     DOC = {"z": 1, "a": np.array([0.5, -0.0, 0.5]), "m": None, "n": {"y": 2, "b": [1.5]}}
 
-    @pytest.mark.parametrize("sort_keys", [False, True])
-    def test_equals_json_dumps(self, sort_keys):
+    def test_equals_json_dumps(self):
         plain = {key: value.tolist() if isinstance(value, np.ndarray) else value
                  for key, value in self.DOC.items()}
-        expected = json.dumps(plain, sort_keys=sort_keys)
-        assert encode_json_object(self.DOC, sort_keys=sort_keys) == expected
+        assert encode_json_object(self.DOC) == json.dumps(plain)
 
     def test_json_text_is_embedded_verbatim(self):
-        inner = JsonText(encode_json_object({"b": 2, "a": 1}, sort_keys=True))
+        inner = JsonText(encode_json_object({"a": 1, "b": 2}))
         outer = encode_json_object({"kind": "x", "doc": inner})
         assert outer == '{"kind": "x", "doc": {"a": 1, "b": 2}}'
 
@@ -227,10 +225,6 @@ class TestJsonObject:
     def test_unserialisable_raises_storage_error(self):
         with pytest.raises(StorageError, match="'bad'.*serialisable"):
             encode_json_object({"ok": 1, "bad": object()})
-
-    def test_jsonl_codec_takes_json_text_as_the_line(self):
-        line = JsonText(encode_json_object({"b": 1, "a": np.array([2.0])}, sort_keys=True))
-        assert JsonLinesCodec(sort_keys=True).encode_line(line) == '{"a": [2.0], "b": 1}'
 
 
 class TestRngStateCodec:

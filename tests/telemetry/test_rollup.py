@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.plan import partition_boards, rollup_shard_of, rollup_shards_of
+from repro.exec.plan import partition_boards, rollup_shards_of
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.rollup import (
     ROLLUP_STATS,
@@ -180,13 +180,19 @@ class TestDocRoundTrip:
         assert json.loads(json.dumps(doc)) == doc
 
 
+def partition_shard_of(board_count: int, shard_count: int):
+    """``board -> shard`` as :func:`partition_boards` places the fleet."""
+    partition = partition_boards(range(board_count), shard_count)
+    shards = {board: index for index, boards in enumerate(partition) for board in boards}
+    return shards.__getitem__
+
+
 class TestShardPipeline:
     def test_rollup_shard_of_inverts_partition_boards(self):
         for fleet, shards in ((7, 3), (8, 4), (16, 8), (5, 8), (256, 8)):
-            partition = partition_boards(range(fleet), shards)
-            for index, boards in enumerate(partition):
-                for board in boards:
-                    assert rollup_shard_of(board, fleet, shards) == index
+            shard_of = partition_shard_of(fleet, shards)
+            expected = [shard_of(board) for board in range(fleet)]
+            assert rollup_shards_of(range(fleet), fleet, shards).tolist() == expected
 
     def test_builder_matches_evaluation_docs(self):
         """Worker-side builder ≡ parent-side fallback, doc for doc."""
@@ -198,10 +204,7 @@ class TestShardPipeline:
             stable_ratio = np.array([0.9, 0.91, 0.92, 0.93])
             noise_entropy = np.array([0.03, 0.031, 0.032, 0.033])
 
-        def shard_of(board):
-            return rollup_shard_of(board, 4, 2)
-
-        builder = ShardRollupBuilder(shard_of)
+        builder = ShardRollupBuilder(partition_shard_of(4, 2))
         evaluation = FakeEvaluation()
         for i, board in enumerate(evaluation.board_ids):
             builder.observe_board(
@@ -217,7 +220,7 @@ class TestShardPipeline:
         ]
 
         def docs_for(boards):
-            builder = ShardRollupBuilder(lambda b: rollup_shard_of(b, 8, 2))
+            builder = ShardRollupBuilder(partition_shard_of(8, 2))
             for board in boards:
                 builder.observe_board(board, stats[board])
             return builder.take()
@@ -233,7 +236,7 @@ class TestShardPipeline:
         assert [docs_of(half) for half in halves] == before
 
     def test_fold_builds_fleet_scope_and_counters(self):
-        builder = ShardRollupBuilder(lambda b: rollup_shard_of(b, 4, 2))
+        builder = ShardRollupBuilder(partition_shard_of(4, 2))
         for board in range(4):
             builder.observe_board(
                 board, {stat: 0.1 * (board + 1) for stat in ROLLUP_STATS}
@@ -378,9 +381,7 @@ class TestBatchedFold:
         boards = len(columns)
         split = data.draw(st.integers(0, boards))
 
-        def shard_of(board):
-            return rollup_shard_of(board, boards, shards)
-
+        shard_of = partition_shard_of(boards, shards)
         per_board = ShardRollupBuilder(shard_of)
         for board, row in enumerate(columns):
             per_board.observe_board(board, dict(zip(ROLLUP_STATS, row)))

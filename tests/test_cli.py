@@ -299,11 +299,6 @@ class TestRunCommand:
             assert "Traceback" not in err
         assert not (tmp_path / "campaign.json").exists()
 
-    def test_abort_env_variable(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ABORT_AFTER_MONTH", "0")
-        code, _ = run_cli(capsys, *self._run_args(tmp_path))
-        assert code == 3
-
     def test_interrupt_resume_byte_identical(self, capsys, tmp_path):
         straight = tmp_path / "straight"
         broken = tmp_path / "broken"
@@ -321,6 +316,15 @@ class TestRunCommand:
 
         for name in ("campaign.json", "campaign.alerts.jsonl"):
             assert (straight / name).read_bytes() == (broken / name).read_bytes()
+
+    def test_keyframe_every_flag_controls_cadence(self, capsys, tmp_path):
+        code, _ = run_cli(capsys, *self._run_args(tmp_path, "--keyframe-every", "2"))
+        assert code == 0
+        kinds = {}
+        for month in range(3):
+            with open(tmp_path / "ckpt" / SHARD0 / f"month-000{month}.json") as fh:
+                kinds[month] = json.load(fh)["kind"]
+        assert kinds == {0: "keyframe", 1: "delta", 2: "keyframe"}
 
     def test_alert_log_identical_across_worker_counts(self, capsys, tmp_path):
         logs = []
@@ -569,109 +573,6 @@ class TestStoreCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "does not exist" in captured.err
-
-
-class TestStreamArtifactCli:
-    def _run_args(self, tmp_path, *extra):
-        return [
-            "run", *SMALL,
-            "--save", str(tmp_path / "campaign.json"),
-            *extra,
-        ]
-
-    def test_incremental_stream_writes_all_artifacts(self, capsys, tmp_path):
-        code, out = run_cli(
-            capsys,
-            *self._run_args(
-                tmp_path,
-                "--checkpoint-dir", str(tmp_path / "ckpt"),
-                "--stream-artifact",
-            ),
-        )
-        assert code == 0
-        assert "campaign saved" in out
-        import json
-
-        with open(tmp_path / "campaign.json", "r", encoding="utf-8") as fh:
-            assert json.loads(fh.readline())["kind"] == "header"
-        assert (tmp_path / "campaign.manifest.json").exists()
-        assert (tmp_path / "campaign.alerts.jsonl").exists()
-        from repro.io.resultstore import load_campaign
-
-        assert load_campaign(str(tmp_path / "campaign.json")).months == 2
-
-    def test_incremental_bytes_match_at_once_stream(self, capsys, tmp_path):
-        incremental = tmp_path / "incremental"
-        at_once = tmp_path / "at_once"
-        incremental.mkdir()
-        at_once.mkdir()
-        code, _ = run_cli(
-            capsys,
-            *self._run_args(
-                incremental,
-                "--checkpoint-dir", str(incremental / "ckpt"),
-                "--stream-artifact",
-            ),
-        )
-        assert code == 0
-        # The stream is encoded once after the run, with or without a
-        # checkpoint dir; the artifact bytes must not depend on it.
-        code, _ = run_cli(capsys, *self._run_args(at_once, "--stream-artifact"))
-        assert code == 0
-        assert (incremental / "campaign.json").read_bytes() == (
-            at_once / "campaign.json"
-        ).read_bytes()
-
-    def test_interrupt_resume_stream_byte_identical(self, capsys, tmp_path):
-        straight = tmp_path / "straight"
-        broken = tmp_path / "broken"
-        straight.mkdir()
-        broken.mkdir()
-        base = ["--stream-artifact", "--keyframe-every", "2"]
-        code, _ = run_cli(
-            capsys,
-            *self._run_args(
-                straight, "--checkpoint-dir", str(straight / "ckpt"), *base
-            ),
-        )
-        assert code == 0
-        code, _ = run_cli(
-            capsys,
-            *self._run_args(
-                broken,
-                "--checkpoint-dir", str(broken / "ckpt"),
-                *base,
-                "--abort-after-month", "1",
-            ),
-        )
-        assert code == 3
-        code, _ = run_cli(
-            capsys,
-            *self._run_args(
-                broken, "--checkpoint-dir", str(broken / "ckpt"), *base, "--resume"
-            ),
-        )
-        assert code == 0
-        for name in ("campaign.json", "campaign.alerts.jsonl"):
-            assert (straight / name).read_bytes() == (broken / name).read_bytes()
-
-    def test_keyframe_every_flag_controls_cadence(self, capsys, tmp_path):
-        import json
-
-        code, _ = run_cli(
-            capsys,
-            *self._run_args(
-                tmp_path,
-                "--checkpoint-dir", str(tmp_path / "ckpt"),
-                "--keyframe-every", "2",
-            ),
-        )
-        assert code == 0
-        kinds = {}
-        for month in range(3):
-            with open(tmp_path / "ckpt" / SHARD0 / f"month-000{month}.json") as fh:
-                kinds[month] = json.load(fh)["kind"]
-        assert kinds == {0: "keyframe", 1: "delta", 2: "keyframe"}
 
 
 class TestStoreDeepAndCompactCli:

@@ -106,7 +106,7 @@ PUBLIC = {
         "read_shard_stream", "register_migration", "render_comparison",
         "reset_sharded_layout", "restore_chip", "restore_rng_state", "rng_state_doc",
         "schema_field", "shard_root", "truncate_file", "unpack_bits_hex",
-        "write_campaign_stream", "write_shard_manifest",
+        "write_shard_manifest",
     ],
 }
 
